@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .dsl import DslError, Model, parse
 from .modes import check_mode_functor
-from .portgraph import PortGraphError, ValidationError
+from .portgraph import PortGraphError
 from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term, resolve_leaf
 from .prob import check_prob_functor, format_probability, leaf_probability
 from .stoch import check_lifting, diagnose, format_posterior
@@ -47,10 +47,6 @@ def _tolerance(args: argparse.Namespace) -> Fraction:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad tolerance {raw!r}") from exc
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _pct(x: Fraction) -> float:
@@ -140,25 +136,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     for name, kind, report in functor_reports:
         text_parts.append(f"[{kind} {name}]")
         text_parts.append(str(report))
-        rows: list[dict] = []
-        if kind == "prob":
-            rows = [{"lhs": r.lhs_path, "rhs": r.rhs_path,
-                     "lhs_value": _frac(r.lhs_value),
-                     "rhs_value": _frac(r.rhs_value),
-                     "passed": r.passed} for r in report.rows]
-        elif kind == "modes":
-            rows = [{"lhs": r.lhs_path, "rhs": r.rhs_path,
-                     "passed": r.passed} for r in report.rows]
-        else:
-            rows = [{"subject": r.subject, "passed": r.passed,
-                     "detail": r.detail} for r in report.rows]
-        payload_functors.append({
-            "name": name, "kind": kind, "passed": report.passed,
-            "errors": list(report.errors), "rows": rows})
+        payload_functors.append(
+            {"name": name, "kind": kind, **report.to_dict()})
     payload = {
         "command": "check",
         "passed": passed,
-        "tolerance": _frac(tolerance),
+        "tolerance": str(tolerance),
         "architecture": {
             "success": arch_report.success,
             "errors": list(arch_report.errors),
@@ -186,7 +169,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         "term": str(term),
         "leaf": args.leaf,
         "path": path,
-        "value": _frac(value),
+        "value": str(value),
         "percent": _pct(value),
     }
     _emit(args, format_probability(value), payload)
@@ -205,7 +188,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "term": str(term),
         "mode": args.mode,
         "posterior": [
-            {"leaf": label, "value": _frac(p), "percent": _pct(p)}
+            {"leaf": label, "value": str(p), "percent": _pct(p)}
             for label, p in posterior.entries],
     }
     _emit(args, format_posterior(posterior), payload)
@@ -259,8 +242,7 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (CliError, DslError, PortGraphError, ValidationError,
-            TermSyntaxError) as exc:
+    except (CliError, PortGraphError, TermSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -19,9 +19,10 @@ interchangeable, ``#`` starts a comment):
         prior <Boundary> = (<mode>: <rational>, ...)
         kernel <generator> { <mode> -> <slot>.<mode>: <rational> ... }
     }
-    history <leafPath> interval [<t0>, <t1>] { <timestamp> ... }
 
 Rationals are ``a/b``, integers, or finite decimals (converted exactly).
+A free-standing ``<term>`` (as given on the command line) uses the same
+grammar, without resolving generator or slot names.
 Internal ports not mentioned by any wire or expose are automatically exposed
 to an identically named external port when that match is unique.
 """
@@ -43,13 +44,17 @@ from .portgraph import (
     Wire,
     canonicalize,
 )
-from .presentation import CoherenceEquation, OperadPresentation, Term
+from .presentation import (
+    CoherenceEquation,
+    OperadPresentation,
+    Term,
+    TermSyntaxError,
+)
 from .prob import Distribution, ProbFunctor
-from .rates import FailureHistory
 from .stoch import Kernel, Point, StochFunctor
 
 
-class DslError(Exception):
+class DslError(TermSyntaxError):
     """A parse or resolution error with a source location."""
 
     def __init__(self, message: str, line: int, col: int) -> None:
@@ -66,7 +71,6 @@ class Model:
     prob_functors: dict[str, ProbFunctor] = field(default_factory=dict)
     mode_functors: dict[str, ModeFunctor] = field(default_factory=dict)
     stoch_functors: dict[str, StochFunctor] = field(default_factory=dict)
-    histories: dict[str, FailureHistory] = field(default_factory=dict)
 
 
 _TOKEN_RE = re.compile(r"""
@@ -120,7 +124,6 @@ class _Parser:
         self.prob_functors: dict[str, ProbFunctor] = {}
         self.mode_functors: dict[str, ModeFunctor] = {}
         self.stoch_functors: dict[str, StochFunctor] = {}
-        self.histories: dict[str, FailureHistory] = {}
 
     # token helpers ------------------------------------------------------
 
@@ -198,7 +201,6 @@ class _Parser:
                 "prob": self.parse_prob,
                 "modes": self.parse_modes,
                 "stoch": self.parse_stoch,
-                "history": self.parse_history,
             }.get(tok.value)
             if handler is None:
                 raise self.error(f"unexpected {tok.value!r}", tok)
@@ -207,7 +209,7 @@ class _Parser:
             TypeTable(self.type_table), self.boundaries, self.generators,
             tuple(self.equations))
         return Model(pres, self.prob_functors, self.mode_functors,
-                     self.stoch_functors, self.histories)
+                     self.stoch_functors)
 
     def parse_interface(self) -> None:
         self.expect("interface")
@@ -356,22 +358,23 @@ class _Parser:
 
     # terms and equations --------------------------------------------------
 
-    def parse_term(self) -> Term:
+    def parse_term(self, resolve: bool = True) -> Term:
+        """A term; ``resolve`` checks its generator and slot names."""
         gen_tok = self.ident("generator name")
-        arch = self.lookup_generator(gen_tok)
+        arch = self.lookup_generator(gen_tok) if resolve else None
         children: list[tuple[str, Term]] = []
         if self.at("("):
             self.next()
             while True:
                 slot = self.ident("slot label")
-                if slot.value not in arch.slots:
+                if arch is not None and slot.value not in arch.slots:
                     raise self.error(
                         f"generator {gen_tok.value} has no slot "
                         f"{slot.value!r}", slot)
                 tok = self.next()
                 if tok.kind != "arrow":
                     raise self.error(f"expected '->', got {tok.value!r}", tok)
-                children.append((slot.value, self.parse_term()))
+                children.append((slot.value, self.parse_term(resolve)))
                 if self.at(","):
                     self.next()
                     continue
@@ -580,36 +583,19 @@ class _Parser:
         self.stoch_functors[name.value] = StochFunctor(
             priors, kernels, name.value)
 
-    def parse_history(self) -> None:
-        self.expect("history")
-        path = self.parse_path()
-        kw = self.ident("keyword 'interval'")
-        if kw.value != "interval":
-            raise self.error(f"expected 'interval', got {kw.value!r}", kw)
-        self.expect("[")
-        t0 = self.rational()
-        self.skip_comma()
-        t1 = self.rational()
-        close = self.expect("]")
-        self.expect("{")
-        times: list[Fraction] = []
-        while not self.at("}"):
-            times.append(self.rational())
-            self.skip_comma()
-        self.expect("}")
-        try:
-            self.histories[path] = FailureHistory(t0, t1, tuple(sorted(times)))
-        except ValidationError as exc:
-            raise DslError(str(exc), close.line, close.col) from exc
-
 
 def parse(text: str) -> Model:
     """Parse ``.opm`` text into a resolved model."""
     return _Parser(text).parse()
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x)
+def parse_free_term(text: str) -> Term:
+    """Parse a ``gen(slot->gen, ...)`` term on its own; names are not resolved."""
+    parser = _Parser(text)
+    term = parser.parse_term(resolve=False)
+    if parser.peek().kind != "eof":
+        raise parser.error(f"trailing input {parser.peek().value!r}")
+    return term
 
 
 def serialize(model: Model) -> str:
@@ -658,7 +644,7 @@ def serialize(model: Model) -> str:
         F = model.prob_functors[fname]
         out.append(f"prob {fname} {{")
         for gen in sorted(F.dists):
-            entries = ", ".join(f"{l}: {_format_rational(p)}"
+            entries = ", ".join(f"{l}: {p}"
                                 for l, p in F.dists[gen].entries)
             out.append(f"  {gen} = ({entries})")
         out.append("}")
@@ -685,7 +671,7 @@ def serialize(model: Model) -> str:
         out.append(f"stoch {fname} {{")
         for bname in sorted(S.priors):
             p = S.priors[bname]
-            entries = ", ".join(f"{m}: {_format_rational(p[m])}"
+            entries = ", ".join(f"{m}: {p[m]}"
                                 for m in p.modes.modes)
             out.append(f"  prior {bname} = ({entries})")
         for gen in sorted(S.kernels):
@@ -697,17 +683,10 @@ def serialize(model: Model) -> str:
                         v = k(x, slot, y)
                         if v > 0:
                             out.append(
-                                f"    {x} -> {slot}.{y}: {_format_rational(v)}")
+                                f"    {x} -> {slot}.{y}: {v}")
             out.append("  }")
         out.append("}")
         out.append("")
-
-    for path in sorted(model.histories):
-        h = model.histories[path]
-        stamps = " ".join(_format_rational(t) for t in h.times)
-        out.append(f"history {path} interval "
-                   f"[{_format_rational(h.t0)}, {_format_rational(h.t1)}] "
-                   f"{{ {stamps} }}")
 
     while out and out[-1] == "":
         out.pop()

@@ -12,10 +12,12 @@ from typing import Mapping
 
 from .portgraph import ValidationError
 from .presentation import (
+    CheckReport,
     CoherenceEquation,
     OperadPresentation,
     Term,
-    equation_correspondence,
+    aligned_equations,
+    fold_term,
     resolve_leaf,
 )
 
@@ -106,6 +108,10 @@ class ModeFunctor:
             raise ValidationError(
                 f"no causation relation for generator {generator!r}") from None
 
+    def fold(self, t: Term) -> ModeRelation:
+        """Compose the relations along a term; slots become leaf paths."""
+        return fold_term(t, self.relation_of, compose_rel)
+
 
 def check_totality(pres: OperadPresentation, M: ModeFunctor) -> list[str]:
     problems = []
@@ -135,16 +141,6 @@ def check_totality(pres: OperadPresentation, M: ModeFunctor) -> list[str]:
     return problems
 
 
-def term_relation(pres: OperadPresentation, M: ModeFunctor,
-                  t: Term) -> ModeRelation:
-    """Compose the functor's relations along a term; slots become leaf paths."""
-    top = M.relation_of(t.generator)
-    if not t.children:
-        return top
-    return compose_rel(
-        top, {slot: term_relation(pres, M, sub) for slot, sub in t.children})
-
-
 def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
               leaf: str, leaf_mode: str, root_mode: str) -> bool:
     """Whether a leaf mode can cause the root mode along the term.
@@ -159,7 +155,7 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     if leaf == "":
         return leaf_mode == root_mode
     path = resolve_leaf(pres, t, leaf)
-    composed = term_relation(pres, M, t)
+    composed = M.fold(t)
     return (leaf_mode, root_mode) in composed.slot(path)
 
 
@@ -185,37 +181,20 @@ class ModeCheckRow:
             parts.append(f"    only rhs: ({m} -> {x})")
         return "\n".join(parts)
 
-
-@dataclass(frozen=True)
-class ModeCheckReport:
-    rows: tuple[ModeCheckRow, ...]
-    errors: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.errors and all(r.passed for r in self.rows)
-
-    def __str__(self) -> str:
-        lines = [f"mode coherence: {'pass' if self.passed else 'FAIL'} "
-                 f"({len(self.rows)} leaf relations)"]
-        lines += [f"  error: {e}" for e in self.errors]
-        lines += ["  " + str(r) for r in self.rows]
-        return "\n".join(lines)
+    def to_dict(self) -> dict:
+        return {"lhs": self.lhs_path, "rhs": self.rhs_path,
+                "passed": self.passed}
 
 
 def check_mode_functor(pres: OperadPresentation,
-                       M: ModeFunctor) -> ModeCheckReport:
+                       M: ModeFunctor) -> CheckReport:
     """Composed relations on both sides of every equation must agree."""
     errors = check_totality(pres, M)
-    if errors:
-        return ModeCheckReport((), tuple(errors))
     rows: list[ModeCheckRow] = []
-    for eq in pres.equations:
-        corr = equation_correspondence(pres, eq)
-        lhs = term_relation(pres, M, eq.lhs)
-        rhs = term_relation(pres, M, eq.rhs)
-        for path in lhs.pairs:
-            rhs_path = corr.mapping[path]
-            l, r = lhs.slot(path), rhs.slot(rhs_path)
-            rows.append(ModeCheckRow(eq, path, rhs_path, l - r, r - l))
-    return ModeCheckReport(tuple(rows))
+    if not errors:
+        for eq, mapping, lhs, rhs in aligned_equations(pres, M.fold, errors):
+            for path in lhs.pairs:
+                l, r = lhs.slot(path), rhs.slot(mapping[path])
+                rows.append(ModeCheckRow(eq, path, mapping[path], l - r, r - l))
+    return CheckReport("mode coherence", tuple(rows), tuple(errors),
+                       "leaf relations")

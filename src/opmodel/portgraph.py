@@ -357,17 +357,18 @@ class EqualityReport:
         return "\n".join(lines)
 
 
-def _check_correspondence(a: Architecture, b: Architecture,
-                          corr: ComponentCorrespondence) -> None:
-    a_slots = dict(a.inputs)
-    b_slots = dict(b.inputs)
-    if set(corr.mapping) != set(a_slots):
+def check_correspondence(left: Mapping[str, object],
+                         right: Mapping[str, object],
+                         corr: ComponentCorrespondence) -> None:
+    """Require a bijection from the left slots onto the right slots that
+    preserves their boundaries (slot -> boundary in ``left`` and ``right``)."""
+    if set(corr.mapping) != set(left):
         raise ValidationError("correspondence is not total on left slots")
-    if set(corr.mapping.values()) != set(b_slots) or \
+    if set(corr.mapping.values()) != set(right) or \
             len(set(corr.mapping.values())) != len(corr.mapping):
         raise ValidationError("correspondence is not a bijection onto right slots")
     for sa, sb in corr.mapping.items():
-        if a_slots[sa] != b_slots[sb]:
+        if left[sa] != right[sb]:
             raise ValidationError(
                 f"correspondence {sa} ~ {sb} does not preserve boundaries")
 
@@ -375,7 +376,7 @@ def _check_correspondence(a: Architecture, b: Architecture,
 def equal(a: Architecture, b: Architecture,
           corr: ComponentCorrespondence) -> EqualityReport:
     """Compare canonical architectures up to the given slot relabeling."""
-    _check_correspondence(a, b, corr)
+    check_correspondence(dict(a.inputs), dict(b.inputs), corr)
     if a.output != b.output:
         return EqualityReport(False, reason=(
             f"output boundaries differ: {a.output.name} vs {b.output.name}"))

@@ -7,7 +7,7 @@ elaborate to the same architecture (up to a component correspondence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .portgraph import (
     Architecture,
@@ -17,11 +17,14 @@ from .portgraph import (
     PortGraphError,
     TypeTable,
     ValidationError,
+    check_correspondence,
     compose,
     derive_correspondence,
     equal,
     validate,
 )
+
+V = TypeVar("V")
 
 
 @dataclass(frozen=True)
@@ -52,62 +55,13 @@ class TermSyntaxError(ValueError):
 
 
 def parse_term(text: str) -> Term:
-    """Parse the ``gen(slot->gen, ...)`` micro-syntax."""
-    pos = 0
-    s = text
+    """Parse the ``gen(slot->gen, ...)`` micro-syntax.
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(s) and (s[pos].isalnum() or s[pos] == "_"):
-            pos += 1
-        if start == pos:
-            raise TermSyntaxError(f"expected identifier at position {pos} in {text!r}")
-        return s[start:pos]
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s) or s[pos] != ch:
-            raise TermSyntaxError(f"expected {ch!r} at position {pos} in {text!r}")
-        pos += 1
-
-    def peek() -> str:
-        skip_ws()
-        return s[pos] if pos < len(s) else ""
-
-    def term() -> Term:
-        nonlocal pos
-        gen = ident()
-        children: list[tuple[str, Term]] = []
-        if peek() == "(":
-            expect("(")
-            while True:
-                slot = ident()
-                skip_ws()
-                if not s.startswith("->", pos):
-                    raise TermSyntaxError(
-                        f"expected '->' at position {pos} in {text!r}")
-                pos += 2
-                children.append((slot, term()))
-                if peek() == ",":
-                    expect(",")
-                    continue
-                expect(")")
-                break
-        return Term(gen, tuple(children))
-
-    t = term()
-    skip_ws()
-    if pos != len(s):
-        raise TermSyntaxError(f"trailing input at position {pos} in {text!r}")
-    return t
+    This is the term grammar of ``.opm`` files, so errors carry a line and
+    column; generator and slot names are not resolved.
+    """
+    from .dsl import parse_free_term  # dsl imports this module
+    return parse_free_term(text)
 
 
 @dataclass(frozen=True)
@@ -157,6 +111,17 @@ def elaborate(pres: OperadPresentation, t: Term) -> Architecture:
             raise ValidationError(
                 f"generator {t.generator} has no slot {slot!r}")
     return compose(arch, inner)
+
+
+def fold_term(t: Term, value_of: Callable[[str], V],
+              compose: Callable[[V, dict[str, V]], V]) -> V:
+    """The value of a term under a functor: ``value_of`` each generator, then
+    ``compose(outer, {slot: inner})`` along the substitutions."""
+    top = value_of(t.generator)
+    if not t.children:
+        return top
+    return compose(top, {slot: fold_term(sub, value_of, compose)
+                         for slot, sub in t.children})
 
 
 def leaf_paths(pres: OperadPresentation, t: Term) -> tuple[tuple[str, str], ...]:
@@ -215,10 +180,59 @@ class EquationReport:
 
 def equation_correspondence(pres: OperadPresentation,
                             eq: CoherenceEquation) -> ComponentCorrespondence:
-    """The explicit correspondence, or one derived by leaf boundary names."""
-    if eq.corr is not None:
-        return eq.corr
-    return derive_correspondence(elaborate(pres, eq.lhs), elaborate(pres, eq.rhs))
+    """The explicit correspondence, or one derived by leaf boundary names.
+
+    An explicit one must be a boundary-preserving bijection of the leaves.
+    """
+    if eq.corr is None:
+        return derive_correspondence(elaborate(pres, eq.lhs),
+                                     elaborate(pres, eq.rhs))
+    check_correspondence(dict(leaf_paths(pres, eq.lhs)),
+                         dict(leaf_paths(pres, eq.rhs)), eq.corr)
+    return eq.corr
+
+
+def aligned_equations(pres: OperadPresentation, fold: Callable[[Term], V],
+                      errors: list[str]
+                      ) -> Iterator[tuple[CoherenceEquation, Mapping[str, str], V, V]]:
+    """Each equation with its leaf correspondence and both sides folded.
+
+    An equation whose correspondence fails is skipped and its failure is
+    appended to ``errors``.
+    """
+    for eq in pres.equations:
+        try:
+            corr = equation_correspondence(pres, eq)
+        except PortGraphError as exc:
+            errors.append(f"equation {eq}: {exc}")
+            continue
+        yield eq, corr.mapping, fold(eq.lhs), fold(eq.rhs)
+
+
+@dataclass(frozen=True)
+class CheckReport:
+    """Rows of one functor check; ``counted`` names the rows in the header."""
+
+    title: str
+    rows: tuple
+    errors: tuple[str, ...] = ()
+    counted: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.errors and all(r.passed for r in self.rows)
+
+    def to_dict(self) -> dict:
+        return {"passed": self.passed, "errors": list(self.errors),
+                "rows": [r.to_dict() for r in self.rows]}
+
+    def __str__(self) -> str:
+        head = f"{self.title}: {'pass' if self.passed else 'FAIL'}"
+        if self.counted:
+            head += f" ({len(self.rows)} {self.counted})"
+        lines = [head] + [f"  error: {e}" for e in self.errors]
+        lines += ["  " + str(r) for r in self.rows]
+        return "\n".join(lines)
 
 
 def check_equation(pres: OperadPresentation,

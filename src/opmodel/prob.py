@@ -13,10 +13,13 @@ from typing import Mapping
 
 from .portgraph import ValidationError
 from .presentation import (
+    CheckReport,
     CoherenceEquation,
     OperadPresentation,
     Term,
+    aligned_equations,
     equation_correspondence,
+    fold_term,
     leaf_paths,
     resolve_leaf,
 )
@@ -104,6 +107,10 @@ class ProbFunctor:
             raise ValidationError(
                 f"probability functor has no value for {generator!r}") from None
 
+    def fold(self, t: Term) -> Distribution:
+        """The composite distribution of a term, labeled by leaf paths."""
+        return fold_term(t, self.__getitem__, compose_dist)
+
 
 def check_arity(pres: OperadPresentation, F: ProbFunctor) -> list[str]:
     """Mismatches between a functor's labels and its generators' slots."""
@@ -119,16 +126,6 @@ def check_arity(pres: OperadPresentation, F: ProbFunctor) -> list[str]:
     return problems
 
 
-def term_distribution(pres: OperadPresentation, F: ProbFunctor,
-                      t: Term) -> Distribution:
-    """The composite distribution of a term, labeled by leaf paths."""
-    top = F[t.generator]
-    if not t.children:
-        return top
-    return compose_dist(
-        top, {slot: term_distribution(pres, F, sub) for slot, sub in t.children})
-
-
 def leaf_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
                      leaf: str) -> Fraction:
     """Product of the functor's entries along the root-to-leaf path.
@@ -138,7 +135,7 @@ def leaf_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     if leaf == "":
         return ONE
     path = resolve_leaf(pres, t, leaf)
-    return term_distribution(pres, F, t)[path]
+    return F.fold(t)[path]
 
 
 @dataclass(frozen=True)
@@ -156,46 +153,30 @@ class ProbCheckRow:
                 f"{format_probability(self.lhs_value)} vs "
                 f"{format_probability(self.rhs_value)} [{verdict}]")
 
-
-@dataclass(frozen=True)
-class ProbCheckReport:
-    rows: tuple[ProbCheckRow, ...]
-    errors: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.errors and all(r.passed for r in self.rows)
-
-    def __str__(self) -> str:
-        lines = [f"probability coherence: "
-                 f"{'pass' if self.passed else 'FAIL'} "
-                 f"({len(self.rows)} leaf equations)"]
-        lines += [f"  error: {e}" for e in self.errors]
-        lines += ["  " + str(r) for r in self.rows]
-        return "\n".join(lines)
+    def to_dict(self) -> dict:
+        return {"lhs": self.lhs_path, "rhs": self.rhs_path,
+                "lhs_value": str(self.lhs_value),
+                "rhs_value": str(self.rhs_value), "passed": self.passed}
 
 
 def check_prob_functor(pres: OperadPresentation, F: ProbFunctor,
-                       tolerance: Fraction = ZERO) -> ProbCheckReport:
+                       tolerance: Fraction = ZERO) -> CheckReport:
     """Compare composed probabilities across every coherence equation.
 
     Entries aligned via the equation correspondence must agree within the
     absolute tolerance (exactly, when the tolerance is zero).
     """
     errors = check_arity(pres, F)
-    if errors:
-        return ProbCheckReport((), tuple(errors))
     rows: list[ProbCheckRow] = []
-    for eq in pres.equations:
-        corr = equation_correspondence(pres, eq)
-        lhs = term_distribution(pres, F, eq.lhs)
-        rhs = term_distribution(pres, F, eq.rhs).as_dict()
-        for path, pl in lhs.entries:
-            rhs_path = corr.mapping[path]
-            pr = rhs[rhs_path]
-            rows.append(ProbCheckRow(
-                eq, path, rhs_path, pl, pr, abs(pl - pr) <= tolerance))
-    return ProbCheckReport(tuple(rows))
+    if not errors:
+        for eq, mapping, lhs, rhs in aligned_equations(pres, F.fold, errors):
+            rhs = rhs.as_dict()
+            for path, pl in lhs.entries:
+                pr = rhs[mapping[path]]
+                rows.append(ProbCheckRow(
+                    eq, path, mapping[path], pl, pr, abs(pl - pr) <= tolerance))
+    return CheckReport("probability coherence", tuple(rows), tuple(errors),
+                       "leaf equations")
 
 
 def _path_factors(pres: OperadPresentation, t: Term, path: str) -> list[str]:

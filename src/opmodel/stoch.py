@@ -14,9 +14,11 @@ from typing import Mapping
 from .modes import ModeFunctor, ModeRelation, ModeSet, check_totality
 from .portgraph import ValidationError
 from .presentation import (
+    CheckReport,
     OperadPresentation,
     Term,
-    equation_correspondence,
+    aligned_equations,
+    fold_term,
 )
 from .prob import Distribution, ProbFunctor, check_arity, format_probability
 
@@ -272,15 +274,9 @@ class StochFunctor:
             self.prior_of(arch.output.name),
             {slot: self.prior_of(b.name) for slot, b in arch.inputs})
 
-
-def term_pt_kernel(pres: OperadPresentation, S: StochFunctor,
-                   t: Term) -> PtKernel:
-    """Compose the functor's pointed kernels along a term."""
-    top = S.pt_kernel(pres, t.generator)
-    if not t.children:
-        return top
-    return compose_pt(
-        top, {slot: term_pt_kernel(pres, S, sub) for slot, sub in t.children})
+    def fold(self, pres: OperadPresentation, t: Term) -> PtKernel:
+        """Compose the pointed kernels along a term."""
+        return fold_term(t, lambda g: self.pt_kernel(pres, g), compose_pt)
 
 
 @dataclass(frozen=True)
@@ -295,21 +291,9 @@ class LiftingRow:
             line += f" ({self.detail})"
         return line
 
-
-@dataclass(frozen=True)
-class LiftingReport:
-    rows: tuple[LiftingRow, ...]
-    errors: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return not self.errors and all(r.passed for r in self.rows)
-
-    def __str__(self) -> str:
-        lines = [f"lifting check: {'pass' if self.passed else 'FAIL'}"]
-        lines += [f"  error: {e}" for e in self.errors]
-        lines += ["  " + str(r) for r in self.rows]
-        return "\n".join(lines)
+    def to_dict(self) -> dict:
+        return {"subject": self.subject, "passed": self.passed,
+                "detail": self.detail}
 
 
 def _kernels_agree(a: PtKernel, b: PtKernel,
@@ -338,14 +322,14 @@ def _kernels_agree(a: PtKernel, b: PtKernel,
 
 def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
                   M: ModeFunctor,
-                  tolerance: Fraction = ZERO) -> LiftingReport:
+                  tolerance: Fraction = ZERO) -> CheckReport:
     """Verify the joint lifting: per-generator projections and equation coherence.
 
     Per generator: the pointed-kernel condition holds, aggregation equals the
     probability functor, and support equals the mode functor.  Per equation:
     the composed pointed kernels of both sides agree after leaf alignment.
     """
-    errors = [e for e in check_arity(pres, P)]
+    errors = check_arity(pres, P)
     errors += check_totality(pres, M)
     for name in pres.boundaries:
         if name not in S.priors:
@@ -354,7 +338,7 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
         if name not in S.kernels:
             errors.append(f"no kernel for generator {name}")
     if errors:
-        return LiftingReport((), tuple(errors))
+        return CheckReport("lifting check", (), tuple(errors))
 
     rows: list[LiftingRow] = []
     for name in pres.generators:
@@ -383,14 +367,12 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
             f"{name}: support matches mode functor", not diffs,
             "; ".join(diffs)))
 
-    for eq in pres.equations:
-        corr = equation_correspondence(pres, eq)
-        lhs = term_pt_kernel(pres, S, eq.lhs)
-        rhs = term_pt_kernel(pres, S, eq.rhs)
-        problem = _kernels_agree(lhs, rhs, corr.mapping, tolerance)
+    for eq, mapping, lhs, rhs in aligned_equations(
+            pres, lambda t: S.fold(pres, t), errors):
+        problem = _kernels_agree(lhs, rhs, mapping, tolerance)
         rows.append(LiftingRow(
             f"equation {eq}: composed kernels agree", not problem, problem))
-    return LiftingReport(tuple(rows))
+    return CheckReport("lifting check", tuple(rows), tuple(errors))
 
 
 def diagnose(pres: OperadPresentation, S: StochFunctor, t: Term,
@@ -400,7 +382,7 @@ def diagnose(pres: OperadPresentation, S: StochFunctor, t: Term,
     This is the composed kernel's row at the observation: the chain product
     of conditional entries down the term.  Labels are ``leafpath.mode``.
     """
-    k = term_pt_kernel(pres, S, t)
+    k = S.fold(pres, t)
     if observed_root_mode not in k.kernel.source:
         raise ValidationError(
             f"unknown mode {observed_root_mode!r} on "

@@ -35,7 +35,6 @@ from opmodel.prob import (
     compose_dist,
     distribution,
     leaf_probability,
-    term_distribution,
 )
 from opmodel.rates import INF, combine_meantime, invert, normalize
 from opmodel.stoch import (
@@ -277,7 +276,7 @@ def test_query_correctness(lsi):
     t = parse_term("f(y->g)")
     posterior = diagnose(pres, S, t, mode_sets["A"].modes[0])
     stripped = {label.rsplit(".", 1)[0]: v for label, v in posterior.entries}
-    ok = ok and stripped == term_distribution(pres, P, t).as_dict()
+    ok = ok and stripped == P.fold(t).as_dict()
     verdict("query correctness: heater leaf equals 6/25 and singleton-mode "
             "diagnosis reproduces the probability composite", ok)
 

@@ -24,6 +24,16 @@ def failing_model_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def incomplete_matching_path(tmp_path_factory):
+    text = lsi_text().replace(
+        "= kappa(sn->sigma, ac->alpha)\n",
+        "= kappa(sn->sigma, ac->alpha) matching { ls.in ~ sn.in }\n")
+    path = tmp_path_factory.mktemp("models") / "matching.opm"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 class TestValidate:
     def test_corpus_validates(self, model_path, capsys):
         assert run(["validate", model_path]) == EXIT_OK
@@ -62,6 +72,19 @@ class TestCheck:
         code = run(["check", failing_model_path, "--functor", "P"])
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("functors", [["P"], ["M"], ["P", "M", "S"]],
+                             ids=" ".join)
+    def test_incomplete_matching_is_a_failed_check(
+            self, incomplete_matching_path, functors, capsys):
+        argv = ["check", incomplete_matching_path]
+        argv += [arg for f in functors for arg in ("--functor", f)]
+        assert run(argv) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert ("  error: equation phi(ls->lambda, ts->tau) = "
+                "kappa(sn->sigma, ac->alpha): correspondence is not total "
+                "on left slots") in captured.out.splitlines()
+        assert "Traceback" not in captured.out + captured.err
 
     def test_tolerance_flag_and_env(self, failing_model_path, capsys,
                                     monkeypatch):

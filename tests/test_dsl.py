@@ -89,6 +89,11 @@ architecture f : (x: A, y: B) -> C {
         with pytest.raises(DslError, match="sum"):
             parse(text)
 
+    def test_history_block_is_not_part_of_the_grammar(self):
+        text = MINI + "\nhistory ba interval [0, 10] { 1 2 }\n"
+        with pytest.raises(DslError, match="unexpected 'history'"):
+            parse(text)
+
 
 class TestSerialization:
     def test_round_trip_is_structural_identity(self, lsi):
@@ -117,6 +122,3 @@ class TestCorpusFile:
         assert "architecture phi" in text
         assert load_lsi().presentation.generators.keys() == {
             "phi", "lambda", "tau", "kappa", "sigma", "alpha", "beta"}
-
-    def test_histories_section_optional(self, lsi):
-        assert lsi.histories == {}

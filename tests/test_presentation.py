@@ -28,17 +28,24 @@ class TestParseTerm:
     def test_bare_generator(self):
         assert parse_term("tau") == Term("tau")
 
-    def test_nested(self):
+    def test_nested(self, lsi):
         t = parse_term("phi(ls->lambda, ts->tau(ba->beta))")
         assert t.generator == "phi"
         assert t.child("ts").child("ba") == Term("beta")
         assert str(t) == "phi(ls->lambda, ts->tau(ba->beta))"
+        eq = lsi.presentation.equations[0]
+        for side in (eq.lhs, eq.rhs):
+            assert parse_term(str(side)) == side
 
     @pytest.mark.parametrize("bad", [
         "", "f(", "f(x)", "f(x->)", "f(x->g", "f()", "f(x->g) extra"])
     def test_syntax_errors(self, bad):
-        with pytest.raises(TermSyntaxError):
+        with pytest.raises(TermSyntaxError) as err:
             parse_term(bad)
+        # the column of the offending token, or of the end of input
+        column = {"": 1, "f(": 3, "f(x)": 4, "f(x->)": 6, "f(x->g": 7,
+                  "f()": 3, "f(x->g) extra": 9}[bad]
+        assert (err.value.line, err.value.col) == (1, column)
 
 
 class TestElaborate:

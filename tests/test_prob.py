@@ -15,7 +15,6 @@ from opmodel.prob import (
     format_probability,
     leaf_probability,
     symbolic_constraints,
-    term_distribution,
 )
 from randgen import random_distribution
 
@@ -148,7 +147,7 @@ class TestQueries:
 
     def test_term_distribution_labels(self, lsi):
         t = parse_term("phi(ls->lambda, ts->tau)")
-        d = term_distribution(lsi.presentation, lsi.prob_functors["P"], t)
+        d = lsi.prob_functors["P"].fold(t)
         assert d.labels == ("ls.in", "ls.op", "ls.ch",
                             "ts.ba", "ts.bt", "ts.rt")
 

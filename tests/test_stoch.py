@@ -22,7 +22,6 @@ from opmodel.stoch import (
     identity_kernel,
     pt_condition,
     supp,
-    term_pt_kernel,
 )
 from randgen import (
     compose_kernel_oracle,
@@ -238,7 +237,6 @@ class TestDiagnose:
         manual = compose_pt(
             S.pt_kernel(lsi.presentation, "tau"),
             {"ba": S.pt_kernel(lsi.presentation, "beta")})
-        viaterm = term_pt_kernel(lsi.presentation, S,
-                                 parse_term("tau(ba->beta)"))
+        viaterm = S.fold(lsi.presentation, parse_term("tau(ba->beta)"))
         assert viaterm.kernel == manual.kernel
         assert viaterm.source_prior.same_as(manual.source_prior)
