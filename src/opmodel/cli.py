@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -16,10 +15,8 @@ from .dsl import DslError, Model, parse
 from .modes import check_mode_functor
 from .portgraph import PortGraphError
 from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term, resolve_leaf
-from .prob import check_prob_functor, format_probability, leaf_probability
+from .prob import check_prob_functor, format_probability, leaf_probability, percent
 from .stoch import check_lifting, diagnose, format_posterior
-
-TOLERANCE_ENV = "OPMODEL_TOLERANCE"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,16 +38,10 @@ def _load_model(path: str) -> Model:
 
 
 def _tolerance(args: argparse.Namespace) -> Fraction:
-    raw = args.tolerance if args.tolerance is not None \
-        else os.environ.get(TOLERANCE_ENV, "0")
     try:
-        return Fraction(raw)
+        return Fraction(args.tolerance)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad tolerance {raw!r}") from exc
-
-
-def _pct(x: Fraction) -> float:
-    return float(round(x * 100, 1))
+        raise CliError(f"bad tolerance {args.tolerance!r}") from exc
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -63,19 +54,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
 def cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     report = compile_presentation(model.presentation)
-    payload = {
-        "command": "validate",
-        "success": report.success,
-        "boundaries": report.boundary_count,
-        "generators": report.generator_count,
-        "equations": report.equation_count,
-        "errors": list(report.errors),
-        "equation_results": [
-            {"equation": str(r.equation), "passed": r.passed,
-             "error": r.error}
-            for r in report.equation_reports],
-    }
-    _emit(args, str(report), payload)
+    _emit(args, str(report), {"command": "validate", **report.to_dict()})
     return EXIT_OK if report.success else EXIT_CHECK_FAILED
 
 
@@ -142,13 +121,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "command": "check",
         "passed": passed,
         "tolerance": str(tolerance),
-        "architecture": {
-            "success": arch_report.success,
-            "errors": list(arch_report.errors),
-            "equation_results": [
-                {"equation": str(r.equation), "passed": r.passed}
-                for r in arch_report.equation_reports],
-        },
+        "architecture": arch_report.to_dict(),
         "functors": payload_functors,
     }
     _emit(args, "\n".join(text_parts), payload)
@@ -170,7 +143,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         "leaf": args.leaf,
         "path": path,
         "value": str(value),
-        "percent": _pct(value),
+        "percent": percent(value),
     }
     _emit(args, format_probability(value), payload)
     return EXIT_OK
@@ -188,7 +161,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "term": str(term),
         "mode": args.mode,
         "posterior": [
-            {"leaf": label, "value": str(p), "percent": _pct(p)}
+            {"leaf": label, "value": str(p), "percent": percent(p)}
             for label, p in posterior.entries],
     }
     _emit(args, format_posterior(posterior), payload)
@@ -217,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="check architecture equations and functor coherence")
     p.add_argument("--functor", action="append",
                    help="functor name; repeatable (stoch requires prob+modes)")
-    p.add_argument("--tolerance",
-                   help=f"absolute tolerance (default ${TOLERANCE_ENV} or 0)")
+    p.add_argument("--tolerance", default="0",
+                   help="absolute tolerance (default 0)")
 
     p = add("query", cmd_query, help="leaf failure probability along a term")
     p.add_argument("--functor", required=True)
@@ -244,6 +217,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, PortGraphError, TermSyntaxError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

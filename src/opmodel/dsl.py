@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Container, NamedTuple, TypeVar
 
 from .modes import ModeFunctor, ModeRelation, ModeSet
 from .portgraph import (
@@ -52,6 +53,8 @@ from .presentation import (
 )
 from .prob import Distribution, ProbFunctor
 from .stoch import Kernel, Point, StochFunctor
+
+T = TypeVar("T")
 
 
 class DslError(TermSyntaxError):
@@ -80,11 +83,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<number>-?\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{}()\[\]:,=~./])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "number" | "punct" | "arrow" | "eof"
     value: str
     line: int
@@ -93,23 +96,20 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0  # line_start: offset of the current line
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        if kind == "ws":
+            newlines = text.count("\n", start, m.end())
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", start, m.end()) + 1
+        elif kind == "bad":
+            raise DslError(f"unexpected character {m.group()!r}",
+                           line, start - line_start + 1)
+        elif kind != "comment":
+            tokens.append(_Token(kind, m.group(), line, start - line_start + 1))
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -155,53 +155,78 @@ class _Parser:
     def at(self, value: str) -> bool:
         return self.peek().value == value
 
-    def skip_comma(self) -> None:
-        if self.at(","):
-            self.next()
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is ``value``."""
+        if self.at(value):
+            self.pos += 1
+            return True
+        return False
 
     def rational(self) -> Fraction:
         tok = self.next()
         if tok.kind != "number":
             raise self.error(f"expected a number, got {tok.value!r}", tok)
         value = Fraction(tok.value)  # exact, also for decimal literals
-        if self.at("/"):
-            self.next()
+        if self.accept("/"):
             den = self.next()
             if den.kind != "number" or "." in den.value:
                 raise self.error("expected an integer denominator", den)
             value = value / Fraction(den.value)
         return value
 
-    # resolution helpers -------------------------------------------------
+    # resolving helpers: read a name and check it, located at its token ----
 
-    def lookup_boundary(self, tok: _Token) -> Boundary:
+    def boundary(self) -> Boundary:
+        tok = self.ident("boundary name")
         b = self.boundaries.get(tok.value)
         if b is None:
             raise self.error(f"unknown boundary {tok.value!r}", tok)
         return b
 
-    def lookup_generator(self, tok: _Token) -> Architecture:
-        g = self.generators.get(tok.value)
-        if g is None:
+    def generator(self) -> tuple[_Token, Architecture]:
+        tok = self.ident("generator name")
+        arch = self.generators.get(tok.value)
+        if arch is None:
             raise self.error(f"unknown generator {tok.value!r}", tok)
-        return g
+        return tok, arch
+
+    def slot(self, gen: str, slots: Container[str] | None) -> str:
+        """A slot label of generator ``gen``; ``slots=None`` skips the check."""
+        tok = self.ident("slot label")
+        if slots is not None and tok.value not in slots:
+            raise self.error(
+                f"generator {gen} has no slot {tok.value!r}", tok)
+        return tok.value
+
+    def mode(self, modes: ModeSet | None) -> str:
+        """A mode name, checked against ``modes`` unless it is None."""
+        tok = self.ident("mode name")
+        if modes is not None and tok.value not in modes:
+            raise self.error(
+                f"unknown mode {tok.value!r} on {modes.boundary}", tok)
+        return tok.value
+
+    def build(self, close: _Token, make: Callable[..., T], *args) -> T:
+        """``make(*args)``, its validation error located at ``close``."""
+        try:
+            return make(*args)
+        except ValidationError as exc:
+            raise self.error(str(exc), close) from exc
 
     # top-level ----------------------------------------------------------
 
     def parse(self) -> Model:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            handler = {
-                "interface": self.parse_interface,
-                "boundary": self.parse_boundary,
-                "architecture": self.parse_architecture,
-                "equation": self.parse_equation,
-                "prob": self.parse_prob,
-                "modes": self.parse_modes,
-                "stoch": self.parse_stoch,
-            }.get(tok.value)
+        handlers = {
+            "interface": self.parse_interface,
+            "boundary": self.parse_boundary,
+            "architecture": self.parse_architecture,
+            "equation": self.parse_equation,
+            "prob": self.parse_prob,
+            "modes": self.parse_modes,
+            "stoch": self.parse_stoch,
+        }
+        while (tok := self.peek()).kind != "eof":
+            handler = handlers.get(tok.value)
             if handler is None:
                 raise self.error(f"unexpected {tok.value!r}", tok)
             handler()
@@ -239,7 +264,7 @@ class _Parser:
                 raise self.error(f"duplicate port {port.value!r}", port)
             ports.append(port.value)
             port_type[port.value] = ptype.value
-            self.skip_comma()
+            self.accept(",")
         self.expect("}")
         self.boundaries[name.value] = Boundary(
             name.value, tuple(ports), port_type)
@@ -251,23 +276,20 @@ class _Parser:
             raise self.error(f"duplicate architecture {name.value!r}", name)
         self.expect(":")
         self.expect("(")
-        inputs: list[tuple[str, Boundary]] = []
+        slots: dict[str, Boundary] = {}
         while not self.at(")"):
             slot = self.ident("slot label")
             self.expect(":")
-            b = self.lookup_boundary(self.ident("boundary name"))
-            if any(s == slot.value for s, _ in inputs):
+            b = self.boundary()
+            if slot.value in slots:
                 raise self.error(f"duplicate slot {slot.value!r}", slot)
-            inputs.append((slot.value, b))
-            self.skip_comma()
+            slots[slot.value] = b
+            self.accept(",")
         self.expect(")")
-        tok = self.next()
-        if tok.kind != "arrow":
-            raise self.error(f"expected '->', got {tok.value!r}", tok)
-        output = self.lookup_boundary(self.ident("boundary name"))
+        self.expect("->")
+        output = self.boundary()
         self.expect("{")
 
-        slots = dict(inputs)
         uf = UnionFind()
         wired: set[PortRef] = set()
 
@@ -292,17 +314,14 @@ class _Parser:
                 refs = [slot_ref(wired)]
                 self.expect("=")
                 refs.append(slot_ref(wired))
-                while self.at("="):
-                    self.next()
+                while self.accept("="):
                     refs.append(slot_ref(wired))
                 wired.update(refs)
                 for a, b2 in zip(refs, refs[1:]):
                     uf.union(a, b2)
             elif kw.value == "expose":
                 ref = slot_ref()
-                tok = self.next()
-                if tok.kind != "arrow":
-                    raise self.error(f"expected '->', got {tok.value!r}", tok)
+                self.expect("->")
                 port_tok = self.ident("outer port name")
                 if port_tok.value not in output.port_type:
                     raise self.error(
@@ -323,69 +342,42 @@ class _Parser:
         for port in output.ports:
             if PortRef(None, port) in wired:
                 continue
-            candidates = [PortRef(s, port) for s, b in inputs
+            candidates = [PortRef(s, port) for s, b in slots.items()
                           if port in b.port_type and PortRef(s, port) not in wired]
             if len(candidates) > 1:
-                raise DslError(
+                raise self.error(
                     f"architecture {name.value}: ambiguous auto-exposure of "
                     f"port {port} (candidates {', '.join(map(str, candidates))})",
-                    close.line, close.col)
+                    close)
             if candidates:
                 uf.union(candidates[0], PortRef(None, port))
                 wired.update((candidates[0], PortRef(None, port)))
 
-        arch = self.build_architecture(name, inputs, output, uf)
-        self.generators[name.value] = arch
-
-    def build_architecture(self, name: _Token,
-                           inputs: list[tuple[str, Boundary]],
-                           output: Boundary, uf: UnionFind) -> Architecture:
-        def ref_type(ref: PortRef) -> str:
-            if ref.slot is None:
-                return output.port_type[ref.port]
-            return dict(inputs)[ref.slot].port_type[ref.port]
-
-        wires = []
-        for members in uf.groups().values():
-            wtype = ref_type(members[0])
-            wires.append(Wire(frozenset(members), wtype))
-        arch = Architecture(tuple(inputs), output, tuple(wires))
-        try:
-            return canonicalize(arch)
-        except ValidationError:
-            # ill-typed wires are reported by compile, with more context
-            return arch
+        self.generators[name.value] = _build_architecture(slots, output, uf)
 
     # terms and equations --------------------------------------------------
 
     def parse_term(self, resolve: bool = True) -> Term:
         """A term; ``resolve`` checks its generator and slot names."""
-        gen_tok = self.ident("generator name")
-        arch = self.lookup_generator(gen_tok) if resolve else None
+        if resolve:
+            gen, arch = self.generator()
+            slots = arch.slots
+        else:
+            gen, slots = self.ident("generator name"), None
         children: list[tuple[str, Term]] = []
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             while True:
-                slot = self.ident("slot label")
-                if arch is not None and slot.value not in arch.slots:
-                    raise self.error(
-                        f"generator {gen_tok.value} has no slot "
-                        f"{slot.value!r}", slot)
-                tok = self.next()
-                if tok.kind != "arrow":
-                    raise self.error(f"expected '->', got {tok.value!r}", tok)
-                children.append((slot.value, self.parse_term(resolve)))
-                if self.at(","):
-                    self.next()
-                    continue
-                self.expect(")")
-                break
-        return Term(gen_tok.value, tuple(children))
+                slot = self.slot(gen.value, slots)
+                self.expect("->")
+                children.append((slot, self.parse_term(resolve)))
+                if not self.accept(","):
+                    break
+            self.expect(")")
+        return Term(gen.value, tuple(children))
 
     def parse_path(self) -> str:
         parts = [self.ident("path segment").value]
-        while self.at("."):
-            self.next()
+        while self.accept("."):
             parts.append(self.ident("path segment").value)
         return ".".join(parts)
 
@@ -395,16 +387,14 @@ class _Parser:
         self.expect("=")
         rhs = self.parse_term()
         corr = None
-        if self.at("matching"):
-            self.next()
+        if self.accept("matching"):
             self.expect("{")
             mapping: dict[str, str] = {}
             while not self.at("}"):
                 left = self.parse_path()
                 self.expect("~")
-                right = self.parse_path()
-                mapping[left] = right
-                self.skip_comma()
+                mapping[left] = self.parse_path()
+                self.accept(",")
             self.expect("}")
             corr = ComponentCorrespondence(mapping)
         self.equations.append(CoherenceEquation(lhs, rhs, corr))
@@ -417,29 +407,21 @@ class _Parser:
         self.expect("{")
         dists: dict[str, Distribution] = {}
         while not self.at("}"):
-            gen_tok = self.ident("generator name")
-            arch = self.lookup_generator(gen_tok)
+            gen, arch = self.generator()
             self.expect("=")
             self.expect("(")
             values: dict[str, Fraction] = {}
             while not self.at(")"):
-                slot = self.ident("slot label")
-                if slot.value not in arch.slots:
-                    raise self.error(
-                        f"generator {gen_tok.value} has no slot "
-                        f"{slot.value!r}", slot)
+                slot = self.slot(gen.value, arch.slots)
                 self.expect(":")
-                values[slot.value] = self.rational()
-                self.skip_comma()
+                values[slot] = self.rational()
+                self.accept(",")
             close = self.expect(")")
-            try:
-                dists[gen_tok.value] = Distribution(
-                    tuple((s, values[s]) for s in arch.slots if s in values))
-            except ValidationError as exc:
-                raise DslError(str(exc), close.line, close.col) from exc
+            dists[gen.value] = self.build(close, Distribution, tuple(
+                (s, values[s]) for s in arch.slots if s in values))
             if set(values) != set(arch.slots):
                 raise self.error(
-                    f"distribution for {gen_tok.value} does not cover all "
+                    f"distribution for {gen.value} does not cover all "
                     "slots", close)
         self.expect("}")
         self.prob_functors[name.value] = ProbFunctor(dists, name.value)
@@ -453,49 +435,31 @@ class _Parser:
         while not self.at("}"):
             kw = self.next()
             if kw.value == "modes":
-                b = self.lookup_boundary(self.ident("boundary name"))
+                b = self.boundary()
                 self.expect("=")
                 self.expect("{")
                 modes: list[str] = []
                 while not self.at("}"):
-                    modes.append(self.ident("mode name").value)
-                    self.skip_comma()
+                    modes.append(self.mode(None))
+                    self.accept(",")
                 self.expect("}")
                 mode_sets[b.name] = ModeSet(b.name, tuple(modes))
             elif kw.value == "rel":
-                gen_tok = self.ident("generator name")
-                arch = self.lookup_generator(gen_tok)
+                gen, arch = self.generator()
                 out_modes = mode_sets.get(arch.output.name)
                 self.expect("{")
                 pairs: dict[str, set[tuple[str, str]]] = {
                     s: set() for s in arch.slots}
                 while not self.at("}"):
-                    slot = self.ident("slot label")
-                    if slot.value not in arch.slots:
-                        raise self.error(
-                            f"generator {gen_tok.value} has no slot "
-                            f"{slot.value!r}", slot)
+                    slot = self.slot(gen.value, arch.slots)
                     self.expect(".")
-                    mode_in = self.ident("mode name")
-                    slot_modes = mode_sets.get(
-                        arch.slot_boundary(slot.value).name)
-                    if slot_modes is not None and mode_in.value not in slot_modes:
-                        raise self.error(
-                            f"unknown mode {mode_in.value!r} on "
-                            f"{slot_modes.boundary}", mode_in)
-                    tok = self.next()
-                    if tok.kind != "arrow":
-                        raise self.error(
-                            f"expected '->', got {tok.value!r}", tok)
-                    mode_out = self.ident("mode name")
-                    if out_modes is not None and mode_out.value not in out_modes:
-                        raise self.error(
-                            f"unknown mode {mode_out.value!r} on "
-                            f"{out_modes.boundary}", mode_out)
-                    pairs[slot.value].add((mode_in.value, mode_out.value))
-                    self.skip_comma()
+                    mode_in = self.mode(
+                        mode_sets.get(arch.slot_boundary(slot).name))
+                    self.expect("->")
+                    pairs[slot].add((mode_in, self.mode(out_modes)))
+                    self.accept(",")
                 self.expect("}")
-                relations[gen_tok.value] = ModeRelation(
+                relations[gen.value] = ModeRelation(
                     {s: frozenset(v) for s, v in pairs.items()})
             else:
                 raise self.error(
@@ -513,75 +477,70 @@ class _Parser:
         while not self.at("}"):
             kw = self.next()
             if kw.value == "prior":
-                b = self.lookup_boundary(self.ident("boundary name"))
+                b = self.boundary()
                 self.expect("=")
                 self.expect("(")
                 modes: list[str] = []
                 probs: dict[str, Fraction] = {}
                 while not self.at(")"):
-                    mode = self.ident("mode name")
+                    modes.append(self.mode(None))
                     self.expect(":")
-                    modes.append(mode.value)
-                    probs[mode.value] = self.rational()
-                    self.skip_comma()
+                    probs[modes[-1]] = self.rational()
+                    self.accept(",")
                 close = self.expect(")")
-                try:
-                    priors[b.name] = Point(
-                        ModeSet(b.name, tuple(modes)), probs)
-                except ValidationError as exc:
-                    raise DslError(str(exc), close.line, close.col) from exc
+                priors[b.name] = self.build(close, lambda: Point(
+                    ModeSet(b.name, tuple(modes)), probs))
             elif kw.value == "kernel":
-                gen_tok = self.ident("generator name")
-                arch = self.lookup_generator(gen_tok)
+                gen, arch = self.generator()
 
-                def prior_modes(bname: str, tok: _Token) -> ModeSet:
+                def prior_modes(bname: str) -> ModeSet:
                     p = priors.get(bname)
                     if p is None:
                         raise self.error(
-                            f"kernel {gen_tok.value}: no prior declared for "
-                            f"{bname}", tok)
+                            f"kernel {gen.value}: no prior declared for "
+                            f"{bname}", gen)
                     return p.modes
 
-                source = prior_modes(arch.output.name, gen_tok)
-                slots = tuple(
-                    (s, prior_modes(b.name, gen_tok)) for s, b in arch.inputs)
+                source = prior_modes(arch.output.name)
+                slots = tuple((s, prior_modes(b.name)) for s, b in arch.inputs)
                 slot_modes = dict(slots)
                 self.expect("{")
                 entries: dict[tuple[str, str, str], Fraction] = {}
                 while not self.at("}"):
-                    x = self.ident("mode name")
-                    if x.value not in source:
-                        raise self.error(
-                            f"unknown mode {x.value!r} on {source.boundary}", x)
-                    tok = self.next()
-                    if tok.kind != "arrow":
-                        raise self.error(
-                            f"expected '->', got {tok.value!r}", tok)
-                    slot = self.ident("slot label")
-                    if slot.value not in slot_modes:
-                        raise self.error(
-                            f"generator {gen_tok.value} has no slot "
-                            f"{slot.value!r}", slot)
+                    x = self.mode(source)
+                    self.expect("->")
+                    slot = self.slot(gen.value, slot_modes)
                     self.expect(".")
-                    y = self.ident("mode name")
-                    if y.value not in slot_modes[slot.value]:
-                        raise self.error(
-                            f"unknown mode {y.value!r} on "
-                            f"{slot_modes[slot.value].boundary}", y)
+                    y = self.mode(slot_modes[slot])
                     self.expect(":")
-                    entries[(x.value, slot.value, y.value)] = self.rational()
-                    self.skip_comma()
+                    entries[(x, slot, y)] = self.rational()
+                    self.accept(",")
                 close = self.expect("}")
-                try:
-                    kernels[gen_tok.value] = Kernel(source, slots, entries)
-                except ValidationError as exc:
-                    raise DslError(str(exc), close.line, close.col) from exc
+                kernels[gen.value] = self.build(
+                    close, Kernel, source, slots, entries)
             else:
                 raise self.error(
                     f"expected 'prior' or 'kernel', got {kw.value!r}", kw)
         self.expect("}")
         self.stoch_functors[name.value] = StochFunctor(
             priors, kernels, name.value)
+
+
+def _build_architecture(slots: dict[str, Boundary], output: Boundary,
+                        uf: UnionFind) -> Architecture:
+    """The architecture whose wires are the blocks of ``uf``."""
+    def ref_type(ref: PortRef) -> str:
+        b = output if ref.slot is None else slots[ref.slot]
+        return b.port_type[ref.port]
+
+    wires = tuple(Wire(frozenset(members), ref_type(members[0]))
+                  for members in uf.groups().values())
+    arch = Architecture(tuple(slots.items()), output, wires)
+    try:
+        return canonicalize(arch)
+    except ValidationError:
+        # ill-typed wires are reported by compile, with more context
+        return arch
 
 
 def parse(text: str) -> Model:

@@ -24,11 +24,10 @@ from .presentation import (
 
 @dataclass(frozen=True)
 class ModeSet:
-    """The failure modes of one boundary, with optional predicate text."""
+    """The failure modes of one boundary."""
 
     boundary: str
     modes: tuple[str, ...]
-    text: Mapping[str, str] | None = None
 
     def __post_init__(self) -> None:
         if len(set(self.modes)) != len(self.modes):

@@ -177,6 +177,10 @@ class EquationReport:
             return head + "\n" + str(self.diff)
         return head
 
+    def to_dict(self) -> dict:
+        return {"equation": str(self.equation), "passed": self.passed,
+                "error": self.error}
+
 
 def equation_correspondence(pres: OperadPresentation,
                             eq: CoherenceEquation) -> ComponentCorrespondence:
@@ -266,6 +270,15 @@ class CompileReport:
     def failure_count(self) -> int:
         return len(self.errors) + sum(1 for r in self.equation_reports
                                       if not r.passed)
+
+    def to_dict(self) -> dict:
+        return {"success": self.success,
+                "boundaries": self.boundary_count,
+                "generators": self.generator_count,
+                "equations": self.equation_count,
+                "errors": list(self.errors),
+                "equation_results": [r.to_dict()
+                                     for r in self.equation_reports]}
 
     def __str__(self) -> str:
         status = "ok" if self.success else "FAILED"

@@ -28,11 +28,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def percent(p: Fraction) -> float:
+    """``p`` as a percentage rounded to one decimal, e.g. ``48.0`` for 12/25."""
+    return float(round(p * 100, 1))
+
+
 def format_probability(p: Fraction) -> str:
     """Render as an exact fraction with a one-decimal percentage, e.g. ``12/25 (48%)``."""
-    pct = round(p * 100, 1)
-    pct_str = f"{float(pct):g}"
-    return f"{p} ({pct_str}%)"
+    return f"{p} ({percent(p):g}%)"
 
 
 @dataclass(frozen=True)

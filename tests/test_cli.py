@@ -86,18 +86,13 @@ class TestCheck:
                 "on left slots") in captured.out.splitlines()
         assert "Traceback" not in captured.out + captured.err
 
-    def test_tolerance_flag_and_env(self, failing_model_path, capsys,
-                                    monkeypatch):
+    def test_tolerance_flag(self, failing_model_path, capsys):
         loose = run(["check", failing_model_path, "--functor", "P",
                      "--tolerance", "1/2"])
         assert loose == EXIT_OK
         capsys.readouterr()
-        monkeypatch.setenv("OPMODEL_TOLERANCE", "1/2")
-        assert run(["check", failing_model_path, "--functor", "P"]) == EXIT_OK
-        capsys.readouterr()
-        monkeypatch.setenv("OPMODEL_TOLERANCE", "not-a-number")
-        assert run(["check", failing_model_path, "--functor", "P"]) \
-            == EXIT_ERROR
+        assert run(["check", failing_model_path, "--functor", "P",
+                    "--tolerance", "not-a-number"]) == EXIT_ERROR
 
     def test_json_report(self, model_path, capsys):
         run(["check", model_path, "--functor", "P", "--format", "json"])
@@ -106,6 +101,7 @@ class TestCheck:
         assert payload["functors"][0]["name"] == "P"
         assert len(payload["functors"][0]["rows"]) == 6
         assert payload["functors"][0]["rows"][3]["lhs_value"] == "12/25"
+        assert payload["architecture"]["boundaries"] == 14
 
 
 class TestCompose:
@@ -120,6 +116,13 @@ class TestCompose:
     def test_bad_term_exits_two(self, model_path, capsys):
         assert run(["compose", model_path, "--term", "tau(ba->"]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
+
+    def test_deeply_nested_term_exits_two(self, model_path, capsys):
+        term = "phi(ls->" * 1200 + "lambda" + ")" * 1200
+        assert run(["compose", model_path, "--term", term]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: input nested too deeply\n"
+        assert "Traceback" not in err
 
 
 class TestQuery:

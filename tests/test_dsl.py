@@ -89,6 +89,53 @@ architecture f : (x: A, y: B) -> C {
         with pytest.raises(DslError, match="sum"):
             parse(text)
 
+    _MODES = ("\nmodes M {\n  modes Bath = { cold }\n  modes Room = { bad }\n"
+              "  rel warm {\n    %s\n  }\n}\n")
+    _STOCH = ("\nstoch S {\n  prior Bath = (cold: 1)\n  prior Room = (bad: 1)\n"
+              "  kernel warm {\n    %s\n  }\n}\n")
+
+    @pytest.mark.parametrize("tail, message, line, col", [
+        ("\nequation nope = warm\n", "unknown generator 'nope'", 10, 10),
+        ("\nequation warm(xx->warm) = warm\n",
+         "generator warm has no slot 'xx'", 10, 15),
+        ("\nequation warm(ba=warm) = warm\n", "expected '->', got '='", 10, 17),
+        ("\nprob P {\n  warm = (xx: 1)\n}\n",
+         "generator warm has no slot 'xx'", 11, 11),
+        ("\nprob P {\n  warm = (ba: 1/2)\n}\n",
+         "distribution does not sum to 1", 11, 18),
+        (_MODES % "xx.cold -> bad", "generator warm has no slot 'xx'", 14, 5),
+        (_MODES % "ba.hot -> bad", "unknown mode 'hot' on Bath", 14, 8),
+        (_MODES % "ba.cold -> good", "unknown mode 'good' on Room", 14, 16),
+        (_MODES % "ba.cold = bad", "expected '->', got '='", 14, 13),
+        (_STOCH % "bad -> xx.cold: 1", "generator warm has no slot 'xx'",
+         14, 12),
+        (_STOCH % "hot -> ba.cold: 1", "unknown mode 'hot' on Room", 14, 5),
+        (_STOCH % "bad -> ba.hot: 1", "unknown mode 'hot' on Bath", 14, 15),
+        (_STOCH % "bad = ba.cold: 1", "expected '->', got '='", 14, 9),
+        (_STOCH % "bad -> ba.cold: 1/2", "kernel row for Room.bad sums to 1/2",
+         15, 3),
+        ("\nstoch S {\n  prior Bath = (cold: 1)\n  kernel warm {\n  }\n}\n",
+         "kernel warm: no prior declared for Room", 12, 10),
+        ("\nstoch S {\n  prior Bath = (cold: 1/2)\n}\n",
+         "prior on Bath does not sum to 1", 11, 26),
+        ("\narchitecture f : (ba: Nope) -> Room {\n}\n",
+         "unknown boundary 'Nope'", 10, 23),
+        ("\narchitecture f : (ba: Bath) = Room {\n}\n",
+         "expected '->', got '='", 10, 29),
+        ("\narchitecture f : (ba: Bath) -> Room {\n  expose ba.heat = heat\n}\n",
+         "expected '->', got '='", 11, 18),
+    ], ids=["equation-generator", "equation-slot", "equation-arrow",
+            "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
+            "rel-arrow", "kernel-slot", "kernel-mode-source",
+            "kernel-mode-target", "kernel-arrow", "kernel-row-sum",
+            "kernel-prior", "prior-sum", "architecture-boundary",
+            "architecture-arrow", "expose-arrow"])
+    def test_located_messages(self, tail, message, line, col):
+        with pytest.raises(DslError) as err:
+            parse(MINI + tail)
+        assert str(err.value) == f"line {line}, column {col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
     def test_history_block_is_not_part_of_the_grammar(self):
         text = MINI + "\nhistory ba interval [0, 10] { 1 2 }\n"
         with pytest.raises(DslError, match="unexpected 'history'"):
