@@ -171,6 +171,8 @@ class _Parser:
             den = self.next()
             if den.kind != "number" or "." in den.value:
                 raise self.error("expected an integer denominator", den)
+            if int(den.value) == 0:
+                raise self.error("zero denominator", den)
             value = value / Fraction(den.value)
         return value
 
@@ -442,8 +444,9 @@ class _Parser:
                 while not self.at("}"):
                     modes.append(self.mode(None))
                     self.accept(",")
-                self.expect("}")
-                mode_sets[b.name] = ModeSet(b.name, tuple(modes))
+                close = self.expect("}")
+                mode_sets[b.name] = self.build(
+                    close, ModeSet, b.name, tuple(modes))
             elif kw.value == "rel":
                 gen, arch = self.generator()
                 out_modes = mode_sets.get(arch.output.name)

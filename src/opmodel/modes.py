@@ -17,6 +17,7 @@ from .presentation import (
     OperadPresentation,
     Term,
     aligned_equations,
+    check_term,
     fold_term,
     resolve_leaf,
 )
@@ -147,6 +148,7 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     The empty leaf selector names the root itself (depth-0 query), where a
     mode trivially causes itself.
     """
+    check_term(pres, t)
     root_modes = M.modes_of(pres.generator(t.generator).output.name)
     if root_mode not in root_modes:
         raise ValidationError(

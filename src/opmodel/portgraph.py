@@ -7,8 +7,8 @@ along the shared intermediate ports; the result is again an architecture.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Mapping, NamedTuple
 
 PHYSICAL = "physical"
 DIGITAL = "digital"
@@ -42,8 +42,7 @@ class TypeTable:
         return name in self.kinds
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
     """A reference to a slot port (``slot.port``) or an outer port.
 
     Outer ports have ``slot is None`` and sort before all slot ports.
@@ -55,11 +54,8 @@ class PortRef:
     def __str__(self) -> str:
         return self.port if self.slot is None else f"{self.slot}.{self.port}"
 
-    def _key(self) -> tuple[str, str]:
-        return ("" if self.slot is None else self.slot, self.port)
-
     def __lt__(self, other: "PortRef") -> bool:  # type: ignore[override]
-        return self._key() < other._key()
+        return (self.slot or "", self.port) < (other.slot or "", other.port)
 
 
 def outer(port: str) -> PortRef:
@@ -124,21 +120,24 @@ class Architecture:
     inputs: tuple[tuple[str, Boundary], ...]
     output: Boundary
     wires: tuple[Wire, ...]
+    _boundary_of: dict[str, Boundary] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        labels = [s for s, _ in self.inputs]
-        if len(set(labels)) != len(labels):
+        boundary_of = dict(self.inputs)
+        if len(boundary_of) != len(self.inputs):
             raise ValidationError("duplicate slot labels")
+        object.__setattr__(self, "_boundary_of", boundary_of)
 
     @property
     def slots(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.inputs)
+        return tuple(self._boundary_of)
 
     def slot_boundary(self, slot: str) -> Boundary:
-        for s, b in self.inputs:
-            if s == slot:
-                return b
-        raise ValidationError(f"unknown slot {slot!r}")
+        try:
+            return self._boundary_of[slot]
+        except KeyError:
+            raise ValidationError(f"unknown slot {slot!r}") from None
 
     def all_port_refs(self) -> tuple[PortRef, ...]:
         refs = [PortRef(s, p) for s, b in self.inputs for p in b.ports]
@@ -196,23 +195,27 @@ def canonicalize(arch: Architecture) -> Architecture:
     port, or a wire mixes interface types.  Ports attached to no wire are
     permitted here; use :func:`validate` to insist on total wiring.
     """
-    known = set(arch.all_port_refs())
+    # keyed by plain (slot, port) tuples, which a PortRef hashes and equals
+    port_type = {(s, p): b.port_type[p]
+                 for s, b in arch.inputs for p in b.ports}
+    port_type.update(((None, p), arch.output.port_type[p])
+                     for p in arch.output.ports)
     seen: set[PortRef] = set()
     blocks: list[Wire] = []
     for w in arch.wires:
         if not w.ports:
             continue
         for ref in w.ports:
-            if ref not in known:
+            t = port_type.get(ref)
+            if t is None:
                 raise ValidationError(f"unknown port reference {ref}")
             if ref in seen:
                 raise ValidationError(f"port {ref} attached to two wires")
             seen.add(ref)
-            t = arch.ref_type(ref)
             if t != w.type:
                 raise ValidationError(
                     f"wire {w} contains port {ref} of type {t!r}")
-        blocks.append(Wire(w.ports, w.type))
+        blocks.append(w)
     blocks.sort(key=lambda w: min(w.ports))
     return Architecture(arch.inputs, arch.output, tuple(blocks))
 
@@ -274,52 +277,51 @@ def compose(outer_arch: Architecture,
         else:
             new_inputs.append((slot, b))
 
-    uf = UnionFind()
-    # (wire nodes are PortRefs of the composite, or ("mid", slot, port)
-    # placeholders for the deleted intermediate ports)
-    comp_type: dict = {}
-
-    def add_wire(nodes: list, wtype: str) -> None:
-        for n in nodes:
-            uf.find(n)
-        for a, b in zip(nodes, nodes[1:]):
-            uf.union(a, b)
-        root = uf.find(nodes[0])
-        comp_type.setdefault(root, wtype)
-
+    # Each wire carries composite PortRefs and ("mid", slot, port) nodes for
+    # the deleted intermediate ports.  A node remembers the first wire that
+    # carried it, and a later wire carrying it is glued to that wire by a
+    # union-find over wire indices.
+    carried: list[tuple[str, list[PortRef], list[tuple[str, str, str]]]] = []
     for w in outer_arch.wires:
-        nodes = []
-        for ref in w.ports:
-            if ref.slot in subst:
-                nodes.append(("mid", ref.slot, ref.port))
-            else:
-                nodes.append(ref)
-        add_wire(nodes, w.type)
+        carried.append((w.type,
+                        [r for r in w.ports if r.slot not in subst],
+                        [("mid", r.slot, r.port) for r in w.ports
+                         if r.slot in subst]))
     for slot, g in subst.items():
         for w in g.wires:
-            nodes = []
-            for ref in w.ports:
-                if ref.slot is None:
-                    nodes.append(("mid", slot, ref.port))
-                else:
-                    nodes.append(PortRef(f"{slot}.{ref.slot}", ref.port))
-            add_wire(nodes, w.type)
+            carried.append((w.type,
+                            [PortRef(f"{slot}.{r.slot}", r.port)
+                             for r in w.ports if r.slot is not None],
+                            [("mid", slot, r.port) for r in w.ports
+                             if r.slot is None]))
 
-    # merging may have united components whose declared types differ
-    types: dict = {}
-    for root in list(comp_type):
-        real = uf.find(root)
-        t = comp_type[root]
-        if real in types and types[real] != t:
+    parent = list(range(len(carried)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    first: dict = {}
+    for i, (_, refs, mids) in enumerate(carried):
+        for node in refs + mids:
+            j = first.setdefault(node, i)
+            if j != i:
+                parent[root(i)] = root(j)
+
+    # every wire's type must be the type of its glued component
+    types: dict[int, str] = {}
+    members: dict[int, list[PortRef]] = {}
+    for i, (wtype, refs, _) in enumerate(carried):
+        r = root(i)
+        t = types.setdefault(r, wtype)
+        if t != wtype:
             raise CompositionError(
-                f"type conflict among glued wires: {types[real]!r} vs {t!r}")
-        types.setdefault(real, t)
-
-    wires = []
-    for root, members in uf.groups().items():
-        refs = frozenset(m for m in members if isinstance(m, PortRef))
-        if refs:
-            wires.append(Wire(refs, types[root]))
+                f"type conflict among glued wires: {t!r} vs {wtype!r}")
+        members.setdefault(r, []).extend(refs)
+    wires = [Wire(frozenset(refs), types[r])
+             for r, refs in members.items() if refs]
 
     return canonicalize(
         Architecture(tuple(new_inputs), outer_arch.output, tuple(wires)))

@@ -13,6 +13,7 @@ from .portgraph import (
     Architecture,
     Boundary,
     ComponentCorrespondence,
+    CompositionError,
     EqualityReport,
     PortGraphError,
     TypeTable,
@@ -111,6 +112,29 @@ def elaborate(pres: OperadPresentation, t: Term) -> Architecture:
             raise ValidationError(
                 f"generator {t.generator} has no slot {slot!r}")
     return compose(arch, inner)
+
+
+def check_term(pres: OperadPresentation, t: Term) -> Boundary:
+    """The output boundary of a well-typed term.
+
+    Raises what :func:`elaborate` would for an unknown generator or slot, or
+    for a generator whose output is not its slot's boundary, without
+    composing anything.
+    """
+    arch = pres.generator(t.generator)
+    if not t.children:
+        return arch.output
+    outputs = {slot: check_term(pres, sub) for slot, sub in t.children}
+    for slot in outputs:
+        if slot not in arch.slots:
+            raise ValidationError(
+                f"generator {t.generator} has no slot {slot!r}")
+    for slot, got in outputs.items():
+        b = arch.slot_boundary(slot)
+        if got != b:
+            raise CompositionError(
+                f"slot {slot!r} expects boundary {b.name}, got {got.name}")
+    return arch.output
 
 
 def fold_term(t: Term, value_of: Callable[[str], V],

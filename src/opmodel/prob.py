@@ -18,6 +18,7 @@ from .presentation import (
     OperadPresentation,
     Term,
     aligned_equations,
+    check_term,
     equation_correspondence,
     fold_term,
     leaf_paths,
@@ -135,6 +136,7 @@ def leaf_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
 
     The empty selector names the root itself and yields 1.
     """
+    check_term(pres, t)
     if leaf == "":
         return ONE
     path = resolve_leaf(pres, t, leaf)

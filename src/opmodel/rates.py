@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .portgraph import ValidationError
-from .presentation import OperadPresentation, Term
+from .presentation import OperadPresentation, Term, check_term
 from .prob import Distribution, ProbFunctor
 
 INF = math.inf
@@ -141,6 +141,8 @@ def pipeline_check(pres: OperadPresentation,
     visited gets the normalized distribution of its children's aggregate
     rates; generators reached through several terms must agree.
     """
+    for term, _ in assignments:
+        check_term(pres, term)
     dists: dict[str, Distribution] = {}
     all_rates: dict[str, Rate] = {}
     conflicts: list[str] = []

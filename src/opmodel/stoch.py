@@ -18,6 +18,7 @@ from .presentation import (
     OperadPresentation,
     Term,
     aligned_equations,
+    check_term,
     fold_term,
 )
 from .prob import Distribution, ProbFunctor, check_arity, format_probability
@@ -382,6 +383,7 @@ def diagnose(pres: OperadPresentation, S: StochFunctor, t: Term,
     This is the composed kernel's row at the observation: the chain product
     of conditional entries down the term.  Labels are ``leafpath.mode``.
     """
+    check_term(pres, t)
     k = S.fold(pres, t)
     if observed_root_mode not in k.kernel.source:
         raise ValidationError(

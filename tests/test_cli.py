@@ -144,6 +144,15 @@ class TestQuery:
         assert run(["query", model_path, "--functor", "ZZ",
                     "--term", "phi", "--leaf", "ls"]) == EXIT_ERROR
 
+    def test_ill_typed_term_exits_two(self, model_path, capsys):
+        # beta outputs Bath, but slot rt of tau is a Lab
+        assert run(["query", model_path, "--functor", "P",
+                    "--term", "tau(rt->beta)", "--leaf", "rt.ht"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: slot 'rt' expects boundary Lab, got Bath\n"
+
 
 class TestDiagnose:
     def test_posterior_table(self, model_path, capsys):
@@ -157,6 +166,15 @@ class TestDiagnose:
     def test_unknown_mode_exits_two(self, model_path, capsys):
         assert run(["diagnose", model_path, "--functor", "S",
                     "--term", "tau", "--mode", "zz"]) == EXIT_ERROR
+
+    def test_ill_typed_term_exits_two(self, model_path, capsys):
+        assert run(["diagnose", model_path, "--functor", "S",
+                    "--term", "tau(rt->beta)", "--mode", "laser_low"]) \
+            == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: slot 'rt' expects boundary Lab, got Bath\n"
 
 
 class TestUsageErrors:

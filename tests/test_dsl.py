@@ -124,12 +124,17 @@ architecture f : (x: A, y: B) -> C {
          "expected '->', got '='", 10, 29),
         ("\narchitecture f : (ba: Bath) -> Room {\n  expose ba.heat = heat\n}\n",
          "expected '->', got '='", 11, 18),
+        ("\nstoch S {\n  prior Bath = (cold: 1/0)\n}\n",
+         "zero denominator", 11, 25),
+        ("\nmodes M {\n  modes Bath = { cold, cold }\n}\n",
+         "duplicate failure modes on Bath", 11, 29),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
             "rel-arrow", "kernel-slot", "kernel-mode-source",
             "kernel-mode-target", "kernel-arrow", "kernel-row-sum",
             "kernel-prior", "prior-sum", "architecture-boundary",
-            "architecture-arrow", "expose-arrow"])
+            "architecture-arrow", "expose-arrow", "zero-denominator",
+            "duplicate-modes"])
     def test_located_messages(self, tail, message, line, col):
         with pytest.raises(DslError) as err:
             parse(MINI + tail)

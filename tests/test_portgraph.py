@@ -1,8 +1,13 @@
 """Port-graph architectures: canonical forms, composition, equality."""
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import opmodel
 from opmodel.portgraph import (
     Architecture,
     ComponentCorrespondence,
@@ -23,6 +28,21 @@ from opmodel.portgraph import (
     wire,
 )
 from randgen import compose_partition_oracle, random_architecture, random_boundary
+
+# f wires s.x to x as physical; the raw inner g wires t.a to x as digital
+ILL_TYPED_GLUE = """
+from opmodel.portgraph import (Architecture, PortGraphError, at, boundary,
+                               canonicalize, compose, outer, wire)
+m = boundary("M", x="physical")
+f = canonicalize(Architecture(
+    (("s", m),), m, (wire([at("s", "x"), outer("x")], "physical"),)))
+g = Architecture((("t", boundary("B", a="digital")),), m,
+                 (wire([at("t", "a"), outer("x")], "digital"),))
+try:
+    compose(f, {"s": g})
+except PortGraphError as exc:
+    print(type(exc).__name__)
+"""
 
 
 def tau(pres):
@@ -137,6 +157,17 @@ class TestCompose:
              wire([at("t", "d")], "digital")))
         with pytest.raises(CompositionError, match="type conflict"):
             compose(f, {"s": g})
+
+    def test_type_conflict_is_independent_of_hash_seed(self):
+        src = str(Path(opmodel.__file__).resolve().parent.parent)
+        for seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", ILL_TYPED_GLUE], env=env,
+                capture_output=True, text=True, check=True,
+                timeout=60).stdout
+            assert out == "CompositionError\n", f"PYTHONHASHSEED={seed}"
 
 
 class TestEqual:
