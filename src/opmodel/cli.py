@@ -28,20 +28,28 @@ class CliError(Exception):
 
 
 def _load_model(path: str) -> Model:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"model file not found: {path}")
     try:
-        return parse(p.read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise CliError(f"model file not found: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read model file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    try:
+        return parse(text)
     except DslError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _tolerance(args: argparse.Namespace) -> Fraction:
     try:
-        return Fraction(args.tolerance)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad tolerance {args.tolerance!r}") from exc
+        tolerance = Fraction(args.tolerance)
+        if tolerance >= 0:
+            return tolerance
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise CliError(f"bad tolerance {args.tolerance!r}")
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:

@@ -40,7 +40,6 @@ from .portgraph import (
     ComponentCorrespondence,
     PortRef,
     TypeTable,
-    UnionFind,
     ValidationError,
     Wire,
     canonicalize,
@@ -292,10 +291,11 @@ class _Parser:
         output = self.boundary()
         self.expect("{")
 
-        uf = UnionFind()
-        wired: set[PortRef] = set()
+        # each wire is the list of its ports, first-named (typing) port first
+        wires: list[list[PortRef]] = []
+        wire_of: dict[PortRef, list[PortRef]] = {}
 
-        def slot_ref(require_unwired_in: set[PortRef] | None = None) -> PortRef:
+        def slot_ref(unwired: bool = False) -> PortRef:
             slot_tok = self.ident("slot label")
             b = slots.get(slot_tok.value)
             if b is None:
@@ -306,21 +306,27 @@ class _Parser:
                 raise self.error(
                     f"unknown port {port_tok.value} on {b.name}", port_tok)
             ref = PortRef(slot_tok.value, port_tok.value)
-            if require_unwired_in is not None and ref in require_unwired_in:
+            if unwired and ref in wire_of:
                 raise self.error(f"port {ref} attached to two wires", port_tok)
             return ref
+
+        def join(refs: list[PortRef], w: list[PortRef] | None = None) -> None:
+            """Add ``refs`` to wire ``w``, or to a new wire when it is None."""
+            if w is None:
+                w = []
+                wires.append(w)
+            w.extend(refs)
+            wire_of.update(dict.fromkeys(refs, w))
 
         while not self.at("}"):
             kw = self.next()
             if kw.value == "wire":
-                refs = [slot_ref(wired)]
+                refs = [slot_ref(unwired=True)]
                 self.expect("=")
-                refs.append(slot_ref(wired))
+                refs.append(slot_ref(unwired=True))
                 while self.accept("="):
-                    refs.append(slot_ref(wired))
-                wired.update(refs)
-                for a, b2 in zip(refs, refs[1:]):
-                    uf.union(a, b2)
+                    refs.append(slot_ref(unwired=True))
+                join(refs)
             elif kw.value == "expose":
                 ref = slot_ref()
                 self.expect("->")
@@ -330,11 +336,10 @@ class _Parser:
                         f"unknown port {port_tok.value} on {output.name}",
                         port_tok)
                 out_ref = PortRef(None, port_tok.value)
-                if out_ref in wired:
+                if out_ref in wire_of:
                     raise self.error(
                         f"port {port_tok.value} exposed twice", port_tok)
-                wired.update((ref, out_ref))
-                uf.union(ref, out_ref)
+                join([ref, out_ref], wire_of.get(ref))
             else:
                 raise self.error(
                     f"expected 'wire' or 'expose', got {kw.value!r}", kw)
@@ -342,20 +347,20 @@ class _Parser:
 
         # unique-match auto-exposure of the remaining ports
         for port in output.ports:
-            if PortRef(None, port) in wired:
+            if PortRef(None, port) in wire_of:
                 continue
             candidates = [PortRef(s, port) for s, b in slots.items()
-                          if port in b.port_type and PortRef(s, port) not in wired]
+                          if port in b.port_type
+                          and PortRef(s, port) not in wire_of]
             if len(candidates) > 1:
                 raise self.error(
                     f"architecture {name.value}: ambiguous auto-exposure of "
                     f"port {port} (candidates {', '.join(map(str, candidates))})",
                     close)
             if candidates:
-                uf.union(candidates[0], PortRef(None, port))
-                wired.update((candidates[0], PortRef(None, port)))
+                join([candidates[0], PortRef(None, port)])
 
-        self.generators[name.value] = _build_architecture(slots, output, uf)
+        self.generators[name.value] = _build_architecture(slots, output, wires)
 
     # terms and equations --------------------------------------------------
 
@@ -366,16 +371,19 @@ class _Parser:
             slots = arch.slots
         else:
             gen, slots = self.ident("generator name"), None
-        children: list[tuple[str, Term]] = []
+        children: dict[str, Term] = {}
         if self.accept("("):
             while True:
+                tok = self.peek()
                 slot = self.slot(gen.value, slots)
+                if slot in children:
+                    raise self.error(f"duplicate slot {slot!r}", tok)
                 self.expect("->")
-                children.append((slot, self.parse_term(resolve)))
+                children[slot] = self.parse_term(resolve)
                 if not self.accept(","):
                     break
             self.expect(")")
-        return Term(gen.value, tuple(children))
+        return Term(gen.value, tuple(children.items()))
 
     def parse_path(self) -> str:
         parts = [self.ident("path segment").value]
@@ -530,15 +538,12 @@ class _Parser:
 
 
 def _build_architecture(slots: dict[str, Boundary], output: Boundary,
-                        uf: UnionFind) -> Architecture:
-    """The architecture whose wires are the blocks of ``uf``."""
-    def ref_type(ref: PortRef) -> str:
-        b = output if ref.slot is None else slots[ref.slot]
-        return b.port_type[ref.port]
-
-    wires = tuple(Wire(frozenset(members), ref_type(members[0]))
-                  for members in uf.groups().values())
-    arch = Architecture(tuple(slots.items()), output, wires)
+                        wires: list[list[PortRef]]) -> Architecture:
+    """The architecture with these wires, each typed by its first port."""
+    arch = Architecture(tuple(slots.items()), output, ())
+    port_type = arch.port_types()
+    arch = Architecture(arch.inputs, output, tuple(
+        Wire(frozenset(refs), port_type[refs[0]]) for refs in wires))
     try:
         return canonicalize(arch)
     except ValidationError:

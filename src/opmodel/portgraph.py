@@ -82,13 +82,6 @@ class Boundary:
                 raise ValidationError(
                     f"boundary {self.name}: port {p!r} has no type")
 
-    def type_of(self, port: str) -> str:
-        try:
-            return self.port_type[port]
-        except KeyError:
-            raise ValidationError(
-                f"unknown port {port!r} on {self.name}") from None
-
 
 def boundary(name: str, **ports: str) -> Boundary:
     """Shorthand constructor: ``boundary("Bath", heat="heat", setPt="setPt")``."""
@@ -139,15 +132,15 @@ class Architecture:
         except KeyError:
             raise ValidationError(f"unknown slot {slot!r}") from None
 
-    def all_port_refs(self) -> tuple[PortRef, ...]:
-        refs = [PortRef(s, p) for s, b in self.inputs for p in b.ports]
-        refs += [PortRef(None, p) for p in self.output.ports]
-        return tuple(refs)
-
-    def ref_type(self, ref: PortRef) -> str:
-        if ref.slot is None:
-            return self.output.type_of(ref.port)
-        return self.slot_boundary(ref.slot).type_of(ref.port)
+    def port_types(self) -> dict[tuple[str | None, str], str]:
+        """The type of every port: slot ports in slot order, then the outer
+        ports, keyed by plain ``(slot, port)`` tuples, which a
+        :class:`PortRef` hashes and equals."""
+        types = {(s, p): b.port_type[p]
+                 for s, b in self.inputs for p in b.ports}
+        types.update(((None, p), self.output.port_type[p])
+                     for p in self.output.ports)
+        return types
 
     def describe(self) -> str:
         """Deterministic textual rendering of a canonical architecture."""
@@ -158,36 +151,6 @@ class Architecture:
         return "\n".join(lines)
 
 
-class UnionFind:
-    """Disjoint-set forest over arbitrary hashable keys."""
-
-    def __init__(self) -> None:
-        self._parent: dict = {}
-
-    def find(self, x):
-        parent = self._parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[ry] = rx
-
-    def groups(self) -> dict:
-        out: dict = {}
-        for x in self._parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
-
 def canonicalize(arch: Architecture) -> Architecture:
     """Normal form: wires sorted by least port reference, empty wires dropped.
 
@@ -195,36 +158,38 @@ def canonicalize(arch: Architecture) -> Architecture:
     port, or a wire mixes interface types.  Ports attached to no wire are
     permitted here; use :func:`validate` to insist on total wiring.
     """
-    # keyed by plain (slot, port) tuples, which a PortRef hashes and equals
-    port_type = {(s, p): b.port_type[p]
-                 for s, b in arch.inputs for p in b.ports}
-    port_type.update(((None, p), arch.output.port_type[p])
-                     for p in arch.output.ports)
+    port_type = arch.port_types()
     seen: set[PortRef] = set()
     blocks: list[Wire] = []
     for w in arch.wires:
         if not w.ports:
             continue
         for ref in w.ports:
-            t = port_type.get(ref)
-            if t is None:
-                raise ValidationError(f"unknown port reference {ref}")
-            if ref in seen:
-                raise ValidationError(f"port {ref} attached to two wires")
-            seen.add(ref)
-            if t != w.type:
-                raise ValidationError(
-                    f"wire {w} contains port {ref} of type {t!r}")
+            if port_type.get(ref) != w.type or ref in seen:
+                raise _wire_error(w, port_type, seen)
+        seen.update(w.ports)
         blocks.append(w)
     blocks.sort(key=lambda w: min(w.ports))
     return Architecture(arch.inputs, arch.output, tuple(blocks))
+
+
+def _wire_error(w: Wire, port_type: Mapping, seen: set) -> ValidationError:
+    """The error for an ill-formed wire, named by its least offending port
+    so that it does not depend on set iteration order."""
+    ref = min(r for r in w.ports if port_type.get(r) != w.type or r in seen)
+    t = port_type.get(ref)
+    if t is None:
+        return ValidationError(f"unknown port reference {ref}")
+    if ref in seen:
+        return ValidationError(f"port {ref} attached to two wires")
+    return ValidationError(f"wire {w} contains port {ref} of type {t!r}")
 
 
 def validate(arch: Architecture) -> Architecture:
     """Canonicalize and additionally require every port to be wired."""
     canon = canonicalize(arch)
     wired = {ref for w in canon.wires for ref in w.ports}
-    missing = [ref for ref in canon.all_port_refs() if ref not in wired]
+    missing = [PortRef(*ref) for ref in canon.port_types() if ref not in wired]
     if missing:
         names = ", ".join(str(r) for r in missing)
         raise ValidationError(f"unwired ports: {names}")

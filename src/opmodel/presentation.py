@@ -220,6 +220,21 @@ def equation_correspondence(pres: OperadPresentation,
     return eq.corr
 
 
+def _check_derived(pres: OperadPresentation, eq: CoherenceEquation,
+                   corr: ComponentCorrespondence) -> None:
+    """Require a correspondence derived from the elaborated sides to pair the
+    folds' leaf paths, which differ where a side substitutes an identity."""
+    left = dict(leaf_paths(pres, eq.lhs))
+    right = dict(leaf_paths(pres, eq.rhs))
+    for t, paths, matched in ((eq.lhs, left, corr.mapping.keys()),
+                              (eq.rhs, right, set(corr.mapping.values()))):
+        unmatched = sorted(paths.keys() - matched)
+        if unmatched:
+            raise ValidationError(
+                f"leaf {unmatched[0]} of {t} has no derived match")
+    check_correspondence(left, right, corr)
+
+
 def aligned_equations(pres: OperadPresentation, fold: Callable[[Term], V],
                       errors: list[str]
                       ) -> Iterator[tuple[CoherenceEquation, Mapping[str, str], V, V]]:
@@ -231,6 +246,8 @@ def aligned_equations(pres: OperadPresentation, fold: Callable[[Term], V],
     for eq in pres.equations:
         try:
             corr = equation_correspondence(pres, eq)
+            if eq.corr is None:
+                _check_derived(pres, eq, corr)
         except PortGraphError as exc:
             errors.append(f"equation {eq}: {exc}")
             continue

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, text and JSON output."""
 import json
+import random
+import re
 
 import pytest
 
@@ -31,6 +33,30 @@ def incomplete_matching_path(tmp_path_factory):
         "= kappa(sn->sigma, ac->alpha) matching { ls.in ~ sn.in }\n")
     path = tmp_path_factory.mktemp("models") / "matching.opm"
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def identity_model_text():
+    """LSI plus an identity generator on Bath, used in an equation."""
+    return (lsi_text()
+            .replace("# Both decompositions",
+                     "architecture idb : (x: Bath) -> Bath {}\n\n"
+                     "# Both decompositions")
+            .replace("= kappa(sn->sigma, ac->alpha)\n",
+                     "= kappa(sn->sigma, ac->alpha)\n"
+                     "equation tau(ba->idb) = tau\n")
+            .replace("  beta = (ht: 1/2", "  idb = (x: 1)\n  beta = (ht: 1/2")
+            .replace("  rel beta {", "  rel idb {\n    x.too_cold -> too_cold\n"
+                     "    x.too_hot -> too_hot\n  }\n  rel beta {")
+            .replace("  kernel beta {",
+                     "  kernel idb {\n    too_cold -> x.too_cold: 1\n"
+                     "    too_hot -> x.too_hot: 1\n  }\n  kernel beta {"))
+
+
+@pytest.fixture(scope="module")
+def identity_model_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("models") / "identity.opm"
+    path.write_text(identity_model_text(), encoding="utf-8")
     return str(path)
 
 
@@ -86,6 +112,18 @@ class TestCheck:
                 "on left slots") in captured.out.splitlines()
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("functors", [["P"], ["M"], ["P", "M", "S"]],
+                             ids=" ".join)
+    def test_identity_generator_in_equation_is_a_failed_check(
+            self, identity_model_path, functors, capsys):
+        argv = ["check", identity_model_path]
+        argv += [arg for f in functors for arg in ("--functor", f)]
+        assert run(argv) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert ("  error: equation tau(ba->idb) = tau: leaf ba.x of "
+                "tau(ba->idb) has no derived match") in captured.out.splitlines()
+        assert "Traceback" not in captured.out + captured.err
+
     def test_tolerance_flag(self, failing_model_path, capsys):
         loose = run(["check", failing_model_path, "--functor", "P",
                      "--tolerance", "1/2"])
@@ -116,6 +154,14 @@ class TestCompose:
     def test_bad_term_exits_two(self, model_path, capsys):
         assert run(["compose", model_path, "--term", "tau(ba->"]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
+
+    def test_duplicate_slot_exits_two(self, model_path, capsys):
+        assert run(["compose", model_path, "--term",
+                    "tau(ba->beta, ba->beta)"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: line 1, column 15: duplicate slot 'ba'\n"
 
     def test_deeply_nested_term_exits_two(self, model_path, capsys):
         term = "phi(ls->" * 1200 + "lambda" + ")" * 1200
@@ -190,3 +236,94 @@ class TestUsageErrors:
         bad.write_text("boundary ! {}", encoding="utf-8")
         assert run(["validate", str(bad)]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
+
+    def test_directory_exits_two(self, tmp_path, capsys):
+        assert run(["validate", str(tmp_path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: cannot read model file {tmp_path}: Is a directory\n"
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.opm"
+        bad.write_bytes("# Temperaturfühler\n".encode("latin-1"))
+        assert run(["validate", str(bad)]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            f"error: {bad}: not UTF-8 text (byte 13)\n"
+
+    def test_negative_tolerance_exits_two(self, model_path, capsys):
+        assert run(["check", model_path, "--functor", "P",
+                    "--tolerance", "-1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad tolerance '-1'\n"
+
+
+class TestMutants:
+    """Seeded mutants of the bundled model: every ``cli.run`` ends in exit
+    0, 1 or 2 with a message, never in an exception or a traceback."""
+
+    TOKEN = re.compile(r"->|[A-Za-z_]\w*|\d+(?:\.\d+)?|[^\s\w]")
+    COMMANDS = (
+        ["check", "--functor", "P", "--functor", "M", "--functor", "S"],
+        ["query", "--functor", "P", "--term", "phi(ts->tau(ba->beta))",
+         "--leaf", "ht"],
+        ["diagnose", "--functor", "S", "--term", "tau(ba->beta)",
+         "--mode", "laser_low"],
+    )
+    # 300 identities between tau and beta: well typed only with idb declared
+    DEEP_TERM = "tau(ba->" + "idb(x->" * 300 + "beta" + ")" * 301
+
+    def token_mutant(self, text, rng):
+        """Delete, replace or insert one or two tokens in the first half."""
+        vocab = sorted(set(self.TOKEN.findall(text)))
+        for _ in range(rng.choice((1, 2))):
+            start, end = rng.choice(
+                [m.span() for m in self.TOKEN.finditer(text, 0, len(text) // 2)])
+            op = rng.choice(("delete", "replace", "insert"))
+            new = "" if op == "delete" else rng.choice(vocab) + " "
+            text = text[:start] + new + text[start if op == "insert" else end:]
+        return text
+
+    @staticmethod
+    def semantic_mutants(text):
+        return [
+            identity_model_text(),
+            text.replace("equation phi(ls->lambda, ts->tau)",
+                         "equation phi(ls->lambda, ls->lambda, ts->tau)"),
+            text.replace("= kappa(sn->sigma, ac->alpha)\n",
+                         "= kappa(sn->sigma, ac->alpha) "
+                         "matching { ls.in ~ sn.in }\n"),
+            text.replace("phi = (ls: 2/5, ts: 3/5)", "phi = (ls: 1/2, ts: 1/2)"),
+            text.replace("bad_length -> ls.no_fringe: 1/5",
+                         "bad_length -> ls.no_fringe: 1/10"),
+            text.replace("laser_low", "laser_dim"),
+            text.replace("modes TempSys = { laser_low,",
+                         "modes TempSys = { laser_dim,"),
+        ]
+
+    def test_mutants_exit_cleanly(self, tmp_path, capsys):
+        rng = random.Random(2020)
+        text = lsi_text()
+        models = self.semantic_mutants(text) + [
+            self.token_mutant(text, rng) for _ in range(250)]
+        path = tmp_path / "mutant.opm"
+        codes = []
+
+        def run_clean(argv):
+            codes.append(run(argv))
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            return captured.err
+
+        for model in models:
+            path.write_text(model, encoding="utf-8")
+            for command in self.COMMANDS:
+                err = run_clean([command[0], str(path), *command[1:]])
+                if err.startswith(f"error: {path}:"):
+                    break  # the model does not load, whatever the command
+        path.write_text(models[0], encoding="utf-8")
+        run_clean(["compose", str(path), "--term", "tau(ba->beta, ba->beta)"])
+        run_clean(["query", str(path), "--functor", "P",
+                   "--term", self.DEEP_TERM, "--leaf", "ht"])
+        run_clean(["diagnose", str(path), "--functor", "S",
+                   "--term", self.DEEP_TERM, "--mode", "laser_low"])
+        assert set(codes) == {EXIT_OK, EXIT_CHECK_FAILED, EXIT_ERROR}

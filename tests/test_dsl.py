@@ -99,6 +99,8 @@ architecture f : (x: A, y: B) -> C {
         ("\nequation warm(xx->warm) = warm\n",
          "generator warm has no slot 'xx'", 10, 15),
         ("\nequation warm(ba=warm) = warm\n", "expected '->', got '='", 10, 17),
+        ("\nequation warm(ba->warm, ba->warm) = warm\n",
+         "duplicate slot 'ba'", 10, 25),
         ("\nprob P {\n  warm = (xx: 1)\n}\n",
          "generator warm has no slot 'xx'", 11, 11),
         ("\nprob P {\n  warm = (ba: 1/2)\n}\n",
@@ -129,6 +131,7 @@ architecture f : (x: A, y: B) -> C {
         ("\nmodes M {\n  modes Bath = { cold, cold }\n}\n",
          "duplicate failure modes on Bath", 11, 29),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
+            "equation-duplicate-slot",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
             "rel-arrow", "kernel-slot", "kernel-mode-source",
             "kernel-mode-target", "kernel-arrow", "kernel-row-sum",

@@ -27,6 +27,7 @@ from opmodel.portgraph import (
     validate,
     wire,
 )
+from opmodel.corpus import lsi_text
 from randgen import compose_partition_oracle, random_architecture, random_boundary
 
 # f wires s.x to x as physical; the raw inner g wires t.a to x as digital
@@ -170,6 +171,29 @@ class TestCompose:
             assert out == "CompositionError\n", f"PYTHONHASHSEED={seed}"
 
 
+    def test_ill_typed_wire_message_is_independent_of_hash_seed(
+            self, tmp_path):
+        # the wire mixes heat ports with rt.temp, which tau exposes as temp1
+        model = tmp_path / "mixed.opm"
+        model.write_text(lsi_text().replace(
+            "wire bt.heat1 = ba.heat", "wire bt.heat1 = ba.heat = rt.temp"),
+            encoding="utf-8")
+        src = str(Path(opmodel.__file__).resolve().parent.parent)
+        outs = set()
+        for seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": src}
+            proc = subprocess.run(
+                [sys.executable, "-m", "opmodel.cli", "validate", str(model)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 1, f"PYTHONHASHSEED={seed}"
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+        assert ("  error: generator tau: wire {temp1, ba.heat, bt.heat1, "
+                "rt.temp}:heat contains port temp1 of type 'temp'"
+                in outs.pop().splitlines())
+
+
 class TestEqual:
     def test_reflexive(self, pres):
         arch = tau(pres)
@@ -284,12 +308,12 @@ class TestOperadLaws:
             wired = set()
             for w in composed.wires:
                 for r in w.ports:
-                    assert composed.ref_type(r) == w.type
+                    assert composed.port_types()[r] == w.type
                     wired.add(r)
             expected = sum(len(b.ports) for _, b in f.inputs if _ != s)
             expected += sum(len(b.ports) for _, b in g.inputs)
             expected += len(f.output.ports)
-            assert len(wired) == len(composed.all_port_refs()) == expected
+            assert len(wired) == len(composed.port_types()) == expected
             assert validate(composed) == composed
 
 
