@@ -31,7 +31,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Container, NamedTuple, TypeVar
+from itertools import islice
+from typing import Callable, Container, Iterator, TypeVar
 
 from .modes import ModeFunctor, ModeRelation, ModeSet
 from .portgraph import (
@@ -75,28 +76,37 @@ class Model:
     stoch_functors: dict[str, StochFunctor] = field(default_factory=dict)
 
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<arrow>->)
-  | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}()\[\]:,=~./])
-  | (?P<bad>.)
-""", re.VERBOSE)
+# one token of the grammar; ``-`` starts only ``->`` and negative numbers
+_TOKEN = r"[A-Za-z_][A-Za-z0-9_]*|->|[{}()\[\]:,=~./]|-?\d+(?:\.\d+)?"
+_TOKEN_RE = re.compile(_TOKEN)
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_LOCATED_RE = re.compile(
+    rf"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<token>{_TOKEN})|(?P<bad>.)")
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident" | "number" | "punct" | "arrow" | "eof"
-    value: str
-    line: int
-    col: int
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text`` as plain strings, then ``""`` for end of input.
+
+    Tokens carry no position: ``_located`` recomputes positions when an
+    error needs one.
+    """
+    code = _COMMENT_RE.sub("", text) if "#" in text else text
+    tokens = _TOKEN_RE.findall(code)
+    # the tokens cover all of ``code`` but its whitespace (str.split and \s
+    # agree on what that is), unless findall skipped a character outside the
+    # grammar; then the located scan raises at the first one
+    if "".join(tokens) != "".join(code.split()):
+        for _ in _located(text):
+            pass
+    tokens.append("")
+    return tokens
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _located(text: str) -> Iterator[tuple[str, int, int]]:
+    """Each token of ``text`` with its line and column, then ``""`` at the
+    end of input; raises at the first character outside the grammar."""
     line, line_start = 1, 0  # line_start: offset of the current line
-    for m in _TOKEN_RE.finditer(text):
+    for m in _LOCATED_RE.finditer(text):
         kind, start = m.lastgroup, m.start()
         if kind == "ws":
             newlines = text.count("\n", start, m.end())
@@ -106,14 +116,19 @@ def _tokenize(text: str) -> list[_Token]:
         elif kind == "bad":
             raise DslError(f"unexpected character {m.group()!r}",
                            line, start - line_start + 1)
-        elif kind != "comment":
-            tokens.append(_Token(kind, m.group(), line, start - line_start + 1))
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+        elif kind == "token":
+            yield m.group(), line, start - line_start + 1
+    yield "", line, len(text) - line_start + 1
+
+
+def _is_number(tok: str) -> bool:
+    """Number tokens start with a digit, or with ``-`` and a digit."""
+    return tok[:1].isdecimal() or tok[:1] == "-" and tok[1:2].isdecimal()
 
 
 class _Parser:
     def __init__(self, text: str) -> None:
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.type_table: dict[str, str] = {}
@@ -124,91 +139,104 @@ class _Parser:
         self.mode_functors: dict[str, ModeFunctor] = {}
         self.stoch_functors: dict[str, StochFunctor] = {}
 
-    # token helpers ------------------------------------------------------
+    # token helpers: a token is its text; errors name it by its index ----
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def error(self, message: str, index: int | None = None) -> DslError:
+        """A ``DslError`` at token ``index``, by default the next token."""
+        if index is None:
+            index = self.pos
+        _, line, col = next(islice(_located(self.text), index, None))
+        return DslError(message, line, col)
+
+    def expect(self, value: str) -> int:
+        """Consume ``value`` and return its index."""
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if tok != value:
+            raise self.error(f"expected {value!r}, got {tok!r}")
+        self.pos += 1
+        return self.pos - 1
+
+    def ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            raise self.error(f"expected {what}, got {tok!r}")
+        self.pos += 1
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> DslError:
-        tok = tok or self.peek()
-        return DslError(message, tok.line, tok.col)
-
-    def expect(self, value: str) -> _Token:
-        tok = self.next()
-        if tok.value != value:
-            raise self.error(f"expected {value!r}, got {tok.value!r}", tok)
-        return tok
-
-    def ident(self, what: str = "identifier") -> _Token:
-        tok = self.next()
-        if tok.kind != "ident":
-            raise self.error(f"expected {what}, got {tok.value!r}", tok)
+    def keyword(self, *words: str) -> str:
+        """Consume the next token, which must be one of ``words``."""
+        tok = self.tokens[self.pos]
+        if tok not in words:
+            raise self.error(
+                f"expected {' or '.join(map(repr, words))}, got {tok!r}")
+        self.pos += 1
         return tok
 
     def at(self, value: str) -> bool:
-        return self.peek().value == value
+        return self.tokens[self.pos] == value
 
     def accept(self, value: str) -> bool:
         """Consume the next token if it is ``value``."""
-        if self.at(value):
+        if self.tokens[self.pos] == value:
             self.pos += 1
             return True
         return False
 
     def rational(self) -> Fraction:
-        tok = self.next()
-        if tok.kind != "number":
-            raise self.error(f"expected a number, got {tok.value!r}", tok)
-        value = Fraction(tok.value)  # exact, also for decimal literals
-        if self.accept("/"):
-            den = self.next()
-            if den.kind != "number" or "." in den.value:
-                raise self.error("expected an integer denominator", den)
-            if int(den.value) == 0:
-                raise self.error("zero denominator", den)
-            value = value / Fraction(den.value)
-        return value
+        tok = self.peek()
+        if not _is_number(tok):
+            raise self.error(f"expected a number, got {tok!r}")
+        self.pos += 1
+        # exact: a decimal literal through its string, an integer as is
+        value = Fraction(tok) if "." in tok else int(tok)
+        if not self.accept("/"):
+            return Fraction(value)
+        den = self.peek()
+        if not _is_number(den) or "." in den:
+            raise self.error("expected an integer denominator")
+        denominator = int(den)
+        if denominator == 0:
+            raise self.error("zero denominator")
+        self.pos += 1
+        return Fraction(value, denominator)
 
     # resolving helpers: read a name and check it, located at its token ----
 
     def boundary(self) -> Boundary:
         tok = self.ident("boundary name")
-        b = self.boundaries.get(tok.value)
+        b = self.boundaries.get(tok)
         if b is None:
-            raise self.error(f"unknown boundary {tok.value!r}", tok)
+            raise self.error(f"unknown boundary {tok!r}", self.pos - 1)
         return b
 
-    def generator(self) -> tuple[_Token, Architecture]:
+    def generator(self) -> tuple[str, Architecture]:
         tok = self.ident("generator name")
-        arch = self.generators.get(tok.value)
+        arch = self.generators.get(tok)
         if arch is None:
-            raise self.error(f"unknown generator {tok.value!r}", tok)
+            raise self.error(f"unknown generator {tok!r}", self.pos - 1)
         return tok, arch
 
     def slot(self, gen: str, slots: Container[str] | None) -> str:
         """A slot label of generator ``gen``; ``slots=None`` skips the check."""
         tok = self.ident("slot label")
-        if slots is not None and tok.value not in slots:
+        if slots is not None and tok not in slots:
             raise self.error(
-                f"generator {gen} has no slot {tok.value!r}", tok)
-        return tok.value
+                f"generator {gen} has no slot {tok!r}", self.pos - 1)
+        return tok
 
     def mode(self, modes: ModeSet | None) -> str:
         """A mode name, checked against ``modes`` unless it is None."""
         tok = self.ident("mode name")
-        if modes is not None and tok.value not in modes:
+        if modes is not None and tok not in modes:
             raise self.error(
-                f"unknown mode {tok.value!r} on {modes.boundary}", tok)
-        return tok.value
+                f"unknown mode {tok!r} on {modes.boundary}", self.pos - 1)
+        return tok
 
-    def build(self, close: _Token, make: Callable[..., T], *args) -> T:
-        """``make(*args)``, its validation error located at ``close``."""
+    def build(self, close: int, make: Callable[..., T], *args) -> T:
+        """``make(*args)``, its validation error located at token ``close``."""
         try:
             return make(*args)
         except ValidationError as exc:
@@ -226,10 +254,10 @@ class _Parser:
             "modes": self.parse_modes,
             "stoch": self.parse_stoch,
         }
-        while (tok := self.peek()).kind != "eof":
-            handler = handlers.get(tok.value)
+        while tok := self.peek():
+            handler = handlers.get(tok)
             if handler is None:
-                raise self.error(f"unexpected {tok.value!r}", tok)
+                raise self.error(f"unexpected {tok!r}")
             handler()
         pres = OperadPresentation(
             TypeTable(self.type_table), self.boundaries, self.generators,
@@ -239,52 +267,55 @@ class _Parser:
 
     def parse_interface(self) -> None:
         self.expect("interface")
+        index = self.pos
         name = self.ident("interface name")
         kind = self.ident("interface kind")
-        if kind.value not in ("physical", "digital"):
-            raise self.error("interface kind must be physical or digital", kind)
-        if name.value in self.type_table:
-            raise self.error(f"duplicate interface {name.value!r}", name)
-        self.type_table[name.value] = kind.value
+        if kind not in ("physical", "digital"):
+            raise self.error("interface kind must be physical or digital",
+                             index + 1)
+        if name in self.type_table:
+            raise self.error(f"duplicate interface {name!r}", index)
+        self.type_table[name] = kind
 
     def parse_boundary(self) -> None:
         self.expect("boundary")
         name = self.ident("boundary name")
-        if name.value in self.boundaries:
-            raise self.error(f"duplicate boundary {name.value!r}", name)
+        if name in self.boundaries:
+            raise self.error(f"duplicate boundary {name!r}", self.pos - 1)
         self.expect("{")
         ports: list[str] = []
         port_type: dict[str, str] = {}
         while not self.at("}"):
+            index = self.pos
             port = self.ident("port name")
             self.expect(":")
             ptype = self.ident("interface type")
-            if ptype.value not in self.type_table:
-                raise self.error(f"unknown interface {ptype.value!r}", ptype)
-            if port.value in port_type:
-                raise self.error(f"duplicate port {port.value!r}", port)
-            ports.append(port.value)
-            port_type[port.value] = ptype.value
+            if ptype not in self.type_table:
+                raise self.error(f"unknown interface {ptype!r}", index + 2)
+            if port in port_type:
+                raise self.error(f"duplicate port {port!r}", index)
+            ports.append(port)
+            port_type[port] = ptype
             self.accept(",")
         self.expect("}")
-        self.boundaries[name.value] = Boundary(
-            name.value, tuple(ports), port_type)
+        self.boundaries[name] = Boundary(name, tuple(ports), port_type)
 
     def parse_architecture(self) -> None:
         self.expect("architecture")
         name = self.ident("architecture name")
-        if name.value in self.generators:
-            raise self.error(f"duplicate architecture {name.value!r}", name)
+        if name in self.generators:
+            raise self.error(f"duplicate architecture {name!r}", self.pos - 1)
         self.expect(":")
         self.expect("(")
         slots: dict[str, Boundary] = {}
         while not self.at(")"):
+            index = self.pos
             slot = self.ident("slot label")
             self.expect(":")
             b = self.boundary()
-            if slot.value in slots:
-                raise self.error(f"duplicate slot {slot.value!r}", slot)
-            slots[slot.value] = b
+            if slot in slots:
+                raise self.error(f"duplicate slot {slot!r}", index)
+            slots[slot] = b
             self.accept(",")
         self.expect(")")
         self.expect("->")
@@ -296,18 +327,19 @@ class _Parser:
         wire_of: dict[PortRef, list[PortRef]] = {}
 
         def slot_ref(unwired: bool = False) -> PortRef:
-            slot_tok = self.ident("slot label")
-            b = slots.get(slot_tok.value)
+            slot = self.ident("slot label")
+            b = slots.get(slot)
             if b is None:
-                raise self.error(f"unknown slot {slot_tok.value!r}", slot_tok)
+                raise self.error(f"unknown slot {slot!r}", self.pos - 1)
             self.expect(".")
-            port_tok = self.ident("port name")
-            if port_tok.value not in b.port_type:
-                raise self.error(
-                    f"unknown port {port_tok.value} on {b.name}", port_tok)
-            ref = PortRef(slot_tok.value, port_tok.value)
+            port = self.ident("port name")
+            if port not in b.port_type:
+                raise self.error(f"unknown port {port} on {b.name}",
+                                 self.pos - 1)
+            ref = PortRef(slot, port)
             if unwired and ref in wire_of:
-                raise self.error(f"port {ref} attached to two wires", port_tok)
+                raise self.error(f"port {ref} attached to two wires",
+                                 self.pos - 1)
             return ref
 
         def join(refs: list[PortRef], w: list[PortRef] | None = None) -> None:
@@ -319,30 +351,25 @@ class _Parser:
             wire_of.update(dict.fromkeys(refs, w))
 
         while not self.at("}"):
-            kw = self.next()
-            if kw.value == "wire":
+            if self.keyword("wire", "expose") == "wire":
                 refs = [slot_ref(unwired=True)]
                 self.expect("=")
                 refs.append(slot_ref(unwired=True))
                 while self.accept("="):
                     refs.append(slot_ref(unwired=True))
                 join(refs)
-            elif kw.value == "expose":
+            else:
                 ref = slot_ref()
                 self.expect("->")
-                port_tok = self.ident("outer port name")
-                if port_tok.value not in output.port_type:
-                    raise self.error(
-                        f"unknown port {port_tok.value} on {output.name}",
-                        port_tok)
-                out_ref = PortRef(None, port_tok.value)
+                port = self.ident("outer port name")
+                if port not in output.port_type:
+                    raise self.error(f"unknown port {port} on {output.name}",
+                                     self.pos - 1)
+                out_ref = PortRef(None, port)
                 if out_ref in wire_of:
-                    raise self.error(
-                        f"port {port_tok.value} exposed twice", port_tok)
+                    raise self.error(f"port {port} exposed twice",
+                                     self.pos - 1)
                 join([ref, out_ref], wire_of.get(ref))
-            else:
-                raise self.error(
-                    f"expected 'wire' or 'expose', got {kw.value!r}", kw)
         close = self.expect("}")
 
         # unique-match auto-exposure of the remaining ports
@@ -354,13 +381,13 @@ class _Parser:
                           and PortRef(s, port) not in wire_of]
             if len(candidates) > 1:
                 raise self.error(
-                    f"architecture {name.value}: ambiguous auto-exposure of "
+                    f"architecture {name}: ambiguous auto-exposure of "
                     f"port {port} (candidates {', '.join(map(str, candidates))})",
                     close)
             if candidates:
                 join([candidates[0], PortRef(None, port)])
 
-        self.generators[name.value] = _build_architecture(slots, output, wires)
+        self.generators[name] = _build_architecture(slots, output, wires)
 
     # terms and equations --------------------------------------------------
 
@@ -374,21 +401,20 @@ class _Parser:
         children: dict[str, Term] = {}
         if self.accept("("):
             while True:
-                tok = self.peek()
-                slot = self.slot(gen.value, slots)
+                slot = self.slot(gen, slots)
                 if slot in children:
-                    raise self.error(f"duplicate slot {slot!r}", tok)
+                    raise self.error(f"duplicate slot {slot!r}", self.pos - 1)
                 self.expect("->")
                 children[slot] = self.parse_term(resolve)
                 if not self.accept(","):
                     break
             self.expect(")")
-        return Term(gen.value, tuple(children.items()))
+        return Term(gen, tuple(children.items()))
 
     def parse_path(self) -> str:
-        parts = [self.ident("path segment").value]
+        parts = [self.ident("path segment")]
         while self.accept("."):
-            parts.append(self.ident("path segment").value)
+            parts.append(self.ident("path segment"))
         return ".".join(parts)
 
     def parse_equation(self) -> None:
@@ -422,19 +448,18 @@ class _Parser:
             self.expect("(")
             values: dict[str, Fraction] = {}
             while not self.at(")"):
-                slot = self.slot(gen.value, arch.slots)
+                slot = self.slot(gen, arch.slots)
                 self.expect(":")
                 values[slot] = self.rational()
                 self.accept(",")
             close = self.expect(")")
-            dists[gen.value] = self.build(close, Distribution, tuple(
+            dists[gen] = self.build(close, Distribution, tuple(
                 (s, values[s]) for s in arch.slots if s in values))
             if set(values) != set(arch.slots):
                 raise self.error(
-                    f"distribution for {gen.value} does not cover all "
-                    "slots", close)
+                    f"distribution for {gen} does not cover all slots", close)
         self.expect("}")
-        self.prob_functors[name.value] = ProbFunctor(dists, name.value)
+        self.prob_functors[name] = ProbFunctor(dists, name)
 
     def parse_modes(self) -> None:
         self.expect("modes")
@@ -443,8 +468,7 @@ class _Parser:
         mode_sets: dict[str, ModeSet] = {}
         relations: dict[str, ModeRelation] = {}
         while not self.at("}"):
-            kw = self.next()
-            if kw.value == "modes":
+            if self.keyword("modes", "rel") == "modes":
                 b = self.boundary()
                 self.expect("=")
                 self.expect("{")
@@ -455,14 +479,14 @@ class _Parser:
                 close = self.expect("}")
                 mode_sets[b.name] = self.build(
                     close, ModeSet, b.name, tuple(modes))
-            elif kw.value == "rel":
+            else:
                 gen, arch = self.generator()
                 out_modes = mode_sets.get(arch.output.name)
                 self.expect("{")
                 pairs: dict[str, set[tuple[str, str]]] = {
                     s: set() for s in arch.slots}
                 while not self.at("}"):
-                    slot = self.slot(gen.value, arch.slots)
+                    slot = self.slot(gen, arch.slots)
                     self.expect(".")
                     mode_in = self.mode(
                         mode_sets.get(arch.slot_boundary(slot).name))
@@ -470,14 +494,10 @@ class _Parser:
                     pairs[slot].add((mode_in, self.mode(out_modes)))
                     self.accept(",")
                 self.expect("}")
-                relations[gen.value] = ModeRelation(
+                relations[gen] = ModeRelation(
                     {s: frozenset(v) for s, v in pairs.items()})
-            else:
-                raise self.error(
-                    f"expected 'modes' or 'rel', got {kw.value!r}", kw)
         self.expect("}")
-        self.mode_functors[name.value] = ModeFunctor(
-            mode_sets, relations, name.value)
+        self.mode_functors[name] = ModeFunctor(mode_sets, relations, name)
 
     def parse_stoch(self) -> None:
         self.expect("stoch")
@@ -486,8 +506,7 @@ class _Parser:
         priors: dict[str, Point] = {}
         kernels: dict[str, Kernel] = {}
         while not self.at("}"):
-            kw = self.next()
-            if kw.value == "prior":
+            if self.keyword("prior", "kernel") == "prior":
                 b = self.boundary()
                 self.expect("=")
                 self.expect("(")
@@ -501,15 +520,16 @@ class _Parser:
                 close = self.expect(")")
                 priors[b.name] = self.build(close, lambda: Point(
                     ModeSet(b.name, tuple(modes)), probs))
-            elif kw.value == "kernel":
+            else:
+                index = self.pos
                 gen, arch = self.generator()
 
                 def prior_modes(bname: str) -> ModeSet:
                     p = priors.get(bname)
                     if p is None:
                         raise self.error(
-                            f"kernel {gen.value}: no prior declared for "
-                            f"{bname}", gen)
+                            f"kernel {gen}: no prior declared for {bname}",
+                            index)
                     return p.modes
 
                 source = prior_modes(arch.output.name)
@@ -520,21 +540,17 @@ class _Parser:
                 while not self.at("}"):
                     x = self.mode(source)
                     self.expect("->")
-                    slot = self.slot(gen.value, slot_modes)
+                    slot = self.slot(gen, slot_modes)
                     self.expect(".")
                     y = self.mode(slot_modes[slot])
                     self.expect(":")
                     entries[(x, slot, y)] = self.rational()
                     self.accept(",")
                 close = self.expect("}")
-                kernels[gen.value] = self.build(
+                kernels[gen] = self.build(
                     close, Kernel, source, slots, entries)
-            else:
-                raise self.error(
-                    f"expected 'prior' or 'kernel', got {kw.value!r}", kw)
         self.expect("}")
-        self.stoch_functors[name.value] = StochFunctor(
-            priors, kernels, name.value)
+        self.stoch_functors[name] = StochFunctor(priors, kernels, name)
 
 
 def _build_architecture(slots: dict[str, Boundary], output: Boundary,
@@ -560,8 +576,8 @@ def parse_free_term(text: str) -> Term:
     """Parse a ``gen(slot->gen, ...)`` term on its own; names are not resolved."""
     parser = _Parser(text)
     term = parser.parse_term(resolve=False)
-    if parser.peek().kind != "eof":
-        raise parser.error(f"trailing input {parser.peek().value!r}")
+    if parser.peek():
+        raise parser.error(f"trailing input {parser.peek()!r}")
     return term
 
 

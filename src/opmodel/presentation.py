@@ -45,10 +45,21 @@ class Term:
         return None
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.generator
-        args = ", ".join(f"{s}->{t}" for s, t in self.children)
-        return f"{self.generator}({args})"
+        # an explicit stack of terms and text pieces, so depth is unbounded
+        parts: list[str] = []
+        todo: list[Term | str] = [self]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, str):
+                parts.append(t)
+                continue
+            parts.append(t.generator)
+            if t.children:
+                todo.append(")")
+                for i in range(len(t.children) - 1, -1, -1):
+                    slot, child = t.children[i]
+                    todo += child, f"{', ' if i else '('}{slot}->"
+        return "".join(parts)
 
 
 class TermSyntaxError(ValueError):

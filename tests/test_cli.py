@@ -170,6 +170,15 @@ class TestCompose:
         assert err == "error: input nested too deeply\n"
         assert "Traceback" not in err
 
+    def test_three_hundred_deep_term(self, identity_model_path, capsys):
+        term = TestMutants.DEEP_TERM
+        assert run(["compose", identity_model_path, "--format", "json",
+                    "--term", term]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["term"] == term
+        assert run(["query", identity_model_path, "--functor", "P",
+                    "--term", term, "--leaf", "ht"]) == EXIT_OK
+        assert capsys.readouterr().out == "2/5 (40%)\n"
+
 
 class TestQuery:
     def test_bath_probability(self, model_path, capsys):

@@ -1,10 +1,19 @@
 """The model text format: parsing, errors with locations, serialization."""
+import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 
-from opmodel.dsl import DslError, parse, serialize
+from opmodel.dsl import (
+    DslError, Model, _located, _tokenize, parse, serialize)
 from opmodel.corpus import load_lsi, lsi_text
+from opmodel.portgraph import TypeTable
+from opmodel.presentation import OperadPresentation
+from opmodel.prob import ProbFunctor
+from randgen import (
+    TYPES, random_architecture, random_boundary, random_distribution)
 
 F = Fraction
 
@@ -130,6 +139,17 @@ architecture f : (x: A, y: B) -> C {
          "zero denominator", 11, 25),
         ("\nmodes M {\n  modes Bath = { cold, cold }\n}\n",
          "duplicate failure modes on Bath", 11, 29),
+        ("\ninterface x @ physical\n", "unexpected character '@'", 10, 13),
+        ("\nboundary Caf\u00e9 { heat: heat }\n",
+         "unexpected character '\u00e9'", 10, 13),
+        ("\nprob P {\n  warm = (ba: - 1)\n}\n", "unexpected character '-'",
+         11, 15),
+        ("\nequation warm(ba > warm) = warm\n", "unexpected character '>'",
+         10, 18),
+        ("\r\nprob P {\r\n  warm = (ba: 1/2)\r\n}\r\n",
+         "distribution does not sum to 1", 11, 18),
+        ("\n# ok: @ \u00e9 > - !\nequation nope = warm\n",
+         "unknown generator 'nope'", 11, 10),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
             "equation-duplicate-slot",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
@@ -137,7 +157,8 @@ architecture f : (x: A, y: B) -> C {
             "kernel-mode-target", "kernel-arrow", "kernel-row-sum",
             "kernel-prior", "prior-sum", "architecture-boundary",
             "architecture-arrow", "expose-arrow", "zero-denominator",
-            "duplicate-modes"])
+            "duplicate-modes", "bad-character", "non-ascii-letter",
+            "lone-minus", "lone-greater", "crlf", "bad-character-in-comment"])
     def test_located_messages(self, tail, message, line, col):
         with pytest.raises(DslError) as err:
             parse(MINI + tail)
@@ -148,6 +169,82 @@ architecture f : (x: A, y: B) -> C {
         text = MINI + "\nhistory ba interval [0, 10] { 1 2 }\n"
         with pytest.raises(DslError, match="unexpected 'history'"):
             parse(text)
+
+
+class TestTokenizer:
+    """Plain-string tokens, and the located re-scan that errors use."""
+
+    WEIRD = ("@", "\u00e9", "-", ">", "#", "\r\n", "\u00b2", "\u0663", "\t",
+             "--", "->>", "-1", "1.", ".5", "1/0", "_")
+
+    @staticmethod
+    def random_model_text(seed):
+        rng = random.Random(seed)
+        boundaries, generators, dists = {}, {}, {}
+        while len(generators) < 6:
+            name = f"g{len(generators)}"
+            arch = random_architecture(rng, random_boundary(rng, f"Out{name}"))
+            if any(all(r.slot is None for r in w.ports) for w in arch.wires):
+                continue  # a wire of outer ports alone has no text form
+            generators[name] = arch
+            dists[name] = random_distribution(rng, arch.slots)
+            for b in (arch.output, *(b for _, b in arch.inputs)):
+                boundaries[b.name] = b
+        pres = OperadPresentation(TypeTable({t: t for t in TYPES}),
+                                  boundaries, generators)
+        return serialize(Model(pres, {"P": ProbFunctor(dists, "P")}))
+
+    def mutants(self, text, rng, n):
+        """``n`` copies of ``text``, each with one word replaced or preceded
+        by a word of the text or by characters the grammar may reject."""
+        spans = [m.span() for m in re.finditer(r"\S+", text)]
+        words = text.split()
+        for _ in range(n):
+            start, end = rng.choice(spans)
+            new = rng.choice(self.WEIRD + tuple(words[:40]))
+            if rng.random() < 0.5:
+                end = start  # insert
+            yield text[:start] + new + text[end:]
+
+    def test_located_scan_agrees_with_tokenize(self):
+        rng = random.Random(7)
+        texts = [lsi_text(), lsi_text().replace("\n", "\r\n"),
+                 self.random_model_text(11)]
+        texts += list(self.mutants(texts[0], rng, 200))
+        texts += list(self.mutants(texts[2], rng, 100))
+        rejected = 0
+        for text in texts:
+            try:
+                tokens = _tokenize(text)
+            except DslError as exc:
+                rejected += 1
+                with pytest.raises(DslError) as again:
+                    list(_located(text))
+                assert str(again.value) == str(exc)
+                continue
+            located = list(_located(text))
+            assert [tok for tok, _, _ in located] == tokens
+            lines = text.split("\n")
+            for tok, line, col in located:
+                assert lines[line - 1][col - 1:].startswith(tok)
+        assert 0 < rejected < len(texts)
+
+    @pytest.mark.parametrize("text, message", [
+        (" " * 200_000 + "@", "line 1, column 200001: unexpected character '@'"),
+        ("#" * 100_000 + "\n", None),
+        ("a" * 100_000 + "@", "line 1, column 100001: unexpected character '@'"),
+        ("5" * 50_000, "line 1, column 1: unexpected '" + "5" * 50_000 + "'"),
+    ], ids=["spaces", "comment", "identifier", "number"])
+    def test_long_runs_take_linear_time(self, text, message):
+        """A backtracking token pattern would take minutes on these."""
+        start = time.perf_counter()
+        if message is None:
+            parse(text)
+        else:
+            with pytest.raises(DslError) as err:
+                parse(text)
+            assert str(err.value) == message
+        assert time.perf_counter() - start < 2.0
 
 
 class TestSerialization:
