@@ -189,43 +189,65 @@ class _Parser:
         tok = self.peek()
         if not _is_number(tok):
             raise self.error(f"expected a number, got {tok!r}")
+        value = self.number(tok)
         self.pos += 1
-        # exact: a decimal literal through its string, an integer as is
-        value = Fraction(tok) if "." in tok else int(tok)
         if not self.accept("/"):
             return Fraction(value)
         den = self.peek()
         if not _is_number(den) or "." in den:
             raise self.error("expected an integer denominator")
-        denominator = int(den)
+        denominator = self.number(den)
         if denominator == 0:
             raise self.error("zero denominator")
         self.pos += 1
         return Fraction(value, denominator)
 
-    # resolving helpers: read a name and check it, located at its token ----
+    def number(self, tok: str) -> Fraction | int:
+        """The exact value of number token ``tok``, the next token: a
+        decimal literal through its string, an integer as is."""
+        try:
+            return Fraction(tok) if "." in tok else int(tok)
+        except ValueError:  # over the interpreter's int string digit limit
+            raise self.error("number has too many digits") from None
 
-    def boundary(self) -> Boundary:
+    # resolving helpers: read a name and check it, located at its token;
+    # a name already in ``seen`` is a duplicate ----------------------------
+
+    def fresh(self, tok: str, seen: Container[str], what: str) -> str:
+        """``tok``, the token just read, unless ``seen`` holds it."""
+        if tok in seen:
+            raise self.error(f"duplicate {what} {tok!r}", self.pos - 1)
+        return tok
+
+    def boundary(self, seen: Container[str] = ()) -> Boundary:
         tok = self.ident("boundary name")
         b = self.boundaries.get(tok)
         if b is None:
             raise self.error(f"unknown boundary {tok!r}", self.pos - 1)
+        self.fresh(tok, seen, "boundary")
         return b
 
-    def generator(self) -> tuple[str, Architecture]:
+    def generator(self, seen: Container[str] = ()) -> tuple[str, Architecture]:
         tok = self.ident("generator name")
         arch = self.generators.get(tok)
         if arch is None:
             raise self.error(f"unknown generator {tok!r}", self.pos - 1)
-        return tok, arch
+        return self.fresh(tok, seen, "generator"), arch
 
-    def slot(self, gen: str, slots: Container[str] | None) -> str:
+    def slot(self, gen: str, slots: Container[str] | None,
+             seen: Container[str] = ()) -> str:
         """A slot label of generator ``gen``; ``slots=None`` skips the check."""
         tok = self.ident("slot label")
         if slots is not None and tok not in slots:
             raise self.error(
                 f"generator {gen} has no slot {tok!r}", self.pos - 1)
-        return tok
+        return self.fresh(tok, seen, "slot")
+
+    def functor_name(self) -> str:
+        """A functor name not yet taken by a functor of any kind."""
+        return self.fresh(self.ident("functor name"), (
+            *self.prob_functors, *self.mode_functors, *self.stoch_functors),
+            "functor")
 
     def mode(self, modes: ModeSet | None) -> str:
         """A mode name, checked against ``modes`` unless it is None."""
@@ -279,9 +301,8 @@ class _Parser:
 
     def parse_boundary(self) -> None:
         self.expect("boundary")
-        name = self.ident("boundary name")
-        if name in self.boundaries:
-            raise self.error(f"duplicate boundary {name!r}", self.pos - 1)
+        name = self.fresh(self.ident("boundary name"), self.boundaries,
+                          "boundary")
         self.expect("{")
         ports: list[str] = []
         port_type: dict[str, str] = {}
@@ -302,9 +323,8 @@ class _Parser:
 
     def parse_architecture(self) -> None:
         self.expect("architecture")
-        name = self.ident("architecture name")
-        if name in self.generators:
-            raise self.error(f"duplicate architecture {name!r}", self.pos - 1)
+        name = self.fresh(self.ident("architecture name"), self.generators,
+                          "architecture")
         self.expect(":")
         self.expect("(")
         slots: dict[str, Boundary] = {}
@@ -401,9 +421,7 @@ class _Parser:
         children: dict[str, Term] = {}
         if self.accept("("):
             while True:
-                slot = self.slot(gen, slots)
-                if slot in children:
-                    raise self.error(f"duplicate slot {slot!r}", self.pos - 1)
+                slot = self.slot(gen, slots, children)
                 self.expect("->")
                 children[slot] = self.parse_term(resolve)
                 if not self.accept(","):
@@ -439,16 +457,16 @@ class _Parser:
 
     def parse_prob(self) -> None:
         self.expect("prob")
-        name = self.ident("functor name")
+        name = self.functor_name()
         self.expect("{")
         dists: dict[str, Distribution] = {}
         while not self.at("}"):
-            gen, arch = self.generator()
+            gen, arch = self.generator(dists)
             self.expect("=")
             self.expect("(")
             values: dict[str, Fraction] = {}
             while not self.at(")"):
-                slot = self.slot(gen, arch.slots)
+                slot = self.slot(gen, arch.slots, values)
                 self.expect(":")
                 values[slot] = self.rational()
                 self.accept(",")
@@ -463,13 +481,13 @@ class _Parser:
 
     def parse_modes(self) -> None:
         self.expect("modes")
-        name = self.ident("functor name")
+        name = self.functor_name()
         self.expect("{")
         mode_sets: dict[str, ModeSet] = {}
         relations: dict[str, ModeRelation] = {}
         while not self.at("}"):
             if self.keyword("modes", "rel") == "modes":
-                b = self.boundary()
+                b = self.boundary(mode_sets)
                 self.expect("=")
                 self.expect("{")
                 modes: list[str] = []
@@ -480,7 +498,7 @@ class _Parser:
                 mode_sets[b.name] = self.build(
                     close, ModeSet, b.name, tuple(modes))
             else:
-                gen, arch = self.generator()
+                gen, arch = self.generator(relations)
                 out_modes = mode_sets.get(arch.output.name)
                 self.expect("{")
                 pairs: dict[str, set[tuple[str, str]]] = {
@@ -501,13 +519,13 @@ class _Parser:
 
     def parse_stoch(self) -> None:
         self.expect("stoch")
-        name = self.ident("functor name")
+        name = self.functor_name()
         self.expect("{")
         priors: dict[str, Point] = {}
         kernels: dict[str, Kernel] = {}
         while not self.at("}"):
             if self.keyword("prior", "kernel") == "prior":
-                b = self.boundary()
+                b = self.boundary(priors)
                 self.expect("=")
                 self.expect("(")
                 modes: list[str] = []
@@ -522,7 +540,7 @@ class _Parser:
                     ModeSet(b.name, tuple(modes)), probs))
             else:
                 index = self.pos
-                gen, arch = self.generator()
+                gen, arch = self.generator(kernels)
 
                 def prior_modes(bname: str) -> ModeSet:
                     p = priors.get(bname)
@@ -538,11 +556,15 @@ class _Parser:
                 self.expect("{")
                 entries: dict[tuple[str, str, str], Fraction] = {}
                 while not self.at("}"):
+                    start = self.pos
                     x = self.mode(source)
                     self.expect("->")
                     slot = self.slot(gen, slot_modes)
                     self.expect(".")
                     y = self.mode(slot_modes[slot])
+                    if (x, slot, y) in entries:
+                        raise self.error(
+                            f"duplicate kernel entry {x} -> {slot}.{y}", start)
                     self.expect(":")
                     entries[(x, slot, y)] = self.rational()
                     self.accept(",")

@@ -126,7 +126,7 @@ def check_totality(pres: OperadPresentation, M: ModeFunctor) -> list[str]:
         out_modes = M.mode_sets.get(arch.output.name)
         for slot, b in arch.inputs:
             slot_modes = M.mode_sets.get(b.name)
-            for (m_in, m_out) in rel.slot(slot):
+            for m_in, m_out in sorted(rel.slot(slot)):
                 if slot_modes is not None and m_in not in slot_modes:
                     problems.append(
                         f"relation {name}: unknown mode {m_in!r} on {b.name}")

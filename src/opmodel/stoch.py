@@ -55,9 +55,8 @@ class Point:
         return self.probs.get(mode, ZERO)
 
     def same_as(self, other: "Point") -> bool:
-        if set(self.modes.modes) != set(other.modes.modes):
-            return False
-        return all(self[m] == other[m] for m in self.modes.modes)
+        return (set(self.modes.modes) == set(other.modes.modes)
+                and self.probs == other.probs)
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,9 @@ class Kernel:
         slot_modes = dict(self.slots)
         if len(slot_modes) != len(self.slots):
             raise ValidationError("duplicate kernel slot labels")
+        rows = dict.fromkeys(self.source.modes, ZERO)
         for (x, i, y), p in self.entries.items():
-            if x not in self.source:
+            if x not in rows:
                 raise ValidationError(
                     f"kernel: unknown source mode {x!r} on {self.source.boundary}")
             if i not in slot_modes:
@@ -83,22 +83,14 @@ class Kernel:
                     f"kernel: unknown mode {y!r} on slot {i}")
             if p < ZERO:
                 raise ValidationError(f"kernel entry ({x} -> {i}.{y}) negative")
-        for x in self.source.modes:
-            row = sum((p for (x2, _, _), p in self.entries.items() if x2 == x),
-                      ZERO)
+            rows[x] += p
+        for x, row in rows.items():
             if row != ONE:
                 raise ValidationError(
                     f"kernel row for {self.source.boundary}.{x} sums to {row}")
         # store only positive entries, so equal kernels compare equal
         object.__setattr__(
-            self, "entries",
-            {k: p for k, p in self.entries.items() if p > ZERO})
-
-    def slot_modes(self, label: str) -> ModeSet:
-        for l, ms in self.slots:
-            if l == label:
-                return ms
-        raise ValidationError(f"unknown kernel slot {label!r}")
+            self, "entries", {k: p for k, p in self.entries.items() if p})
 
     def __call__(self, x: str, slot: str, y: str) -> Fraction:
         return self.entries.get((x, slot, y), ZERO)
@@ -135,14 +127,12 @@ def compose_kernel(p: Kernel, qs: Mapping[str, Kernel]) -> Kernel:
 
     entries: dict[Entry, Fraction] = {}
     for (x, i, y), w in p.entries.items():
-        if w == ZERO:
-            continue
         q = qs.get(i)
         if q is None:
             entries[(x, i, y)] = entries.get((x, i, y), ZERO) + w
             continue
         for (y2, j, z), v in q.entries.items():
-            if y2 != y or v == ZERO:
+            if y2 != y:
                 continue
             key = (x, f"{i}.{j}", z)
             entries[key] = entries.get(key, ZERO) + w * v
@@ -156,9 +146,8 @@ def supp(k: Kernel) -> ModeRelation:
     convention of mode relations.
     """
     pairs: dict[str, set[tuple[str, str]]] = {label: set() for label, _ in k.slots}
-    for (x, i, y), p in k.entries.items():
-        if p > ZERO:
-            pairs[i].add((y, x))
+    for x, i, y in k.entries:
+        pairs[i].add((y, x))
     return ModeRelation({i: frozenset(v) for i, v in pairs.items()})
 
 
@@ -170,18 +159,22 @@ class PtKernel:
     source_prior: Point
     slot_priors: Mapping[str, Point]
 
-    def slot_weight(self, label: str) -> Fraction:
-        """Aggregate mass of one slot under the prior-weighted kernel."""
-        r, k = self.source_prior, self.kernel
-        ms = k.slot_modes(label)
-        return sum((r[x] * k(x, label, y)
-                    for x in k.source.modes for y in ms.modes), ZERO)
+
+def _marginals(k: PtKernel) -> dict[str, dict[str, Fraction]]:
+    """``{slot i: {mode y: sum_x r(x) p(x -> (i, y))}}``, the prior-weighted
+    slot marginals, from one pass over the stored entries."""
+    r = k.source_prior
+    out: dict[str, dict[str, Fraction]] = {l: {} for l, _ in k.kernel.slots}
+    for (x, i, y), p in k.kernel.entries.items():
+        out[i][y] = out[i].get(y, ZERO) + r[x] * p
+    return out
 
 
 def aggr(k: PtKernel) -> Distribution:
     """The aggregate slot distribution of a pointed kernel."""
     return Distribution(tuple(
-        (label, k.slot_weight(label)) for label, _ in k.kernel.slots))
+        (label, sum(masses.values(), ZERO))
+        for label, masses in _marginals(k).items()))
 
 
 @dataclass(frozen=True)
@@ -189,12 +182,6 @@ class PtConditionReport:
     holds: bool
     max_residual: Fraction
     violations: tuple[str, ...]
-
-    def __str__(self) -> str:
-        head = (f"pointed-kernel condition: "
-                f"{'holds' if self.holds else 'FAILS'} "
-                f"(max residual {self.max_residual})")
-        return "\n".join([head] + ["  " + v for v in self.violations])
 
 
 def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
@@ -204,11 +191,12 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
     Slots of zero aggregate weight are reported as violations, since their
     priors would be unconstrained.
     """
-    r, kern = k.source_prior, k.kernel
+    marginals = _marginals(k)
     violations: list[str] = []
     max_res = ZERO
-    for label, ms in kern.slots:
-        weight = k.slot_weight(label)
+    for label, ms in k.kernel.slots:
+        masses = marginals[label]
+        weight = sum(masses.values(), ZERO)
         if weight == ZERO:
             violations.append(f"slot {label} has zero aggregate weight")
             continue
@@ -217,8 +205,7 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
             violations.append(f"slot {label} has no prior")
             continue
         for y in ms.modes:
-            lhs = sum((r[x] * kern(x, label, y) for x in kern.source.modes),
-                      ZERO)
+            lhs = masses.get(y, ZERO)
             rhs = weight * s[y]
             res = abs(lhs - rhs)
             max_res = max(max_res, res)
@@ -358,7 +345,7 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
         got_rel = supp(k.kernel)
         want_rel = M.relation_of(name)
         diffs = []
-        for slot in {*got_rel.pairs, *want_rel.pairs}:
+        for slot in dict.fromkeys([*got_rel.pairs, *want_rel.pairs]):
             g, w = got_rel.slot(slot), want_rel.slot(slot)
             for pair in sorted(g - w):
                 diffs.append(f"{slot}: extra pair {pair}")

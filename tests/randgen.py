@@ -216,6 +216,46 @@ def random_point(rng: random.Random, ms: ModeSet,
     return Point(ms, {m: w / total for m, w in zip(ms.modes, weights)})
 
 
+def slot_marginal_oracle(k: PtKernel) -> dict[tuple[str, str], Fraction]:
+    """sum_x r(x) p(x -> (i, y)) for every slot i and mode y, over all of
+    X x Y, zeros included."""
+    r, kern = k.source_prior, k.kernel
+    return {(i, y): sum((r[x] * kern(x, i, y) for x in kern.source.modes),
+                        Fraction(0))
+            for i, ms in kern.slots for y in ms.modes}
+
+
+def pt_condition_oracle(k: PtKernel, tolerance: Fraction
+                        ) -> tuple[bool, Fraction, list[str]]:
+    """(holds, max residual, violations) of the pointed-kernel condition,
+    from the brute-force marginals."""
+    marginal = slot_marginal_oracle(k)
+    violations: list[str] = []
+    max_res = Fraction(0)
+    for i, ms in k.kernel.slots:
+        weight = sum(marginal[(i, y)] for y in ms.modes)
+        if weight == 0:
+            violations.append(f"slot {i} has zero aggregate weight")
+        elif i not in k.slot_priors:
+            violations.append(f"slot {i} has no prior")
+        else:
+            s = k.slot_priors[i]
+            for y in ms.modes:
+                res = abs(marginal[(i, y)] - weight * s[y])
+                max_res = max(max_res, res)
+                if res > tolerance:
+                    violations.append(f"slot {i}, mode {y}: marginal "
+                                      f"{marginal[(i, y)]} != {weight} * {s[y]}")
+    return not violations, max_res, violations
+
+
+def aggr_oracle(k: PtKernel) -> dict[str, Fraction]:
+    """Each slot's aggregate weight, the sum of its brute-force marginals."""
+    marginal = slot_marginal_oracle(k)
+    return {i: sum(marginal[(i, y)] for y in ms.modes)
+            for i, ms in k.kernel.slots}
+
+
 def consistent_ptkernel(rng: random.Random, source: ModeSet,
                         slots: tuple[tuple[str, ModeSet], ...],
                         source_prior: Point | None = None) -> PtKernel:
@@ -226,13 +266,56 @@ def consistent_ptkernel(rng: random.Random, source: ModeSet,
     kernel = random_kernel(rng, source, slots)
     prior = source_prior if source_prior is not None \
         else random_point(rng, source)
+    marginal = slot_marginal_oracle(PtKernel(kernel, prior, {}))
     slot_priors = {}
     for label, ms in slots:
-        marginals = {
-            y: sum((prior[x] * kernel(x, label, y) for x in source.modes),
-                   Fraction(0))
-            for y in ms.modes}
-        weight = sum(marginals.values())
-        slot_priors[label] = Point(ms, {y: m / weight
-                                        for y, m in marginals.items()})
+        weight = sum(marginal[(label, y)] for y in ms.modes)
+        slot_priors[label] = Point(ms, {y: marginal[(label, y)] / weight
+                                        for y in ms.modes})
+    return PtKernel(kernel, prior, slot_priors)
+
+
+def random_ptkernel(rng: random.Random, source: ModeSet,
+                    slots: tuple[tuple[str, ModeSet], ...]) -> PtKernel:
+    """A pointed kernel that may break the pointed-kernel condition.
+
+    Rows may skip slots, and one slot may get no mass at all; the source
+    prior may put zero mass on some modes.  Each slot prior is the exact
+    conditional, that conditional nudged by a small amount, a random
+    (skewed) point, or missing.
+    """
+    dead = rng.choice(slots)[0] if len(slots) > 1 and rng.random() < 0.3 \
+        else None
+    live = [(l, ms) for l, ms in slots if l != dead]
+    entries: dict = {}
+    for x in source.modes:
+        weights = {(x, l, y): Fraction(rng.randint(0, 3))
+                   for l, ms in live for y in ms.modes}
+        weights = {key: w for key, w in weights.items() if w}
+        if not weights:
+            l, ms = rng.choice(live)
+            weights[(x, l, rng.choice(ms.modes))] = Fraction(1)
+        total = sum(weights.values())
+        entries.update({key: w / total for key, w in weights.items()})
+    kernel = Kernel(source, slots, entries)
+    prior = random_point(rng, source, strictly_positive=rng.random() < 0.5)
+    marginal = slot_marginal_oracle(PtKernel(kernel, prior, {}))
+    slot_priors = {}
+    for label, ms in slots:
+        weight = sum(marginal[(label, y)] for y in ms.modes)
+        kind = rng.choice(("exact", "exact", "nudged", "skewed", "missing"))
+        if kind == "missing":
+            continue
+        if weight == 0 or kind == "skewed" or len(ms.modes) == 1:
+            slot_priors[label] = random_point(rng, ms, strictly_positive=False)
+            continue
+        probs = {y: marginal[(label, y)] / weight for y in ms.modes}
+        if kind == "nudged":
+            # move 1/200 or 1/50 of mass between two modes, where it fits
+            y1, y2 = rng.sample(ms.modes, 2)
+            delta = min(probs[y1], rng.choice((Fraction(1, 200),
+                                               Fraction(1, 50))))
+            probs[y1] -= delta
+            probs[y2] += delta
+        slot_priors[label] = Point(ms, probs)
     return PtKernel(kernel, prior, slot_priors)

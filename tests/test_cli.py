@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, text and JSON output."""
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import opmodel
 from opmodel.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 from opmodel.corpus import lsi_text
 
@@ -140,6 +145,45 @@ class TestCheck:
         assert len(payload["functors"][0]["rows"]) == 6
         assert payload["functors"][0]["rows"][3]["lhs_value"] == "12/25"
         assert payload["architecture"]["boundaries"] == 14
+
+    # one support row with two failing slots; one relation with two unknown
+    # modes, unchecked by the parser because Bath's modes come after it
+    SUPPORT_EDIT = ("    ba.too_hot -> laser_high\n    bt.leak -> laser_low\n",
+                    "")
+    TAU_END = "    rt.too_hot -> laser_high\n  }\n"
+    BATH = "  modes Bath = { too_cold, too_hot }\n"
+    HASH_SEED_RUN = """\
+import sys
+from opmodel.cli import run
+for path in sys.argv[1:]:
+    print(run(["check", path, "--functor", "P", "--functor", "M",
+               "--functor", "S"]))
+"""
+
+    def test_reports_are_independent_of_hash_seed(self, tmp_path):
+        support, unknown = tmp_path / "support.opm", tmp_path / "unknown.opm"
+        support.write_text(lsi_text().replace(*self.SUPPORT_EDIT),
+                           encoding="utf-8")
+        unknown.write_text(lsi_text().replace(self.BATH, "").replace(
+            self.TAU_END, "    ba.frozen -> laser_low\n    ba.boiling -> "
+            "laser_high\n" + self.TAU_END + self.BATH), encoding="utf-8")
+        src = str(Path(opmodel.__file__).resolve().parent.parent)
+        outs = set()
+        for seed in range(8):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": src}
+            outs.add(subprocess.run(
+                [sys.executable, "-c", self.HASH_SEED_RUN, str(support),
+                 str(unknown)], env=env, capture_output=True, text=True,
+                check=True, timeout=60).stdout)
+        assert len(outs) == 1
+        lines = outs.pop().splitlines()
+        assert ("  tau: support matches mode functor: FAIL (ba: extra pair "
+                "('too_hot', 'laser_high'); bt: extra pair "
+                "('leak', 'laser_low'))") in lines
+        assert lines.index("  error: relation tau: unknown mode 'boiling' "
+                           "on Bath") + 1 == lines.index(
+            "  error: relation tau: unknown mode 'frozen' on Bath")
 
 
 class TestCompose:

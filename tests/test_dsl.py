@@ -1,6 +1,7 @@
 """The model text format: parsing, errors with locations, serialization."""
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -150,6 +151,28 @@ architecture f : (x: A, y: B) -> C {
          "distribution does not sum to 1", 11, 18),
         ("\n# ok: @ \u00e9 > - !\nequation nope = warm\n",
          "unknown generator 'nope'", 11, 10),
+        ("\nprob P {\n}\nprob P {\n}\n", "duplicate functor 'P'", 12, 6),
+        ("\nprob P {\n}\nmodes P {\n}\n", "duplicate functor 'P'", 12, 7),
+        ("\nmodes M {\n}\nstoch M {\n}\n", "duplicate functor 'M'", 12, 7),
+        ("\nprob P {\n  warm = (ba: 1)\n  warm = (ba: 1)\n}\n",
+         "duplicate generator 'warm'", 12, 3),
+        (_MODES % "}\n  rel warm {", "duplicate generator 'warm'", 15, 7),
+        (_STOCH % "bad -> ba.cold: 1\n  }\n  kernel warm {",
+         "duplicate generator 'warm'", 16, 10),
+        ("\nmodes M {\n  modes Bath = { cold }\n  modes Bath = { hot }\n}\n",
+         "duplicate boundary 'Bath'", 12, 9),
+        ("\nstoch S {\n  prior Bath = (cold: 1)\n  prior Bath = (cold: 1)\n}\n",
+         "duplicate boundary 'Bath'", 12, 9),
+        ("\nprob P {\n  warm = (ba: 4/5, ba: 1/5)\n}\n",
+         "duplicate slot 'ba'", 11, 20),
+        (_STOCH % "bad -> ba.cold: 1/2\n    bad -> ba.cold: 1/2",
+         "duplicate kernel entry bad -> ba.cold", 15, 5),
+        pytest.param(
+            "\nprob P {\n  warm = (ba: 1/" + "5" * 5000 + ")\n}\n",
+            "number has too many digits", 11, 17,
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="no int string conversion limit")),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
             "equation-duplicate-slot",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
@@ -158,7 +181,11 @@ architecture f : (x: A, y: B) -> C {
             "kernel-prior", "prior-sum", "architecture-boundary",
             "architecture-arrow", "expose-arrow", "zero-denominator",
             "duplicate-modes", "bad-character", "non-ascii-letter",
-            "lone-minus", "lone-greater", "crlf", "bad-character-in-comment"])
+            "lone-minus", "lone-greater", "crlf", "bad-character-in-comment",
+            "duplicate-prob", "prob-then-modes", "modes-then-stoch",
+            "prob-generator", "rel-generator", "kernel-generator",
+            "modes-boundary", "prior-boundary", "distribution-slot",
+            "kernel-entry", "long-rational"])
     def test_located_messages(self, tail, message, line, col):
         with pytest.raises(DslError) as err:
             parse(MINI + tail)

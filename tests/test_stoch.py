@@ -24,11 +24,14 @@ from opmodel.stoch import (
     supp,
 )
 from randgen import (
+    aggr_oracle,
     compose_kernel_oracle,
     compose_rel_oracle,
     consistent_ptkernel,
+    pt_condition_oracle,
     random_modeset,
     random_point,
+    random_ptkernel,
 )
 
 F = Fraction
@@ -175,6 +178,39 @@ class TestProjectionProperties:
             assert set(got.pairs) == set(oracle.pairs)
             for slot in got.pairs:
                 assert got.slot(slot) == oracle.slot(slot)
+
+
+class TestMarginalOracle:
+    """pt_condition and aggr against brute-force X x Y marginals."""
+
+    TOLERANCES = (F(0), F(1, 100))
+    KINDS = ("zero aggregate weight", "has no prior", "marginal")
+
+    def test_pt_condition_and_aggr_match_oracle(self):
+        rng = random.Random(408)
+        seen = set()
+        for _ in range(400):
+            src = random_modeset(rng, "S", max_modes=3)
+            slots = tuple((label, random_modeset(rng, label.upper(), 3))
+                          for label in ("a", "b", "c")[:rng.randint(1, 3)])
+            k = random_ptkernel(rng, src, slots)
+            assert aggr(k).entries == tuple(aggr_oracle(k).items())
+            verdicts = []
+            for tolerance in self.TOLERANCES:
+                report = pt_condition(k, tolerance)
+                want = pt_condition_oracle(k, tolerance)
+                assert (report.holds, report.max_residual,
+                        list(report.violations)) == want
+                verdicts.append(report.holds)
+                seen.update(kind for kind in self.KINDS
+                            for v in report.violations if kind in v)
+            seen.add(tuple(verdicts))
+            if len(k.source_prior.probs) < len(src.modes):
+                seen.add("zero prior")
+        # every branch is exercised: the condition holds at both tolerances,
+        # only within 1/100, or at neither; each kind of violation occurs
+        assert {(True, True), (False, True), (False, False), "zero prior",
+                *self.KINDS} <= seen
 
 
 class TestCorpusLifting:
