@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,11 +54,31 @@ def _tolerance(args: argparse.Namespace) -> Fraction:
     raise CliError(f"bad tolerance {args.tolerance!r}")
 
 
+@contextmanager
+def _rendering():
+    """Report an exact result too long for ``str``, which CPython refuses for
+    integers over ``sys.get_int_max_str_digits()`` digits, as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise CliError(
+            "a result has more digits than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} for integer string conversion"
+        ) from None
+
+
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2, sort_keys=True)
+              if args.format == "json" else text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: drop the output, and point stdout at devnull
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -118,20 +140,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     functor_reports = _functor_checks(model, args.functor or [], tolerance)
 
     passed = arch_report.success and all(r.passed for _, _, r in functor_reports)
-    text_parts = [str(arch_report)]
-    payload_functors = []
-    for name, kind, report in functor_reports:
-        text_parts.append(f"[{kind} {name}]")
-        text_parts.append(str(report))
-        payload_functors.append(
-            {"name": name, "kind": kind, **report.to_dict()})
-    payload = {
-        "command": "check",
-        "passed": passed,
-        "tolerance": str(tolerance),
-        "architecture": arch_report.to_dict(),
-        "functors": payload_functors,
-    }
+    with _rendering():
+        text_parts = [str(arch_report)]
+        payload_functors = []
+        for name, kind, report in functor_reports:
+            text_parts.append(f"[{kind} {name}]")
+            text_parts.append(str(report))
+            payload_functors.append(
+                {"name": name, "kind": kind, **report.to_dict()})
+        payload = {
+            "command": "check",
+            "passed": passed,
+            "tolerance": str(tolerance),
+            "architecture": arch_report.to_dict(),
+            "functors": payload_functors,
+        }
     _emit(args, "\n".join(text_parts), payload)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -145,15 +168,17 @@ def cmd_query(args: argparse.Namespace) -> int:
     value = leaf_probability(model.presentation, F, term, args.leaf)
     path = resolve_leaf(model.presentation, term, args.leaf) \
         if args.leaf else ""
-    payload = {
-        "command": "query",
-        "term": str(term),
-        "leaf": args.leaf,
-        "path": path,
-        "value": str(value),
-        "percent": percent(value),
-    }
-    _emit(args, format_probability(value), payload)
+    with _rendering():
+        payload = {
+            "command": "query",
+            "term": str(term),
+            "leaf": args.leaf,
+            "path": path,
+            "value": str(value),
+            "percent": percent(value),
+        }
+        text = format_probability(value)
+    _emit(args, text, payload)
     return EXIT_OK
 
 
@@ -164,15 +189,17 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     S = model.stoch_functors[args.functor]
     term = parse_term(args.term)
     posterior = diagnose(model.presentation, S, term, args.mode)
-    payload = {
-        "command": "diagnose",
-        "term": str(term),
-        "mode": args.mode,
-        "posterior": [
-            {"leaf": label, "value": str(p), "percent": percent(p)}
-            for label, p in posterior.entries],
-    }
-    _emit(args, format_posterior(posterior), payload)
+    with _rendering():
+        payload = {
+            "command": "diagnose",
+            "term": str(term),
+            "mode": args.mode,
+            "posterior": [
+                {"leaf": label, "value": str(p), "percent": percent(p)}
+                for label, p in posterior.entries],
+        }
+        text = format_posterior(posterior)
+    _emit(args, text, payload)
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .portgraph import ValidationError
+from .portgraph import ValidationError, graft
 from .presentation import (
     CheckReport,
     CoherenceEquation,
@@ -71,19 +71,11 @@ def compose_rel(outer: ModeRelation,
     A pair (leaf mode, root mode) survives iff some intermediate mode
     witnesses both legs.  Composite slots are labeled ``outerslot.innerslot``.
     """
-    out: dict[str, frozenset[tuple[str, str]]] = {}
-    for slot, rel in outer.pairs.items():
-        inner = inners.get(slot)
-        if inner is None:
-            out[slot] = rel
-            continue
-        for sub, sub_rel in inner.pairs.items():
-            out[f"{slot}.{sub}"] = frozenset(
-                (z, x)
-                for z, y in sub_rel
-                for y2, x in rel
-                if y == y2)
-    return ModeRelation(out)
+    chained = {slot: [(sub, frozenset((z, x) for z, y in sub_rel
+                                      for y2, x in rel if y == y2))
+                      for sub, sub_rel in inners[slot].pairs.items()]
+               for slot, rel in outer.pairs.items() if slot in inners}
+    return ModeRelation(dict(graft(outer.pairs.items(), chained)))
 
 
 @dataclass(frozen=True)

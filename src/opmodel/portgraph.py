@@ -8,10 +8,12 @@ along the shared intermediate ports; the result is again an architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 PHYSICAL = "physical"
 DIGITAL = "digital"
+
+V = TypeVar("V")
 
 
 class PortGraphError(Exception):
@@ -132,6 +134,13 @@ class Architecture:
         except KeyError:
             raise ValidationError(f"unknown slot {slot!r}") from None
 
+    def check_fill(self, slot: str, output: Boundary) -> None:
+        """Require a filler of ``slot`` to have the slot's boundary as output."""
+        b = self.slot_boundary(slot)
+        if output != b:
+            raise CompositionError(
+                f"slot {slot!r} expects boundary {b.name}, got {output.name}")
+
     def port_types(self) -> dict[tuple[str | None, str], str]:
         """The type of every port: slot ports in slot order, then the outer
         ports, keyed by plain ``(slot, port)`` tuples, which a
@@ -215,6 +224,24 @@ def is_identity(arch: Architecture) -> bool:
     return {w.ports for w in arch.wires} == expected
 
 
+def graft(outer: Iterable[tuple[str, V]],
+          inner: Mapping[str, Iterable[tuple[str, V]]]) -> tuple[tuple[str, V], ...]:
+    """The slot list of a substitution, the one rule every semantics shares.
+
+    Each outer ``(slot, value)`` is kept, or, where ``inner`` fills the slot,
+    replaced by the inner ``(sub, value)`` pairs labeled ``slot.sub``.
+    Entries of ``inner`` naming no outer slot are ignored.
+    """
+    out: list[tuple[str, V]] = []
+    for slot, value in outer:
+        sub = inner.get(slot)
+        if sub is None:
+            out.append((slot, value))
+        else:
+            out.extend((f"{slot}.{s}", v) for s, v in sub)
+    return tuple(out)
+
+
 def compose(outer_arch: Architecture,
             inner: Mapping[str, Architecture]) -> Architecture:
     """Substitute inner architectures into slots of the outer one.
@@ -226,21 +253,9 @@ def compose(outer_arch: Architecture,
     """
     subst: dict[str, Architecture] = {}
     for slot, g in inner.items():
-        b = outer_arch.slot_boundary(slot)
-        if g.output != b:
-            raise CompositionError(
-                f"slot {slot!r} expects boundary {b.name}, "
-                f"got {g.output.name}")
+        outer_arch.check_fill(slot, g.output)
         if not is_identity(g):
             subst[slot] = g
-
-    new_inputs: list[tuple[str, Boundary]] = []
-    for slot, b in outer_arch.inputs:
-        if slot in subst:
-            for t, tb in subst[slot].inputs:
-                new_inputs.append((f"{slot}.{t}", tb))
-        else:
-            new_inputs.append((slot, b))
 
     # Each wire carries composite PortRefs and ("mid", slot, port) nodes for
     # the deleted intermediate ports.  A node remembers the first wire that
@@ -288,8 +303,8 @@ def compose(outer_arch: Architecture,
     wires = [Wire(frozenset(refs), types[r])
              for r, refs in members.items() if refs]
 
-    return canonicalize(
-        Architecture(tuple(new_inputs), outer_arch.output, tuple(wires)))
+    inputs = graft(outer_arch.inputs, {s: g.inputs for s, g in subst.items()})
+    return canonicalize(Architecture(inputs, outer_arch.output, tuple(wires)))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from .portgraph import (
     Architecture,
     Boundary,
     ComponentCorrespondence,
-    CompositionError,
     EqualityReport,
     PortGraphError,
     TypeTable,
@@ -22,6 +21,7 @@ from .portgraph import (
     compose,
     derive_correspondence,
     equal,
+    graft,
     validate,
 )
 
@@ -108,6 +108,12 @@ class OperadPresentation:
             raise ValidationError(f"unknown generator {name!r}") from None
 
 
+def _check_slots(name: str, arch: Architecture, filled) -> None:
+    for slot in filled:
+        if slot not in arch.slots:
+            raise ValidationError(f"generator {name} has no slot {slot!r}")
+
+
 def elaborate(pres: OperadPresentation, t: Term) -> Architecture:
     """Fold operadic composition over a term tree.
 
@@ -118,10 +124,7 @@ def elaborate(pres: OperadPresentation, t: Term) -> Architecture:
     if not t.children:
         return arch
     inner = {slot: elaborate(pres, sub) for slot, sub in t.children}
-    for slot in inner:
-        if slot not in arch.slots:
-            raise ValidationError(
-                f"generator {t.generator} has no slot {slot!r}")
+    _check_slots(t.generator, arch, inner)
     return compose(arch, inner)
 
 
@@ -132,20 +135,19 @@ def check_term(pres: OperadPresentation, t: Term) -> Boundary:
     for a generator whose output is not its slot's boundary, without
     composing anything.
     """
-    arch = pres.generator(t.generator)
-    if not t.children:
-        return arch.output
-    outputs = {slot: check_term(pres, sub) for slot, sub in t.children}
-    for slot in outputs:
-        if slot not in arch.slots:
-            raise ValidationError(
-                f"generator {t.generator} has no slot {slot!r}")
-    for slot, got in outputs.items():
-        b = arch.slot_boundary(slot)
-        if got != b:
-            raise CompositionError(
-                f"slot {slot!r} expects boundary {b.name}, got {got.name}")
-    return arch.output
+    return fold_term(t, lambda g: (g, pres.generator(g)), _typed)[1].output
+
+
+def _typed(outer: tuple[str, Architecture],
+           inner: dict[str, tuple[str, Architecture]]
+           ) -> tuple[str, Architecture]:
+    """The outer (name, architecture), once every filled slot exists and
+    gets a generator whose output is the slot's boundary."""
+    name, arch = outer
+    _check_slots(name, arch, inner)
+    for slot, (_, sub) in inner.items():
+        arch.check_fill(slot, sub.output)
+    return outer
 
 
 def fold_term(t: Term, value_of: Callable[[str], V],
@@ -161,15 +163,8 @@ def fold_term(t: Term, value_of: Callable[[str], V],
 
 def leaf_paths(pres: OperadPresentation, t: Term) -> tuple[tuple[str, str], ...]:
     """The (dotted path, boundary name) of every leaf slot, in slot order."""
-    arch = pres.generator(t.generator)
-    out: list[tuple[str, str]] = []
-    for slot, b in arch.inputs:
-        sub = t.child(slot)
-        if sub is None:
-            out.append((slot, b.name))
-        else:
-            out.extend((f"{slot}.{p}", bn) for p, bn in leaf_paths(pres, sub))
-    return tuple(out)
+    return fold_term(t, lambda g: tuple(
+        (slot, b.name) for slot, b in pres.generator(g).inputs), graft)
 
 
 def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
@@ -221,29 +216,24 @@ def equation_correspondence(pres: OperadPresentation,
                             eq: CoherenceEquation) -> ComponentCorrespondence:
     """The explicit correspondence, or one derived by leaf boundary names.
 
-    An explicit one must be a boundary-preserving bijection of the leaves.
+    Either must be a boundary-preserving bijection of the leaf paths.  A
+    derived one comes from the elaborated sides, whose labels differ from
+    the leaf paths where a side substitutes an identity, so every leaf path
+    must also have a derived match.
     """
-    if eq.corr is None:
-        return derive_correspondence(elaborate(pres, eq.lhs),
-                                     elaborate(pres, eq.rhs))
-    check_correspondence(dict(leaf_paths(pres, eq.lhs)),
-                         dict(leaf_paths(pres, eq.rhs)), eq.corr)
-    return eq.corr
-
-
-def _check_derived(pres: OperadPresentation, eq: CoherenceEquation,
-                   corr: ComponentCorrespondence) -> None:
-    """Require a correspondence derived from the elaborated sides to pair the
-    folds' leaf paths, which differ where a side substitutes an identity."""
+    corr = eq.corr or derive_correspondence(elaborate(pres, eq.lhs),
+                                            elaborate(pres, eq.rhs))
     left = dict(leaf_paths(pres, eq.lhs))
     right = dict(leaf_paths(pres, eq.rhs))
-    for t, paths, matched in ((eq.lhs, left, corr.mapping.keys()),
-                              (eq.rhs, right, set(corr.mapping.values()))):
-        unmatched = sorted(paths.keys() - matched)
-        if unmatched:
-            raise ValidationError(
-                f"leaf {unmatched[0]} of {t} has no derived match")
+    if eq.corr is None:
+        for t, paths, matched in ((eq.lhs, left, corr.mapping.keys()),
+                                  (eq.rhs, right, set(corr.mapping.values()))):
+            unmatched = sorted(paths.keys() - matched)
+            if unmatched:
+                raise ValidationError(
+                    f"leaf {unmatched[0]} of {t} has no derived match")
     check_correspondence(left, right, corr)
+    return corr
 
 
 def aligned_equations(pres: OperadPresentation, fold: Callable[[Term], V],
@@ -257,8 +247,6 @@ def aligned_equations(pres: OperadPresentation, fold: Callable[[Term], V],
     for eq in pres.equations:
         try:
             corr = equation_correspondence(pres, eq)
-            if eq.corr is None:
-                _check_derived(pres, eq, corr)
         except PortGraphError as exc:
             errors.append(f"equation {eq}: {exc}")
             continue

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .portgraph import ValidationError
+from .portgraph import ValidationError, graft
 from .presentation import (
     CheckReport,
     CoherenceEquation,
@@ -21,7 +21,6 @@ from .presentation import (
     check_term,
     equation_correspondence,
     fold_term,
-    leaf_paths,
     resolve_leaf,
 )
 
@@ -87,14 +86,9 @@ def compose_dist(p: Distribution,
     for label in qs:
         if label not in p.labels:
             raise ValidationError(f"unknown label {label!r} in composition")
-    out: list[tuple[str, Fraction]] = []
-    for label, pi in p.entries:
-        q = qs.get(label)
-        if q is None:
-            out.append((label, pi))
-        else:
-            out.extend((f"{label}.{sub}", pi * qij) for sub, qij in q.entries)
-    return Distribution(tuple(out))
+    return Distribution(graft(p.entries, {
+        label: [(sub, pi * qij) for sub, qij in qs[label].entries]
+        for label, pi in p.entries if label in qs}))
 
 
 @dataclass(frozen=True)
@@ -184,15 +178,12 @@ def check_prob_functor(pres: OperadPresentation, F: ProbFunctor,
                        "leaf equations")
 
 
-def _path_factors(pres: OperadPresentation, t: Term, path: str) -> list[str]:
-    factors = []
-    for segment in path.split("."):
-        factors.append(f"{t.generator}({segment})")
-        sub = t.child(segment)
-        if sub is None:
-            break
-        t = sub
-    return factors
+def _products(outer: tuple[tuple[str, str], ...],
+              inner: dict[str, tuple[tuple[str, str], ...]]
+              ) -> tuple[tuple[str, str], ...]:
+    """Graft each slot's leaf products under the slot's own factor."""
+    return graft(outer, {slot: [(sub, f"{f}·{g}") for sub, g in inner[slot]]
+                         for slot, f in outer if slot in inner})
 
 
 def symbolic_constraints(pres: OperadPresentation) -> tuple[str, ...]:
@@ -201,11 +192,15 @@ def symbolic_constraints(pres: OperadPresentation) -> tuple[str, ...]:
     For the standard two-level equation this yields strings such as
     ``phi(ls)·lambda(in) = kappa(sn)·sigma(in)``.
     """
+    def factors(t: Term) -> tuple[tuple[str, str], ...]:
+        return fold_term(t, lambda gen: tuple(
+            (slot, f"{gen}({slot})") for slot in pres.generator(gen).slots),
+            _products)
+
     out: list[str] = []
     for eq in pres.equations:
         corr = equation_correspondence(pres, eq)
-        for path, _ in leaf_paths(pres, eq.lhs):
-            lhs = "·".join(_path_factors(pres, eq.lhs, path))
-            rhs = "·".join(_path_factors(pres, eq.rhs, corr.mapping[path]))
-            out.append(f"{lhs} = {rhs}")
+        rhs = dict(factors(eq.rhs))
+        out += [f"{lhs} = {rhs[corr.mapping[path]]}"
+                for path, lhs in factors(eq.lhs)]
     return tuple(out)

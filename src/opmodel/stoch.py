@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .modes import ModeFunctor, ModeRelation, ModeSet, check_totality
-from .portgraph import ValidationError
+from .portgraph import ValidationError, graft
 from .presentation import (
     CheckReport,
     OperadPresentation,
@@ -117,14 +117,6 @@ def compose_kernel(p: Kernel, qs: Mapping[str, Kernel]) -> Kernel:
                 f"slot {label!r}: inner kernel source modes "
                 f"{q.source.modes} do not match {expected.modes}")
 
-    new_slots: list[tuple[str, ModeSet]] = []
-    for label, ms in p.slots:
-        q = qs.get(label)
-        if q is None:
-            new_slots.append((label, ms))
-        else:
-            new_slots.extend((f"{label}.{j}", jm) for j, jm in q.slots)
-
     entries: dict[Entry, Fraction] = {}
     for (x, i, y), w in p.entries.items():
         q = qs.get(i)
@@ -136,7 +128,8 @@ def compose_kernel(p: Kernel, qs: Mapping[str, Kernel]) -> Kernel:
                 continue
             key = (x, f"{i}.{j}", z)
             entries[key] = entries.get(key, ZERO) + w * v
-    return Kernel(p.source, tuple(new_slots), entries)
+    return Kernel(p.source, graft(p.slots, {l: q.slots for l, q in qs.items()}),
+                  entries)
 
 
 def supp(k: Kernel) -> ModeRelation:
@@ -224,15 +217,9 @@ def compose_pt(p: PtKernel, qs: Mapping[str, PtKernel]) -> PtKernel:
             raise ValidationError(
                 f"slot {label!r}: inner source prior does not match slot prior")
     kernel = compose_kernel(p.kernel, {l: q.kernel for l, q in qs.items()})
-    priors: dict[str, Point] = {}
-    for label, _ in p.kernel.slots:
-        q = qs.get(label)
-        if q is None:
-            priors[label] = p.slot_priors[label]
-        else:
-            for j, _ in q.kernel.slots:
-                priors[f"{label}.{j}"] = q.slot_priors[j]
-    return PtKernel(kernel, p.source_prior, priors)
+    priors = graft(p.slot_priors.items(),
+                   {l: q.slot_priors.items() for l, q in qs.items()})
+    return PtKernel(kernel, p.source_prior, dict(priors))
 
 
 @dataclass(frozen=True)

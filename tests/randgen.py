@@ -10,18 +10,21 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from opmodel.modes import ModeRelation, ModeSet
 from opmodel.portgraph import (
     Architecture,
     Boundary,
     PortRef,
+    TypeTable,
     Wire,
+    identity,
     is_identity,
     validate,
 )
-from opmodel.prob import Distribution
+from opmodel.presentation import OperadPresentation, Term
+from opmodel.prob import Distribution, ProbFunctor
 from opmodel.stoch import Kernel, Point, PtKernel
 
 TYPES = ("physical", "digital")
@@ -47,12 +50,17 @@ def _random_partition(rng: random.Random, items: list) -> list[list]:
 
 
 def random_architecture(rng: random.Random, output: Boundary,
-                        n_slots: int | None = None) -> Architecture:
-    """A random valid (totally wired, canonical) architecture into ``output``."""
+                        n_slots: int | None = None,
+                        pool: Sequence[Boundary] = ()) -> Architecture:
+    """A random valid (totally wired, canonical) architecture into ``output``.
+
+    Slot boundaries are drawn from ``pool``, or made afresh when it is empty.
+    """
     if n_slots is None:
         n_slots = rng.randint(1, 3)
     inputs = tuple(
-        (f"s{i}", random_boundary(rng, f"B{rng.randrange(10 ** 6)}"))
+        (f"s{i}", rng.choice(pool) if pool
+         else random_boundary(rng, f"B{rng.randrange(10 ** 6)}"))
         for i in range(n_slots))
     refs_by_type: dict[str, list[PortRef]] = defaultdict(list)
     for slot, b in inputs:
@@ -110,6 +118,72 @@ def compose_partition_oracle(
         if refs:
             partition.add(refs)
     return partition
+
+
+# ---------------------------------------------------------------------- terms
+
+FAULTS = (None, "generator", "slot", "boundary")
+
+
+def random_presentation(rng: random.Random
+                        ) -> tuple[OperadPresentation, ProbFunctor]:
+    """Generators over three shared boundaries, one an identity, with a
+    probability functor labeled by their slots.  Every boundary is some
+    generator's output, so every slot can be filled well or badly."""
+    pool = [random_boundary(rng, f"B{i}") for i in range(3)]
+    generators = {f"g{k}": random_architecture(rng, pool[k % 3], pool=pool)
+                  for k in range(4)}
+    generators["id"] = identity(pool[0])
+    pres = OperadPresentation(TypeTable({t: t for t in TYPES}),
+                              {b.name: b for b in pool}, generators)
+    return pres, ProbFunctor({name: random_distribution(rng, arch.slots)
+                              for name, arch in generators.items()})
+
+
+def random_term(rng: random.Random, pres: OperadPresentation,
+                fault: str | None = None, depth: int = 3) -> Term:
+    """A random well-typed term, or one with a ``fault`` at a random node:
+    an unknown generator, an unknown slot or a boundary mismatch."""
+    def grow(name: str, depth: int) -> Term:
+        children = []
+        for slot, b in pres.generators[name].inputs:
+            fits = [g for g, a in pres.generators.items() if a.output == b]
+            if depth and rng.random() < 0.7:
+                children.append((slot, grow(rng.choice(fits), depth - 1)))
+        return Term(name, tuple(children))
+
+    def spoil(t: Term) -> Term:
+        if t.children and rng.random() < 0.5:
+            i = rng.randrange(len(t.children))
+            children = list(t.children)
+            children[i] = (children[i][0], spoil(children[i][1]))
+            return Term(t.generator, tuple(children))
+        if fault == "generator":
+            return Term("unknown", t.children)
+        if fault == "slot":
+            return Term(t.generator,
+                        t.children + (("nowhere", Term(t.generator)),))
+        slot, b = rng.choice(pres.generators[t.generator].inputs)
+        children = dict(t.children)
+        children[slot] = Term(rng.choice(
+            [g for g, a in pres.generators.items() if a.output != b]))
+        return Term(t.generator, tuple(children.items()))
+
+    t = grow(rng.choice(sorted(pres.generators)), depth)
+    return t if fault is None else spoil(t)
+
+
+def leaf_paths_oracle(pres: OperadPresentation,
+                      t: Term) -> tuple[tuple[str, str], ...]:
+    """(dotted path, boundary name) of every leaf, by plain recursion."""
+    out: list[tuple[str, str]] = []
+    for slot, b in pres.generators[t.generator].inputs:
+        sub = t.child(slot)
+        if sub is None:
+            out.append((slot, b.name))
+        else:
+            out += [(f"{slot}.{p}", n) for p, n in leaf_paths_oracle(pres, sub)]
+    return tuple(out)
 
 
 # -------------------------------------------------------------- distributions

@@ -80,6 +80,17 @@ class TestValidate:
         assert payload["equation_results"][0]["passed"] is True
 
 
+    def test_identity_generator_in_equation_fails(
+            self, identity_model_path, capsys):
+        assert run(["validate", identity_model_path]) == EXIT_CHECK_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("compile FAILED: 14 boundaries, 8 generators, "
+                            "2 equations")
+        assert lines[-2:] == [
+            "  tau(ba->idb) = tau: FAIL",
+            "    error: leaf ba.x of tau(ba->idb) has no derived match"]
+
+
 class TestCheck:
     def test_prob_check_prints_six_rows(self, model_path, capsys):
         assert run(["check", model_path, "--functor", "P"]) == EXIT_OK
@@ -128,6 +139,13 @@ class TestCheck:
         assert ("  error: equation tau(ba->idb) = tau: leaf ba.x of "
                 "tau(ba->idb) has no derived match") in captured.out.splitlines()
         assert "Traceback" not in captured.out + captured.err
+
+    def test_identity_generator_fails_the_architecture_section(
+            self, identity_model_path, capsys):
+        assert run(["check", identity_model_path, "--functor", "P"]) \
+            == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert out.startswith("compile FAILED: ")
 
     def test_tolerance_flag(self, failing_model_path, capsys):
         loose = run(["check", failing_model_path, "--functor", "P",
@@ -380,3 +398,48 @@ class TestMutants:
         run_clean(["diagnose", str(path), "--functor", "S",
                    "--term", self.DEEP_TERM, "--mode", "laser_low"])
         assert set(codes) == {EXIT_OK, EXIT_CHECK_FAILED, EXIT_ERROR}
+
+
+class TestOutputLimits:
+    """Output that cannot be written or printed ends in a clean exit."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["diagnose", "--functor", "S", "--term", "tau(ba->beta)",
+         "--mode", "laser_low"]])
+    def test_closed_stdout_exits_quietly(self, model_path, argv):
+        src = str(Path(opmodel.__file__).resolve().parent.parent)
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "opmodel.cli", argv[0], model_path,
+                 *argv[1:]], stdout=write, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        finally:
+            os.close(write)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == b""
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8000,
+        reason="no integer string conversion limit below 8000 digits")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overlong_result_exits_two(self, tmp_path, capsys, fmt):
+        n, m = 10 ** 4000 + 7, 10 ** 4000 + 9
+        model = tmp_path / "long.opm"
+        model.write_text(lsi_text().replace(
+            "phi = (ls: 2/5, ts: 3/5)",
+            f"phi = (ls: 1/{n}, ts: {n - 1}/{n})").replace(
+            "lambda = (in: 1/10, op: 3/10, ch: 3/5)",
+            f"lambda = (in: 1/{m}, op: 1/{m}, ch: {m - 2}/{m})"),
+            encoding="utf-8")
+        assert run(["query", str(model), "--functor", "P", "--term",
+                    "phi(ls->lambda, ts->tau)", "--leaf", "ls.in",
+                    "--format", fmt]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            "error: a result has more digits than the interpreter's limit "
+            f"of {limit} for integer string conversion\n")

@@ -1,8 +1,12 @@
 """Presentations: term elaboration, leaf paths, coherence checking."""
+import random
+from collections import Counter
+
 import pytest
 
 from opmodel.portgraph import (
     Architecture,
+    PortGraphError,
     TypeTable,
     ValidationError,
     Wire,
@@ -16,12 +20,14 @@ from opmodel.presentation import (
     Term,
     TermSyntaxError,
     check_equation,
+    check_term,
     compile_presentation,
     elaborate,
     leaf_paths,
     parse_term,
     resolve_leaf,
 )
+from randgen import FAULTS, leaf_paths_oracle, random_presentation, random_term
 
 
 class TestParseTerm:
@@ -162,3 +168,32 @@ class TestCompile:
         report = compile_presentation(OperadPresentation(
             pres.type_table, {}, {"tau": pres.generators["tau"]}, ()))
         assert any("undeclared" in e for e in report.errors)
+
+
+class TestFoldedWalks:
+    """``check_term`` and ``leaf_paths`` are folds; plain recursion and
+    ``elaborate`` are their oracles."""
+
+    def test_random_terms_match_the_oracles(self):
+        rng = random.Random(2009)
+        seen = Counter()
+        for _ in range(400):
+            pres, P = random_presentation(rng)
+            fault = rng.choice(FAULTS)
+            t = random_term(rng, pres, fault)
+            if fault != "generator":
+                assert leaf_paths(pres, t) == leaf_paths_oracle(pres, t)
+            try:
+                want = elaborate(pres, t).output
+            except PortGraphError as exc:
+                with pytest.raises(PortGraphError) as got:
+                    check_term(pres, t)
+                assert (type(got.value), str(got.value)) \
+                    == (type(exc), str(exc))
+                seen[fault] += 1
+                continue
+            assert fault is None
+            assert check_term(pres, t) == want
+            assert P.fold(t).labels == tuple(p for p, _ in leaf_paths(pres, t))
+            seen["identity" if "->id" in str(t) else "typed"] += 1
+        assert set(seen) == {"typed", "identity", *FAULTS[1:]}, seen

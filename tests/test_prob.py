@@ -16,7 +16,9 @@ from opmodel.prob import (
     leaf_probability,
     symbolic_constraints,
 )
+from opmodel.dsl import parse
 from randgen import random_distribution
+from test_cli import identity_model_text
 
 F = Fraction
 
@@ -158,3 +160,10 @@ class TestSymbolicConstraints:
         assert len(constraints) == 6
         assert constraints[0] == "phi(ls)·lambda(in) = kappa(sn)·sigma(in)"
         assert "phi(ts)·tau(ba) = kappa(ac)·alpha(ba)" in constraints
+
+    def test_identity_equation_is_a_validation_error(self):
+        pres = parse(identity_model_text()).presentation
+        with pytest.raises(ValidationError,
+                           match="leaf ba.x of tau\\(ba->idb\\) has no "
+                                 "derived match"):
+            symbolic_constraints(pres)
