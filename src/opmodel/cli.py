@@ -6,10 +6,10 @@ fails, 2 for usage, parse or model errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -52,21 +52,6 @@ def _tolerance(args: argparse.Namespace) -> Fraction:
     except (ValueError, ZeroDivisionError):
         pass
     raise CliError(f"bad tolerance {args.tolerance!r}")
-
-
-@contextmanager
-def _rendering():
-    """Report an exact result too long for ``str``, which CPython refuses for
-    integers over ``sys.get_int_max_str_digits()`` digits, as a usage error."""
-    try:
-        yield
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise CliError(
-            "a result has more digits than the interpreter's limit of "
-            f"{sys.get_int_max_str_digits()} for integer string conversion"
-        ) from None
 
 
 def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
@@ -140,21 +125,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     functor_reports = _functor_checks(model, args.functor or [], tolerance)
 
     passed = arch_report.success and all(r.passed for _, _, r in functor_reports)
-    with _rendering():
-        text_parts = [str(arch_report)]
-        payload_functors = []
-        for name, kind, report in functor_reports:
-            text_parts.append(f"[{kind} {name}]")
-            text_parts.append(str(report))
-            payload_functors.append(
-                {"name": name, "kind": kind, **report.to_dict()})
-        payload = {
-            "command": "check",
-            "passed": passed,
-            "tolerance": str(tolerance),
-            "architecture": arch_report.to_dict(),
-            "functors": payload_functors,
-        }
+    text_parts = [str(arch_report)]
+    payload_functors = []
+    for name, kind, report in functor_reports:
+        text_parts.append(f"[{kind} {name}]")
+        text_parts.append(str(report))
+        payload_functors.append(
+            {"name": name, "kind": kind, **report.to_dict()})
+    payload = {
+        "command": "check",
+        "passed": passed,
+        "tolerance": str(tolerance),
+        "architecture": arch_report.to_dict(),
+        "functors": payload_functors,
+    }
     _emit(args, "\n".join(text_parts), payload)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -168,16 +152,15 @@ def cmd_query(args: argparse.Namespace) -> int:
     value = leaf_probability(model.presentation, F, term, args.leaf)
     path = resolve_leaf(model.presentation, term, args.leaf) \
         if args.leaf else ""
-    with _rendering():
-        payload = {
-            "command": "query",
-            "term": str(term),
-            "leaf": args.leaf,
-            "path": path,
-            "value": str(value),
-            "percent": percent(value),
-        }
-        text = format_probability(value)
+    payload = {
+        "command": "query",
+        "term": str(term),
+        "leaf": args.leaf,
+        "path": path,
+        "value": str(value),
+        "percent": percent(value),
+    }
+    text = format_probability(value)
     _emit(args, text, payload)
     return EXIT_OK
 
@@ -189,21 +172,23 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     S = model.stoch_functors[args.functor]
     term = parse_term(args.term)
     posterior = diagnose(model.presentation, S, term, args.mode)
-    with _rendering():
-        payload = {
-            "command": "diagnose",
-            "term": str(term),
-            "mode": args.mode,
-            "posterior": [
-                {"leaf": label, "value": str(p), "percent": percent(p)}
-                for label, p in posterior.entries],
-        }
-        text = format_posterior(posterior)
+    payload = {
+        "command": "diagnose",
+        "term": str(term),
+        "mode": args.mode,
+        "posterior": [
+            {"leaf": label, "value": str(p), "percent": percent(p)}
+            for label, p in posterior.entries],
+    }
+    text = format_posterior(posterior)
     _emit(args, text, payload)
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call and shared by
+    every later ``run``: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="opmodel",
         description="Validate, compose and check compositional system models")
@@ -255,6 +240,15 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_ERROR
+    except ValueError as exc:
+        # CPython refuses ``str`` of an integer over its digit limit, which
+        # an exact value can reach in any report or message
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: a result has more digits than the interpreter's limit "
+              f"of {sys.get_int_max_str_digits()} for integer string "
+              "conversion", file=sys.stderr)
         return EXIT_ERROR
 
 

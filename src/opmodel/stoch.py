@@ -153,11 +153,14 @@ class PtKernel:
     slot_priors: Mapping[str, Point]
 
 
-def _marginals(k: PtKernel) -> dict[str, dict[str, Fraction]]:
+Marginals = dict[str, dict[str, Fraction]]
+
+
+def _marginals(k: PtKernel) -> Marginals:
     """``{slot i: {mode y: sum_x r(x) p(x -> (i, y))}}``, the prior-weighted
     slot marginals, from one pass over the stored entries."""
     r = k.source_prior
-    out: dict[str, dict[str, Fraction]] = {l: {} for l, _ in k.kernel.slots}
+    out: Marginals = {l: {} for l, _ in k.kernel.slots}
     for (x, i, y), p in k.kernel.entries.items():
         out[i][y] = out[i].get(y, ZERO) + r[x] * p
     return out
@@ -165,9 +168,13 @@ def _marginals(k: PtKernel) -> dict[str, dict[str, Fraction]]:
 
 def aggr(k: PtKernel) -> Distribution:
     """The aggregate slot distribution of a pointed kernel."""
+    return _aggr(_marginals(k))
+
+
+def _aggr(marginals: Marginals) -> Distribution:
     return Distribution(tuple(
         (label, sum(masses.values(), ZERO))
-        for label, masses in _marginals(k).items()))
+        for label, masses in marginals.items()))
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,11 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
     Slots of zero aggregate weight are reported as violations, since their
     priors would be unconstrained.
     """
-    marginals = _marginals(k)
+    return _pt_condition(k, _marginals(k), tolerance)
+
+
+def _pt_condition(k: PtKernel, marginals: Marginals,
+                  tolerance: Fraction) -> PtConditionReport:
     violations: list[str] = []
     max_res = ZERO
     for label, ms in k.kernel.slots:
@@ -318,11 +329,12 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
     rows: list[LiftingRow] = []
     for name in pres.generators:
         k = S.pt_kernel(pres, name)
-        cond = pt_condition(k, tolerance)
+        marginals = _marginals(k)
+        cond = _pt_condition(k, marginals, tolerance)
         rows.append(LiftingRow(
             f"{name}: pointed-kernel condition", cond.holds,
             "; ".join(cond.violations)))
-        got = aggr(k).as_dict()
+        got = _aggr(marginals).as_dict()
         want = P[name].as_dict()
         ok = set(got) == set(want) and all(
             abs(got[l] - want[l]) <= tolerance for l in want)

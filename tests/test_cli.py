@@ -443,3 +443,101 @@ class TestOutputLimits:
         assert captured.err == (
             "error: a result has more digits than the interpreter's limit "
             f"of {limit} for integer string conversion\n")
+
+    @staticmethod
+    def assert_digit_limit_error(argv, capsys):
+        assert run(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err == (
+            "error: a result has more digits than the interpreter's limit "
+            f"of {sys.get_int_max_str_digits()} for integer string "
+            "conversion\n")
+
+    # N and M have 4001 digits, within the default limit of 4300, but tau's
+    # row sum, formatted into the kernel's error message, has 8001
+    @pytest.mark.skipif(
+        not 4001 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 8001,
+        reason="no integer string conversion limit in [4001, 8001) digits")
+    def test_overlong_value_in_a_parse_error_exits_two(self, tmp_path, capsys):
+        n, m = 10 ** 4000 + 7, 10 ** 4000 + 9
+        model = tmp_path / "long_row.opm"
+        model.write_text(lsi_text().replace(
+            "laser_low -> bt.leak: 1/10", f"laser_low -> bt.leak: 1/{n}").replace(
+            "laser_low -> rt.too_cold: 1/10",
+            f"laser_low -> rt.too_cold: 1/{m}"), encoding="utf-8")
+        self.assert_digit_limit_error(["validate", str(model)], capsys)
+
+    # tau's row still sums to 1, but the lifting rows weigh it by TempSys's
+    # prior, and their values have up to 6001 digits
+    @pytest.mark.skipif(
+        not 3001 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000,
+        reason="no integer string conversion limit in [3001, 6000) digits")
+    def test_overlong_value_in_a_lifting_row_exits_two(self, tmp_path, capsys):
+        a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
+        model = tmp_path / "long_lifting.opm"
+        model.write_text(lsi_text().replace(
+            "laser_low -> bt.leak: 1/10", f"laser_low -> bt.leak: 1/{a}").replace(
+            "laser_low -> rt.too_cold: 1/10",
+            f"laser_low -> rt.too_cold: {a - 5}/{5 * a}").replace(
+            "prior TempSys = (laser_low: 1/2, laser_high: 1/2)",
+            f"prior TempSys = (laser_low: 1/{b}, laser_high: {b - 1}/{b})"),
+            encoding="utf-8")
+        self.assert_digit_limit_error(
+            ["check", str(model), "--functor", "P", "--functor", "M",
+             "--functor", "S"], capsys)
+
+
+class TestRepeatedRuns:
+    """``run`` shares one parser across calls: a sequence of calls in one
+    process prints what each call prints in a fresh process."""
+
+    EXPECTED = Path(__file__).resolve().parents[1] / "benchmarks" / \
+        "lsi_expected.json"
+
+    def test_sequence_matches_fresh_processes(self, tmp_path, capsys,
+                                              monkeypatch):
+        expected = json.loads(self.EXPECTED.read_text(encoding="utf-8"))
+        text = lsi_text()
+        cut = text.index(expected["truncate_after"]) + \
+            len(expected["truncate_after"])
+        paths = {}
+        for key, body in (("clean", text),
+                          ("perturbed",
+                           text.replace(expected["perturb_remove"], "")),
+                          ("truncated", text[:cut])):
+            paths[key] = tmp_path / f"{key}.opm"
+            paths[key].write_text(body, encoding="utf-8")
+        specs = [[arg.format(**paths) for arg in op["argv"]]
+                 for op in expected["ops"]]
+        assert len(specs) == 16
+        random.Random(10).shuffle(specs)
+        pms = ["check", str(paths["clean"]), "--functor", "P",
+               "--functor", "M", "--functor", "S"]
+        # (argv, COLUMNS): help text is wrapped to the width at print time
+        calls = [(argv, "80") for argv in specs[:8]]
+        calls += [(pms, "80"), (pms[:4], "80"), (["check"], "80"),
+                  (["validate", "--help"], "50")]
+        calls += [(argv, "80") for argv in specs[8:]]
+        calls += [(["validate", "--help"], "120"), (["check"], "40")]
+
+        src = str(Path(opmodel.__file__).resolve().parent.parent)
+        fresh = {}
+        for argv, columns in calls:
+            key = (tuple(argv), columns)
+            if key not in fresh:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "opmodel.cli", *argv],
+                    capture_output=True, text=True, timeout=60,
+                    env={**os.environ, "PYTHONPATH": src, "COLUMNS": columns})
+                fresh[key] = (proc.returncode, proc.stdout, proc.stderr)
+        assert {code for code, _, _ in fresh.values()} == {
+            EXIT_OK, EXIT_CHECK_FAILED, EXIT_ERROR}
+
+        for argv, columns in calls * 2:
+            monkeypatch.setenv("COLUMNS", columns)
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == \
+                fresh[(tuple(argv), columns)], argv
