@@ -188,7 +188,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call and shared by
-    every later ``run``: parsing leaves it unchanged."""
+    every later ``run``: parsing leaves it unchanged. Only a caller that runs
+    several commands in one process gains; ``opmodel`` runs one."""
     parser = argparse.ArgumentParser(
         prog="opmodel",
         description="Validate, compose and check compositional system models")

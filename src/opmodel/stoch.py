@@ -153,14 +153,11 @@ class PtKernel:
     slot_priors: Mapping[str, Point]
 
 
-Marginals = dict[str, dict[str, Fraction]]
-
-
-def _marginals(k: PtKernel) -> Marginals:
+def _marginals(k: PtKernel) -> dict[str, dict[str, Fraction]]:
     """``{slot i: {mode y: sum_x r(x) p(x -> (i, y))}}``, the prior-weighted
     slot marginals, from one pass over the stored entries."""
     r = k.source_prior
-    out: Marginals = {l: {} for l, _ in k.kernel.slots}
+    out: dict[str, dict[str, Fraction]] = {l: {} for l, _ in k.kernel.slots}
     for (x, i, y), p in k.kernel.entries.items():
         out[i][y] = out[i].get(y, ZERO) + r[x] * p
     return out
@@ -168,13 +165,9 @@ def _marginals(k: PtKernel) -> Marginals:
 
 def aggr(k: PtKernel) -> Distribution:
     """The aggregate slot distribution of a pointed kernel."""
-    return _aggr(_marginals(k))
-
-
-def _aggr(marginals: Marginals) -> Distribution:
     return Distribution(tuple(
         (label, sum(masses.values(), ZERO))
-        for label, masses in marginals.items()))
+        for label, masses in _marginals(k).items()))
 
 
 @dataclass(frozen=True)
@@ -191,11 +184,7 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
     Slots of zero aggregate weight are reported as violations, since their
     priors would be unconstrained.
     """
-    return _pt_condition(k, _marginals(k), tolerance)
-
-
-def _pt_condition(k: PtKernel, marginals: Marginals,
-                  tolerance: Fraction) -> PtConditionReport:
+    marginals = _marginals(k)
     violations: list[str] = []
     max_res = ZERO
     for label, ms in k.kernel.slots:
@@ -329,12 +318,11 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
     rows: list[LiftingRow] = []
     for name in pres.generators:
         k = S.pt_kernel(pres, name)
-        marginals = _marginals(k)
-        cond = _pt_condition(k, marginals, tolerance)
+        cond = pt_condition(k, tolerance)
         rows.append(LiftingRow(
             f"{name}: pointed-kernel condition", cond.holds,
             "; ".join(cond.violations)))
-        got = _aggr(marginals).as_dict()
+        got = aggr(k).as_dict()
         want = P[name].as_dict()
         ok = set(got) == set(want) and all(
             abs(got[l] - want[l]) <= tolerance for l in want)
