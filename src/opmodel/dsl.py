@@ -342,7 +342,7 @@ class _Parser:
         output = self.boundary()
         self.expect("{")
 
-        # each wire is the list of its ports, first-named (typing) port first
+        # each wire is the list of its ports, first-named slot port first
         wires: list[list[PortRef]] = []
         wire_of: dict[PortRef, list[PortRef]] = {}
 
@@ -407,7 +407,12 @@ class _Parser:
             if candidates:
                 join([candidates[0], PortRef(None, port)])
 
-        self.generators[name] = _build_architecture(slots, output, wires)
+        # each wire is typed by its first port; an ill-typed one is reported
+        # by compile, with more context
+        self.generators[name] = Architecture(
+            tuple(slots.items()), output,
+            tuple(Wire(frozenset(w), slots[w[0].slot].port_type[w[0].port])
+                  for w in wires))
 
     # terms and equations --------------------------------------------------
 
@@ -573,20 +578,6 @@ class _Parser:
                     close, Kernel, source, slots, entries)
         self.expect("}")
         self.stoch_functors[name] = StochFunctor(priors, kernels, name)
-
-
-def _build_architecture(slots: dict[str, Boundary], output: Boundary,
-                        wires: list[list[PortRef]]) -> Architecture:
-    """The architecture with these wires, each typed by its first port."""
-    arch = Architecture(tuple(slots.items()), output, ())
-    port_type = arch.port_types()
-    arch = Architecture(arch.inputs, output, tuple(
-        Wire(frozenset(refs), port_type[refs[0]]) for refs in wires))
-    try:
-        return canonicalize(arch)
-    except ValidationError:
-        # ill-typed wires are reported by compile, with more context
-        return arch
 
 
 def parse(text: str) -> Model:

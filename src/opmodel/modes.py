@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .portgraph import ValidationError, graft
+from .portgraph import ValidationError, graft, lookup
 from .presentation import (
     CheckReport,
     CoherenceEquation,
@@ -87,18 +87,12 @@ class ModeFunctor:
     name: str = ""
 
     def modes_of(self, boundary: str) -> ModeSet:
-        try:
-            return self.mode_sets[boundary]
-        except KeyError:
-            raise ValidationError(
-                f"no failure modes declared for boundary {boundary!r}") from None
+        return lookup(self.mode_sets, boundary,
+                      "no failure modes declared for boundary {!r}")
 
     def relation_of(self, generator: str) -> ModeRelation:
-        try:
-            return self.relations[generator]
-        except KeyError:
-            raise ValidationError(
-                f"no causation relation for generator {generator!r}") from None
+        return lookup(self.relations, generator,
+                      "no causation relation for generator {!r}")
 
     def fold(self, t: Term) -> ModeRelation:
         """Compose the relations along a term; slots become leaf paths."""
@@ -140,8 +134,7 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     The empty leaf selector names the root itself (depth-0 query), where a
     mode trivially causes itself.
     """
-    check_term(pres, t)
-    root_modes = M.modes_of(pres.generator(t.generator).output.name)
+    root_modes = M.modes_of(check_term(pres, t).name)
     if root_mode not in root_modes:
         raise ValidationError(
             f"unknown mode {root_mode!r} on {root_modes.boundary}")

@@ -13,6 +13,7 @@ from typing import Iterable, Mapping, NamedTuple, TypeVar
 PHYSICAL = "physical"
 DIGITAL = "digital"
 
+K = TypeVar("K")
 V = TypeVar("V")
 
 
@@ -108,9 +109,21 @@ def wire(refs: Iterable[PortRef], type: str) -> Wire:
     return Wire(frozenset(refs), type)
 
 
+def lookup(table: Mapping[K, V], key: K, message: str) -> V:
+    """``table[key]``, or a :class:`ValidationError` saying
+    ``message.format(key)``, formatted only on a miss."""
+    try:
+        return table[key]
+    except KeyError:
+        raise ValidationError(message.format(key)) from None
+
+
 @dataclass(frozen=True)
 class Architecture:
-    """A port-graph operation: input slots, output boundary, hyperwires."""
+    """A port-graph operation: input slots, output boundary, hyperwires.
+
+    Built in normal form, empty wires dropped and the rest sorted by least
+    port reference, so equality ignores the order the wires were given in."""
 
     inputs: tuple[tuple[str, Boundary], ...]
     output: Boundary
@@ -123,16 +136,15 @@ class Architecture:
         if len(boundary_of) != len(self.inputs):
             raise ValidationError("duplicate slot labels")
         object.__setattr__(self, "_boundary_of", boundary_of)
+        object.__setattr__(self, "wires", tuple(sorted(
+            (w for w in self.wires if w.ports), key=lambda w: min(w.ports))))
 
     @property
     def slots(self) -> tuple[str, ...]:
         return tuple(self._boundary_of)
 
     def slot_boundary(self, slot: str) -> Boundary:
-        try:
-            return self._boundary_of[slot]
-        except KeyError:
-            raise ValidationError(f"unknown slot {slot!r}") from None
+        return lookup(self._boundary_of, slot, "unknown slot {!r}")
 
     def check_fill(self, slot: str, output: Boundary) -> None:
         """Require a filler of ``slot`` to have the slot's boundary as output."""
@@ -152,7 +164,7 @@ class Architecture:
         return types
 
     def describe(self) -> str:
-        """Deterministic textual rendering of a canonical architecture."""
+        """Deterministic textual rendering of the architecture."""
         ins = ", ".join(f"{s}: {b.name}" for s, b in self.inputs)
         lines = [f"({ins}) -> {self.output.name}"]
         for w in self.wires:
@@ -161,7 +173,7 @@ class Architecture:
 
 
 def canonicalize(arch: Architecture) -> Architecture:
-    """Normal form: wires sorted by least port reference, empty wires dropped.
+    """Check that the wires form a typed partial partition, and return ``arch``.
 
     Raises if a port is attached to two wires, a wire mentions an unknown
     port, or a wire mixes interface types.  Ports attached to no wire are
@@ -169,17 +181,12 @@ def canonicalize(arch: Architecture) -> Architecture:
     """
     port_type = arch.port_types()
     seen: set[PortRef] = set()
-    blocks: list[Wire] = []
     for w in arch.wires:
-        if not w.ports:
-            continue
         for ref in w.ports:
             if port_type.get(ref) != w.type or ref in seen:
                 raise _wire_error(w, port_type, seen)
         seen.update(w.ports)
-        blocks.append(w)
-    blocks.sort(key=lambda w: min(w.ports))
-    return Architecture(arch.inputs, arch.output, tuple(blocks))
+    return arch
 
 
 def _wire_error(w: Wire, port_type: Mapping, seen: set) -> ValidationError:
@@ -211,7 +218,7 @@ def identity(b: Boundary) -> Architecture:
     wires = tuple(
         Wire(frozenset({PortRef(slot, p), PortRef(None, p)}), b.port_type[p])
         for p in b.ports)
-    return canonicalize(Architecture(((slot, b),), b, wires))
+    return Architecture(((slot, b),), b, wires)
 
 
 def is_identity(arch: Architecture) -> bool:

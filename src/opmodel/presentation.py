@@ -22,6 +22,7 @@ from .portgraph import (
     derive_correspondence,
     equal,
     graft,
+    lookup,
     validate,
 )
 
@@ -102,10 +103,7 @@ class OperadPresentation:
     equations: tuple[CoherenceEquation, ...] = ()
 
     def generator(self, name: str) -> Architecture:
-        try:
-            return self.generators[name]
-        except KeyError:
-            raise ValidationError(f"unknown generator {name!r}") from None
+        return lookup(self.generators, name, "unknown generator {!r}")
 
 
 def _check_slots(name: str, arch: Architecture, filled) -> None:

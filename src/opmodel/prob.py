@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .portgraph import ValidationError, graft
+from .portgraph import ValidationError, graft, lookup
 from .presentation import (
     CheckReport,
     CoherenceEquation,
@@ -99,11 +99,8 @@ class ProbFunctor:
     name: str = ""
 
     def __getitem__(self, generator: str) -> Distribution:
-        try:
-            return self.dists[generator]
-        except KeyError:
-            raise ValidationError(
-                f"probability functor has no value for {generator!r}") from None
+        return lookup(self.dists, generator,
+                      "probability functor has no value for {!r}")
 
     def fold(self, t: Term) -> Distribution:
         """The composite distribution of a term, labeled by leaf paths."""

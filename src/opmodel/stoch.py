@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .modes import ModeFunctor, ModeRelation, ModeSet, check_totality
-from .portgraph import ValidationError, graft
+from .portgraph import ValidationError, graft, lookup
 from .presentation import (
     CheckReport,
     OperadPresentation,
@@ -231,18 +231,10 @@ class StochFunctor:
     name: str = ""
 
     def prior_of(self, boundary: str) -> Point:
-        try:
-            return self.priors[boundary]
-        except KeyError:
-            raise ValidationError(
-                f"no prior for boundary {boundary!r}") from None
+        return lookup(self.priors, boundary, "no prior for boundary {!r}")
 
     def pt_kernel(self, pres: OperadPresentation, generator: str) -> PtKernel:
-        try:
-            kernel = self.kernels[generator]
-        except KeyError:
-            raise ValidationError(
-                f"no kernel for generator {generator!r}") from None
+        kernel = lookup(self.kernels, generator, "no kernel for generator {!r}")
         arch = pres.generator(generator)
         return PtKernel(
             kernel,
@@ -363,18 +355,9 @@ def diagnose(pres: OperadPresentation, S: StochFunctor, t: Term,
         raise ValidationError(
             f"unknown mode {observed_root_mode!r} on "
             f"{k.kernel.source.boundary}")
-    entries = []
-    total = ZERO
-    for label, ms in k.kernel.slots:
-        for y in ms.modes:
-            p = k.kernel(observed_root_mode, label, y)
-            total += p
-            entries.append((f"{label}.{y}", p))
-    if total == ZERO:
-        raise ValidationError(
-            f"unsupported observation: mode {observed_root_mode!r} "
-            "has a zero kernel row")
-    return Distribution(tuple(entries))
+    return Distribution(tuple(
+        (f"{label}.{y}", k.kernel(observed_root_mode, label, y))
+        for label, ms in k.kernel.slots for y in ms.modes))
 
 
 def format_posterior(d: Distribution) -> str:

@@ -232,6 +232,33 @@ class TestCompose:
         assert err == "error: input nested too deeply\n"
         assert "Traceback" not in err
 
+    def test_ill_typed_generator(self, tmp_path, capsys):
+        """A lone ill-typed generator composes nothing, so compose lists its
+        wires, in normal order; validate reports the wire, and composing the
+        generator with another reports the glued conflict."""
+        path = tmp_path / "ill_typed.opm"
+        path.write_text(lsi_text().replace(
+            "wire bt.heat1 = ba.heat", "wire bt.heat1 = ba.heat = rt.temp"),
+            encoding="utf-8")
+        assert run(["compose", str(path), "--term", "tau"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "(ba: Bath, bt: Box, rt: Lab) -> TempSys\n"
+            "  {H2O, ba.H2O}:H2O\n"
+            "  {laser, bt.laser}:laser\n"
+            "  {setPt, ba.setPt}:setPt\n"
+            "  {temp1, ba.heat, bt.heat1, rt.temp}:heat\n"
+            "  {temp2, bt.temp}:temp\n"
+            "  {bt.heat2, rt.heat}:heat\n")
+        assert run(["validate", str(path)]) == EXIT_CHECK_FAILED
+        assert ("  error: generator tau: wire {temp1, ba.heat, bt.heat1, "
+                "rt.temp}:heat contains port temp1 of type 'temp'"
+                in capsys.readouterr().out.splitlines())
+        assert run(["compose", str(path), "--term", "tau(ba->beta)"]) \
+            == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: wire {temp1, ba.rs.heat1, bt.heat1, rt.temp}:heat "
+            "contains port temp1 of type 'temp'\n")
+
     def test_three_hundred_deep_term(self, identity_model_path, capsys):
         term = TestMutants.DEEP_TERM
         assert run(["compose", identity_model_path, "--format", "json",

@@ -290,6 +290,31 @@ class TestSerialization:
         assert "3/14" in text
         assert "0.21" not in text
 
+    def test_wire_order_is_not_part_of_the_model(self, lsi):
+        """Wire lines, the ports of each and expose lines, shuffled within
+        each architecture block, parse to the same model; an expose stays
+        after the wires, since it joins its slot port's wire."""
+        rng = random.Random(5)
+
+        def shuffle(block):
+            head, body, close = block.groups()
+            lines = body.splitlines(keepends=True)
+            wires = [line.split()[1::2] for line in lines
+                     if line.split()[0] == "wire"]
+            exposes = [line for line in lines if line.split()[0] == "expose"]
+            assert len(wires) + len(exposes) == len(lines)
+            rng.shuffle(wires)
+            rng.shuffle(exposes)
+            return head + "".join(
+                "  wire " + " = ".join(rng.sample(ports, len(ports))) + "\n"
+                for ports in wires) + "".join(exposes) + close
+
+        texts = {re.sub(r"(architecture [^{]*\{\n)(.*?)(\})", shuffle,
+                        lsi_text(), flags=re.S) for _ in range(5)}
+        assert lsi_text() not in texts
+        for text in texts:
+            assert parse(text) == lsi
+
     def test_mini_round_trip(self):
         model = parse(MINI)
         assert parse(serialize(model)) == model

@@ -28,7 +28,9 @@ from opmodel.portgraph import (
     wire,
 )
 from opmodel.corpus import lsi_text
-from randgen import compose_partition_oracle, random_architecture, random_boundary
+from opmodel.presentation import elaborate
+from randgen import (compose_partition_oracle, random_architecture,
+                     random_boundary, random_presentation, random_term)
 
 # f wires s.x to x as physical; the raw inner g wires t.a to x as digital
 ILL_TYPED_GLUE = """
@@ -107,6 +109,69 @@ class TestCanonicalize:
         arch = Architecture((), out, (wire([outer("x")], "physical"),))
         with pytest.raises(ValidationError, match="unwired ports: y"):
             validate(arch)
+
+
+class TestNormalForm:
+    """An architecture is built in normal form, so wire order is not part
+    of it and canonicalize only checks."""
+
+    @staticmethod
+    def reversed_wires(arch):
+        return Architecture(arch.inputs, arch.output, arch.wires[::-1])
+
+    def test_wire_order_and_empty_wires_do_not_matter(self):
+        b = boundary("B", a="physical", b="digital")
+        out = boundary("O", x="physical", y="digital")
+        ax = wire([at("s", "a"), outer("x")], "physical")
+        by = wire([at("s", "b"), outer("y")], "digital")
+        one = Architecture((("s", b),), out, (ax, by))
+        assert one == Architecture((("s", b),), out, (by, ax))
+        assert one == Architecture(
+            (("s", b),), out, (wire([], "digital"), by, ax))
+        assert one.wires == (ax, by)
+
+    def test_composites_are_canonical(self):
+        rng = random.Random(106)
+        for _ in range(100):
+            out = random_boundary(rng, "Out")
+            f = random_architecture(rng, out)
+            s = f.slots[rng.randrange(len(f.slots))]
+            g = random_architecture(rng, f.slot_boundary(s), n_slots=2)
+            t = g.slots[0]
+            h = random_architecture(rng, g.slot_boundary(t))
+            composed = compose(f, {s: g})
+            for x in (f, composed, compose(composed, {f"{s}.{t}": h})):
+                assert canonicalize(x) is x
+                assert self.reversed_wires(x) == x
+
+    def test_elaborated_terms_are_canonical(self):
+        rng = random.Random(107)
+        for _ in range(40):
+            pres, _ = random_presentation(rng)
+            x = elaborate(pres, random_term(rng, pres))
+            assert canonicalize(x) is x
+            assert self.reversed_wires(x) == x
+
+    def test_ill_typed_wire_is_named_in_normal_order(self):
+        # two ill-typed wires in tau: the error names the one whose least
+        # port comes first, whichever was declared first
+        text = lsi_text().replace(
+            "  wire bt.heat1 = ba.heat\n  wire bt.heat2 = rt.heat\n"
+            "  expose rt.temp -> temp1\n",
+            "  wire bt.heat2 = rt.temp\n  wire bt.heat1 = ba.setPt\n"
+            "  expose rt.heat -> temp1\n")
+        first, second = "  wire bt.heat2 = rt.temp\n", \
+            "  wire bt.heat1 = ba.setPt\n"
+        swapped = text.replace(first + second, second + first)
+        assert swapped != text
+        errors = set()
+        for body in (text, swapped):
+            arch = opmodel.parse(body).presentation.generators["tau"]
+            with pytest.raises(ValidationError) as exc:
+                validate(arch)
+            errors.add(str(exc.value))
+        assert errors == {
+            "wire {temp1, rt.heat}:heat contains port temp1 of type 'temp'"}
 
 
 class TestIdentity:
