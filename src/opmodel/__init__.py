@@ -47,6 +47,7 @@ from .stoch import (
     pt_condition,
     supp,
 )
+# eager though no CLI command uses it: benchmarks/tracing.py finds it in sys.modules
 from .rates import FailureHistory, combine_meantime, history_stats, invert, normalize, pipeline_check
 from .dsl import DslError, Model, parse, serialize
 from .corpus import load_lsi, lsi_text

@@ -29,7 +29,6 @@ to an identically named external port when that match is unique.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Container, Iterator, TypeVar
@@ -42,6 +41,7 @@ from .portgraph import (
     PortRef,
     TypeTable,
     ValidationError,
+    Value,
     Wire,
     canonicalize,
 )
@@ -66,14 +66,21 @@ class DslError(TermSyntaxError):
         self.col = col
 
 
-@dataclass
-class Model:
-    """A fully resolved model document."""
+class Model(Value):
+    """A fully resolved model document: a presentation and its functors by
+    name, one new dict per table left out."""
 
-    presentation: OperadPresentation
-    prob_functors: dict[str, ProbFunctor] = field(default_factory=dict)
-    mode_functors: dict[str, ModeFunctor] = field(default_factory=dict)
-    stoch_functors: dict[str, StochFunctor] = field(default_factory=dict)
+    __slots__ = ("presentation", "prob_functors", "mode_functors",
+                 "stoch_functors")
+
+    def __init__(self, presentation: OperadPresentation,
+                 prob_functors: dict[str, ProbFunctor] | None = None,
+                 mode_functors: dict[str, ModeFunctor] | None = None,
+                 stoch_functors: dict[str, StochFunctor] | None = None) -> None:
+        self.presentation = presentation
+        self.prob_functors = {} if prob_functors is None else prob_functors
+        self.mode_functors = {} if mode_functors is None else mode_functors
+        self.stoch_functors = {} if stoch_functors is None else stoch_functors
 
 
 # one token of the grammar; ``-`` starts only ``->`` and negative numbers

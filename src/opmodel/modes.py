@@ -7,10 +7,9 @@ by existential chaining, so functoriality is the transitivity of causation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .portgraph import ValidationError, graft, lookup
+from .portgraph import ValidationError, Value, graft, lookup
 from .presentation import (
     CheckReport,
     CoherenceEquation,
@@ -23,27 +22,27 @@ from .presentation import (
 )
 
 
-@dataclass(frozen=True)
-class ModeSet:
+class ModeSet(Value):
     """The failure modes of one boundary."""
 
-    boundary: str
-    modes: tuple[str, ...]
+    __slots__ = ("boundary", "modes")
 
-    def __post_init__(self) -> None:
-        if len(set(self.modes)) != len(self.modes):
-            raise ValidationError(
-                f"duplicate failure modes on {self.boundary}")
+    def __init__(self, boundary: str, modes: tuple[str, ...]) -> None:
+        self.boundary, self.modes = boundary, modes
+        if len(set(modes)) != len(modes):
+            raise ValidationError(f"duplicate failure modes on {boundary}")
 
     def __contains__(self, mode: str) -> bool:
         return mode in self.modes
 
 
-@dataclass(frozen=True)
-class ModeRelation:
+class ModeRelation(Value):
     """Per-slot sets of (input mode, output mode) causation pairs."""
 
-    pairs: Mapping[str, frozenset[tuple[str, str]]]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: Mapping[str, frozenset[tuple[str, str]]]) -> None:
+        self.pairs = pairs
 
     def slot(self, label: str) -> frozenset[tuple[str, str]]:
         return self.pairs.get(label, frozenset())
@@ -78,8 +77,7 @@ def compose_rel(outer: ModeRelation,
     return ModeRelation(dict(graft(outer.pairs.items(), chained)))
 
 
-@dataclass(frozen=True)
-class ModeFunctor:
+class ModeFunctor(NamedTuple):
     """Mode sets per boundary and a causation relation per generator."""
 
     mode_sets: Mapping[str, ModeSet]
@@ -145,8 +143,7 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     return (leaf_mode, root_mode) in composed.slot(path)
 
 
-@dataclass(frozen=True)
-class ModeCheckRow:
+class ModeCheckRow(NamedTuple):
     equation: CoherenceEquation
     lhs_path: str
     rhs_path: str

@@ -7,7 +7,6 @@ along the shared intermediate ports; the result is again an architecture.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, TypeVar
 
 PHYSICAL = "physical"
@@ -29,14 +28,35 @@ class CompositionError(PortGraphError):
     """Raised when a substitution is ill-typed."""
 
 
-@dataclass(frozen=True)
-class TypeTable:
+class Value:
+    """Base of the value classes: an instance equals one of its own class
+    with equal slots, never a tuple or another class, and hashes as the
+    tuple of its slots."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or all(
+            getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, s) for s in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(repr(getattr(self, s)) for s in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class TypeTable(Value):
     """Interface types together with their physical/digital kind."""
 
-    kinds: Mapping[str, str]
+    __slots__ = ("kinds",)
 
-    def __post_init__(self) -> None:
-        for name, kind in self.kinds.items():
+    def __init__(self, kinds: Mapping[str, str]) -> None:
+        self.kinds = kinds
+        for name, kind in kinds.items():
             if kind not in (PHYSICAL, DIGITAL):
                 raise ValidationError(
                     f"interface {name!r} has unknown kind {kind!r}")
@@ -69,21 +89,20 @@ def at(slot: str, port: str) -> PortRef:
     return PortRef(slot, port)
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(Value):
     """A named, ordered set of typed ports."""
 
-    name: str
-    ports: tuple[str, ...]
-    port_type: Mapping[str, str]
+    __slots__ = ("name", "ports", "port_type")
 
-    def __post_init__(self) -> None:
-        if len(set(self.ports)) != len(self.ports):
-            raise ValidationError(f"boundary {self.name}: duplicate ports")
-        for p in self.ports:
-            if p not in self.port_type:
+    def __init__(self, name: str, ports: tuple[str, ...],
+                 port_type: Mapping[str, str]) -> None:
+        self.name, self.ports, self.port_type = name, ports, port_type
+        if len(set(ports)) != len(ports):
+            raise ValidationError(f"boundary {name}: duplicate ports")
+        for p in ports:
+            if p not in port_type:
                 raise ValidationError(
-                    f"boundary {self.name}: port {p!r} has no type")
+                    f"boundary {name}: port {p!r} has no type")
 
 
 def boundary(name: str, **ports: str) -> Boundary:
@@ -91,12 +110,13 @@ def boundary(name: str, **ports: str) -> Boundary:
     return Boundary(name, tuple(ports), dict(ports))
 
 
-@dataclass(frozen=True)
-class Wire:
+class Wire(Value):
     """A typed hyperwire: a set of port references sharing one type."""
 
-    ports: frozenset[PortRef]
-    type: str
+    __slots__ = ("ports", "type")
+
+    def __init__(self, ports: frozenset[PortRef], type: str) -> None:
+        self.ports, self.type = ports, type
 
     def sorted_ports(self) -> tuple[PortRef, ...]:
         return tuple(sorted(self.ports))
@@ -118,26 +138,23 @@ def lookup(table: Mapping[K, V], key: K, message: str) -> V:
         raise ValidationError(message.format(key)) from None
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(Value):
     """A port-graph operation: input slots, output boundary, hyperwires.
 
     Built in normal form, empty wires dropped and the rest sorted by least
     port reference, so equality ignores the order the wires were given in."""
 
-    inputs: tuple[tuple[str, Boundary], ...]
-    output: Boundary
-    wires: tuple[Wire, ...]
-    _boundary_of: dict[str, Boundary] = field(
-        init=False, repr=False, compare=False)
+    __slots__ = ("inputs", "output", "wires", "_boundary_of")
 
-    def __post_init__(self) -> None:
-        boundary_of = dict(self.inputs)
-        if len(boundary_of) != len(self.inputs):
+    def __init__(self, inputs: tuple[tuple[str, Boundary], ...],
+                 output: Boundary, wires: tuple[Wire, ...]) -> None:
+        self.inputs, self.output = inputs, output
+        # derived from ``inputs``, so that equality comparing it changes nothing
+        self._boundary_of = dict(inputs)
+        if len(self._boundary_of) != len(inputs):
             raise ValidationError("duplicate slot labels")
-        object.__setattr__(self, "_boundary_of", boundary_of)
-        object.__setattr__(self, "wires", tuple(sorted(
-            (w for w in self.wires if w.ports), key=lambda w: min(w.ports))))
+        self.wires = tuple(sorted((w for w in wires if w.ports),
+                                  key=lambda w: min(w.ports)))
 
     @property
     def slots(self) -> tuple[str, ...]:
@@ -314,18 +331,19 @@ def compose(outer_arch: Architecture,
     return canonicalize(Architecture(inputs, outer_arch.output, tuple(wires)))
 
 
-@dataclass(frozen=True)
-class ComponentCorrespondence:
+class ComponentCorrespondence(Value):
     """A boundary-preserving bijection between the slots of two architectures."""
 
-    mapping: Mapping[str, str]
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: Mapping[str, str]) -> None:
+        self.mapping = mapping
 
     def inverse(self) -> "ComponentCorrespondence":
         return ComponentCorrespondence({v: k for k, v in self.mapping.items()})
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(NamedTuple):
     """Outcome of comparing two canonical architectures."""
 
     equal: bool

@@ -6,8 +6,7 @@ elaborate to the same architecture (up to a component correspondence).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .portgraph import (
     Architecture,
@@ -17,6 +16,7 @@ from .portgraph import (
     PortGraphError,
     TypeTable,
     ValidationError,
+    Value,
     check_correspondence,
     compose,
     derive_correspondence,
@@ -29,15 +29,17 @@ from .portgraph import (
 V = TypeVar("V")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     """A composite of generators: children substitute into the parent's slots.
 
     Unfilled slots are the leaves of the term.
     """
 
-    generator: str
-    children: tuple[tuple[str, "Term"], ...] = ()
+    __slots__ = ("generator", "children")
+
+    def __init__(self, generator: str,
+                 children: tuple[tuple[str, Term], ...] = ()) -> None:
+        self.generator, self.children = generator, children
 
     def child(self, slot: str) -> "Term | None":
         for s, t in self.children:
@@ -77,8 +79,7 @@ def parse_term(text: str) -> Term:
     return parse_free_term(text)
 
 
-@dataclass(frozen=True)
-class CoherenceEquation:
+class CoherenceEquation(NamedTuple):
     """An asserted identity between two composite terms.
 
     ``corr`` pairs the leaf slots of the two sides; when None it is derived
@@ -93,8 +94,7 @@ class CoherenceEquation:
         return f"{self.lhs} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class OperadPresentation:
+class OperadPresentation(NamedTuple):
     """Boundaries, generator architectures and coherence equations of a model."""
 
     type_table: TypeTable
@@ -187,8 +187,7 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     raise ValidationError(f"no leaf {leaf!r} in {t}")
 
 
-@dataclass(frozen=True)
-class EquationReport:
+class EquationReport(NamedTuple):
     """Verdict of checking one coherence equation."""
 
     equation: CoherenceEquation
@@ -251,8 +250,7 @@ def aligned_equations(pres: OperadPresentation, fold: Callable[[Term], V],
         yield eq, corr.mapping, fold(eq.lhs), fold(eq.rhs)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Rows of one functor check; ``counted`` names the rows in the header."""
 
     title: str
@@ -290,8 +288,7 @@ def check_equation(pres: OperadPresentation,
     return EquationReport(eq, diff.equal, corr, diff)
 
 
-@dataclass(frozen=True)
-class CompileReport:
+class CompileReport(NamedTuple):
     """Outcome of validating a whole presentation."""
 
     boundary_count: int

@@ -7,11 +7,10 @@ architectures induces equations between products of probabilities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
-from .portgraph import ValidationError, graft, lookup
+from .portgraph import ValidationError, Value, graft, lookup
 from .presentation import (
     CheckReport,
     CoherenceEquation,
@@ -38,20 +37,20 @@ def format_probability(p: Fraction) -> str:
     return f"{p} ({percent(p):g}%)"
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Value):
     """An ordered finite probability distribution with unique labels."""
 
-    entries: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        labels = [l for l, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[str, Fraction], ...]) -> None:
+        self.entries = entries
+        labels = [l for l, _ in entries]
         if len(set(labels)) != len(labels):
             raise ValidationError("distribution labels must be unique")
-        for l, p in self.entries:
+        for l, p in entries:
             if not (ZERO <= p <= ONE):
                 raise ValidationError(f"probability {l}: {p} outside [0, 1]")
-        if sum(p for _, p in self.entries) != ONE:
+        if sum(p for _, p in entries) != ONE:
             raise ValidationError("distribution does not sum to 1")
 
     @property
@@ -91,8 +90,7 @@ def compose_dist(p: Distribution,
         for label, pi in p.entries if label in qs}))
 
 
-@dataclass(frozen=True)
-class ProbFunctor:
+class ProbFunctor(NamedTuple):
     """Generator-wise failure distributions, labeled by the generators' slots."""
 
     dists: Mapping[str, Distribution]
@@ -134,8 +132,7 @@ def leaf_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     return F.fold(t)[path]
 
 
-@dataclass(frozen=True)
-class ProbCheckRow:
+class ProbCheckRow(NamedTuple):
     equation: CoherenceEquation
     lhs_path: str
     rhs_path: str

@@ -8,11 +8,10 @@ library.  The harmonic combination assumes independent failure processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .portgraph import ValidationError
+from .portgraph import ValidationError, Value
 from .presentation import OperadPresentation, Term, check_term
 from .prob import Distribution, ProbFunctor
 
@@ -77,21 +76,19 @@ def normalize(rates: Sequence[Rate] | Mapping[str, Rate]) -> Distribution:
     return Distribution(tuple((label, r / total) for label, r in items))
 
 
-@dataclass(frozen=True)
-class FailureHistory:
+class FailureHistory(Value):
     """Observed failure timestamps over a closed interval."""
 
-    t0: Fraction
-    t1: Fraction
-    times: tuple[Fraction, ...]
+    __slots__ = ("t0", "t1", "times")
 
-    def __post_init__(self) -> None:
-        if not self.t0 < self.t1:
+    def __init__(self, t0: Fraction, t1: Fraction,
+                 times: tuple[Fraction, ...]) -> None:
+        self.t0, self.t1, self.times = t0, t1, times
+        if not t0 < t1:
             raise ValidationError("history interval must satisfy t0 < t1")
-        for t in self.times:
-            if not (self.t0 <= t <= self.t1):
-                raise ValidationError(
-                    f"timestamp {t} outside [{self.t0}, {self.t1}]")
+        for t in times:
+            if not (t0 <= t <= t1):
+                raise ValidationError(f"timestamp {t} outside [{t0}, {t1}]")
 
     @property
     def count(self) -> int:
@@ -120,8 +117,7 @@ INDEPENDENCE_NOTE = ("rates aggregated assuming independent failure "
                      "processes with constant rates")
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     functor: ProbFunctor
     rates: Mapping[str, Rate]  # aggregate rate per term root and leaf path
     conflicts: tuple[str, ...]

@@ -7,12 +7,11 @@ priors yields pointed kernels, which project onto plain slot probabilities
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .modes import ModeFunctor, ModeRelation, ModeSet, check_totality
-from .portgraph import ValidationError, graft, lookup
+from .portgraph import ValidationError, Value, graft, lookup
 from .presentation import (
     CheckReport,
     OperadPresentation,
@@ -29,27 +28,25 @@ ONE = Fraction(1)
 Entry = tuple[str, str, str]  # (source mode, slot label, slot mode)
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Value):
     """A prior: a single distribution over a mode set."""
 
-    modes: ModeSet
-    probs: Mapping[str, Fraction]
+    __slots__ = ("modes", "probs")
 
-    def __post_init__(self) -> None:
-        for m, p in self.probs.items():
-            if m not in self.modes:
+    def __init__(self, modes: ModeSet, probs: Mapping[str, Fraction]) -> None:
+        for m, p in probs.items():
+            if m not in modes:
                 raise ValidationError(
-                    f"prior on {self.modes.boundary}: unknown mode {m!r}")
+                    f"prior on {modes.boundary}: unknown mode {m!r}")
             if p < ZERO:
                 raise ValidationError(
-                    f"prior on {self.modes.boundary}: negative mass on {m!r}")
-        if sum(self.probs.values(), ZERO) != ONE:
+                    f"prior on {modes.boundary}: negative mass on {m!r}")
+        if sum(probs.values(), ZERO) != ONE:
             raise ValidationError(
-                f"prior on {self.modes.boundary} does not sum to 1")
+                f"prior on {modes.boundary} does not sum to 1")
+        self.modes = modes
         # store only positive entries, so equal priors compare equal
-        object.__setattr__(
-            self, "probs", {m: p for m, p in self.probs.items() if p > ZERO})
+        self.probs = {m: p for m, p in probs.items() if p > ZERO}
 
     def __getitem__(self, mode: str) -> Fraction:
         return self.probs.get(mode, ZERO)
@@ -59,23 +56,21 @@ class Point:
                 and self.probs == other.probs)
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Value):
     """A stochastic kernel from a mode set to a slot-indexed union of mode sets."""
 
-    source: ModeSet
-    slots: tuple[tuple[str, ModeSet], ...]
-    entries: Mapping[Entry, Fraction]
+    __slots__ = ("source", "slots", "entries")
 
-    def __post_init__(self) -> None:
-        slot_modes = dict(self.slots)
-        if len(slot_modes) != len(self.slots):
+    def __init__(self, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
+                 entries: Mapping[Entry, Fraction]) -> None:
+        slot_modes = dict(slots)
+        if len(slot_modes) != len(slots):
             raise ValidationError("duplicate kernel slot labels")
-        rows = dict.fromkeys(self.source.modes, ZERO)
-        for (x, i, y), p in self.entries.items():
+        rows = dict.fromkeys(source.modes, ZERO)
+        for (x, i, y), p in entries.items():
             if x not in rows:
                 raise ValidationError(
-                    f"kernel: unknown source mode {x!r} on {self.source.boundary}")
+                    f"kernel: unknown source mode {x!r} on {source.boundary}")
             if i not in slot_modes:
                 raise ValidationError(f"kernel: unknown slot {i!r}")
             if y not in slot_modes[i]:
@@ -87,10 +82,10 @@ class Kernel:
         for x, row in rows.items():
             if row != ONE:
                 raise ValidationError(
-                    f"kernel row for {self.source.boundary}.{x} sums to {row}")
+                    f"kernel row for {source.boundary}.{x} sums to {row}")
+        self.source, self.slots = source, slots
         # store only positive entries, so equal kernels compare equal
-        object.__setattr__(
-            self, "entries", {k: p for k, p in self.entries.items() if p})
+        self.entries = {k: p for k, p in entries.items() if p}
 
     def __call__(self, x: str, slot: str, y: str) -> Fraction:
         return self.entries.get((x, slot, y), ZERO)
@@ -144,8 +139,7 @@ def supp(k: Kernel) -> ModeRelation:
     return ModeRelation({i: frozenset(v) for i, v in pairs.items()})
 
 
-@dataclass(frozen=True)
-class PtKernel:
+class PtKernel(NamedTuple):
     """A kernel weighted by a source prior and per-slot priors."""
 
     kernel: Kernel
@@ -170,8 +164,7 @@ def aggr(k: PtKernel) -> Distribution:
         for label, masses in _marginals(k).items()))
 
 
-@dataclass(frozen=True)
-class PtConditionReport:
+class PtConditionReport(NamedTuple):
     holds: bool
     max_residual: Fraction
     violations: tuple[str, ...]
@@ -222,8 +215,7 @@ def compose_pt(p: PtKernel, qs: Mapping[str, PtKernel]) -> PtKernel:
     return PtKernel(kernel, p.source_prior, dict(priors))
 
 
-@dataclass(frozen=True)
-class StochFunctor:
+class StochFunctor(NamedTuple):
     """Per-boundary priors and per-generator kernels realizing the joint lifting."""
 
     priors: Mapping[str, Point]
@@ -246,8 +238,7 @@ class StochFunctor:
         return fold_term(t, lambda g: self.pt_kernel(pres, g), compose_pt)
 
 
-@dataclass(frozen=True)
-class LiftingRow:
+class LiftingRow(NamedTuple):
     subject: str
     passed: bool
     detail: str = ""
