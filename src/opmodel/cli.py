@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .dsl import DslError, Model, parse
 from .modes import check_mode_functor
-from .portgraph import PortGraphError
+from .portgraph import PortGraphError, lookup
 from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term, resolve_leaf
 from .prob import check_prob_functor, format_probability, leaf_probability, percent
 from .stoch import check_lifting, diagnose, format_posterior
@@ -54,9 +54,13 @@ def _tolerance(args: argparse.Namespace) -> Fraction:
     raise CliError(f"bad tolerance {args.tolerance!r}")
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
+def _emit(args: argparse.Namespace, text: str, payload: dict,
+          code: int = EXIT_OK) -> int:
+    """Print ``text``, or ``payload`` as JSON under the command's name, and
+    return ``code``, the command's exit status."""
     try:
-        print(json.dumps(payload, indent=2, sort_keys=True)
+        print(json.dumps({"command": args.command, **payload}, indent=2,
+                         sort_keys=True)
               if args.format == "json" else text, flush=True)
     except BrokenPipeError:
         # the reader has gone: drop the output, and point stdout at devnull
@@ -64,33 +68,31 @@ def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return code
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     report = compile_presentation(model.presentation)
-    _emit(args, str(report), {"command": "validate", **report.to_dict()})
-    return EXIT_OK if report.success else EXIT_CHECK_FAILED
+    return _emit(args, str(report), report.to_dict(),
+                 EXIT_OK if report.success else EXIT_CHECK_FAILED)
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     term = parse_term(args.term)
     arch = elaborate(model.presentation, term)
-    payload = {
-        "command": "compose",
+    return _emit(args, arch.describe(), {
         "term": str(term),
         "inputs": [{"slot": s, "boundary": b.name} for s, b in arch.inputs],
         "output": arch.output.name,
         "wires": [{"ports": [str(r) for r in w.sorted_ports()],
                    "type": w.type} for w in arch.wires],
-    }
-    _emit(args, arch.describe(), payload)
-    return EXIT_OK
+    })
 
 
 def _functor_checks(model: Model, names: list[str], tolerance: Fraction):
-    """Dispatch named functors by kind; returns (reports, lifting trio)."""
+    """Dispatch named functors by kind: one ``(name, kind, report)`` per check."""
     reports = []
     prob_name = modes_name = stoch_name = None
     for name in names:
@@ -132,57 +134,44 @@ def cmd_check(args: argparse.Namespace) -> int:
         text_parts.append(str(report))
         payload_functors.append(
             {"name": name, "kind": kind, **report.to_dict()})
-    payload = {
-        "command": "check",
+    return _emit(args, "\n".join(text_parts), {
         "passed": passed,
         "tolerance": str(tolerance),
         "architecture": arch_report.to_dict(),
         "functors": payload_functors,
-    }
-    _emit(args, "\n".join(text_parts), payload)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    }, EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    if args.functor not in model.prob_functors:
-        raise CliError(f"no probability functor named {args.functor!r}")
-    F = model.prob_functors[args.functor]
+    F = lookup(model.prob_functors, args.functor,
+               "no probability functor named {!r}")
     term = parse_term(args.term)
     value = leaf_probability(model.presentation, F, term, args.leaf)
     path = resolve_leaf(model.presentation, term, args.leaf) \
         if args.leaf else ""
-    payload = {
-        "command": "query",
+    return _emit(args, format_probability(value), {
         "term": str(term),
         "leaf": args.leaf,
         "path": path,
         "value": str(value),
         "percent": percent(value),
-    }
-    text = format_probability(value)
-    _emit(args, text, payload)
-    return EXIT_OK
+    })
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    if args.functor not in model.stoch_functors:
-        raise CliError(f"no stochastic functor named {args.functor!r}")
-    S = model.stoch_functors[args.functor]
+    S = lookup(model.stoch_functors, args.functor,
+               "no stochastic functor named {!r}")
     term = parse_term(args.term)
     posterior = diagnose(model.presentation, S, term, args.mode)
-    payload = {
-        "command": "diagnose",
+    return _emit(args, format_posterior(posterior), {
         "term": str(term),
         "mode": args.mode,
         "posterior": [
             {"leaf": label, "value": str(p), "percent": percent(p)}
             for label, p in posterior.entries],
-    }
-    text = format_posterior(posterior)
-    _emit(args, text, payload)
-    return EXIT_OK
+    })
 
 
 @functools.cache

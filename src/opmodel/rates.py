@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
-from .portgraph import ValidationError, Value
+from .portgraph import ValidationError, Value, lookup
 from .presentation import OperadPresentation, Term, check_term
 from .prob import Distribution, ProbFunctor
 
@@ -151,9 +151,8 @@ def pipeline_check(pres: OperadPresentation,
             sub = t.child(slot)
             path = prefix + slot
             if sub is None:
-                if path not in histories:
-                    raise ValidationError(f"missing history for leaf {path}")
-                rate = invert(history_stats(histories[path]))
+                rate = invert(history_stats(lookup(
+                    histories, path, "missing history for leaf {}")))
                 all_rates[path] = rate
             else:
                 rate = visit(sub, histories, path + ".")

@@ -147,27 +147,11 @@ class PtKernel(NamedTuple):
     slot_priors: Mapping[str, Point]
 
 
-def _marginals(k: PtKernel) -> dict[str, dict[str, Fraction]]:
-    """``{slot i: {mode y: sum_x r(x) p(x -> (i, y))}}``, the prior-weighted
-    slot marginals, from one pass over the stored entries."""
-    r = k.source_prior
-    out: dict[str, dict[str, Fraction]] = {l: {} for l, _ in k.kernel.slots}
-    for (x, i, y), p in k.kernel.entries.items():
-        out[i][y] = out[i].get(y, ZERO) + r[x] * p
-    return out
-
-
-def aggr(k: PtKernel) -> Distribution:
-    """The aggregate slot distribution of a pointed kernel."""
-    return Distribution(tuple(
-        (label, sum(masses.values(), ZERO))
-        for label, masses in _marginals(k).items()))
-
-
 class PtConditionReport(NamedTuple):
     holds: bool
     max_residual: Fraction
     violations: tuple[str, ...]
+    aggregate: tuple[tuple[str, Fraction], ...]  # (slot, weight), slot order
 
 
 def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
@@ -175,14 +159,20 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
 
     For each slot i and mode y:  sum_x r(x) p(x -> (i, y)) = |p|(i) * s_i(y).
     Slots of zero aggregate weight are reported as violations, since their
-    priors would be unconstrained.
+    priors would be unconstrained.  The report carries each slot's aggregate
+    weight |p|(i), from the same single pass over the stored entries.
     """
-    marginals = _marginals(k)
+    r = k.source_prior
+    marginals: dict[str, dict[str, Fraction]] = {l: {} for l, _ in k.kernel.slots}
+    for (x, i, y), p in k.kernel.entries.items():
+        marginals[i][y] = marginals[i].get(y, ZERO) + r[x] * p
+    aggregate: list[tuple[str, Fraction]] = []
     violations: list[str] = []
     max_res = ZERO
     for label, ms in k.kernel.slots:
         masses = marginals[label]
         weight = sum(masses.values(), ZERO)
+        aggregate.append((label, weight))
         if weight == ZERO:
             violations.append(f"slot {label} has zero aggregate weight")
             continue
@@ -199,7 +189,13 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
                 violations.append(
                     f"slot {label}, mode {y}: marginal {lhs} != "
                     f"{weight} * {s[y]}")
-    return PtConditionReport(not violations, max_res, tuple(violations))
+    return PtConditionReport(not violations, max_res, tuple(violations),
+                             tuple(aggregate))
+
+
+def aggr(k: PtKernel) -> Distribution:
+    """The aggregate slot distribution of a pointed kernel."""
+    return Distribution(pt_condition(k).aggregate)
 
 
 def compose_pt(p: PtKernel, qs: Mapping[str, PtKernel]) -> PtKernel:
@@ -305,13 +301,12 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
         rows.append(LiftingRow(
             f"{name}: pointed-kernel condition", cond.holds,
             "; ".join(cond.violations)))
-        got = aggr(k).as_dict()
-        want = P[name].as_dict()
-        ok = set(got) == set(want) and all(
-            abs(got[l] - want[l]) <= tolerance for l in want)
+        got, want = dict(cond.aggregate), P[name]
+        ok = set(got) == set(want.labels) and all(
+            abs(got[l] - p) <= tolerance for l, p in want.entries)
         rows.append(LiftingRow(
             f"{name}: aggregate matches probability functor", ok,
-            "" if ok else f"aggr {got} vs {want}"))
+            "" if ok else f"aggr {Distribution(cond.aggregate)} vs {want}"))
         got_rel = supp(k.kernel)
         want_rel = M.relation_of(name)
         diffs = []

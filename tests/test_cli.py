@@ -115,6 +115,34 @@ class TestCheck:
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in capsys.readouterr().out
 
+    def test_stoch_alone_message(self, model_path, capsys):
+        assert run(["check", model_path, "--functor", "S"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: checking a stochastic functor requires naming a "
+            "probability functor and a mode functor as well\n")
+
+    def test_unknown_functor_message(self, model_path, capsys):
+        assert run(["check", model_path, "--functor", "nope"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no functor named 'nope' in the model\n"
+
+    def test_failing_aggregate_row_shows_both_distributions(
+            self, failing_model_path, capsys):
+        argv = ["check", failing_model_path, "--functor", "P",
+                "--functor", "M", "--functor", "S"]
+        detail = ("aggr (ls: 2/5 (40%), ts: 3/5 (60%)) vs "
+                  "(ls: 1/2 (50%), ts: 1/2 (50%))")
+        assert run(argv) == EXIT_CHECK_FAILED
+        assert (f"  phi: aggregate matches probability functor: FAIL "
+                f"({detail})") in capsys.readouterr().out.splitlines()
+        assert run(argv + ["--format", "json"]) == EXIT_CHECK_FAILED
+        rows = json.loads(capsys.readouterr().out)["functors"][2]["rows"]
+        assert {"subject": "phi: aggregate matches probability functor",
+                "passed": False, "detail": detail} in rows
+
     @pytest.mark.parametrize("functors", [["P"], ["M"], ["P", "M", "S"]],
                              ids=" ".join)
     def test_incomplete_matching_is_a_failed_check(
@@ -288,6 +316,13 @@ class TestQuery:
         assert run(["query", model_path, "--functor", "ZZ",
                     "--term", "phi", "--leaf", "ls"]) == EXIT_ERROR
 
+    def test_unknown_functor_message(self, model_path, capsys):
+        assert run(["query", model_path, "--functor", "nope",
+                    "--term", "phi(ts->tau)", "--leaf", "ba"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no probability functor named 'nope'\n"
+
     def test_ill_typed_term_exits_two(self, model_path, capsys):
         # beta outputs Bath, but slot rt of tau is a Lab
         assert run(["query", model_path, "--functor", "P",
@@ -311,6 +346,13 @@ class TestDiagnose:
         assert run(["diagnose", model_path, "--functor", "S",
                     "--term", "tau", "--mode", "zz"]) == EXIT_ERROR
 
+    def test_unknown_functor_message(self, model_path, capsys):
+        assert run(["diagnose", model_path, "--functor", "nope",
+                    "--term", "tau", "--mode", "laser_low"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no stochastic functor named 'nope'\n"
+
     def test_ill_typed_term_exits_two(self, model_path, capsys):
         assert run(["diagnose", model_path, "--functor", "S",
                     "--term", "tau(rt->beta)", "--mode", "laser_low"]) \
@@ -319,6 +361,19 @@ class TestDiagnose:
         assert captured.out == ""
         assert captured.err == \
             "error: slot 'rt' expects boundary Lab, got Bath\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["check", "--functor", "P", "--functor", "M", "--functor", "S"],
+    ["compose", "--term", "tau(ba->beta)"],
+    ["query", "--functor", "P", "--term", "phi(ts->tau)", "--leaf", "ba"],
+    ["diagnose", "--functor", "S", "--term", "tau", "--mode", "laser_low"],
+], ids=lambda argv: argv[0])
+def test_json_payload_names_its_command(model_path, argv, capsys):
+    assert run([argv[0], model_path, *argv[1:], "--format", "json"]) \
+        == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
 class TestUsageErrors:

@@ -199,6 +199,7 @@ class TestMarginalOracle:
             for tolerance in self.TOLERANCES:
                 report = pt_condition(k, tolerance)
                 want = pt_condition_oracle(k, tolerance)
+                assert report.aggregate == tuple(aggr_oracle(k).items())
                 assert (report.holds, report.max_residual,
                         list(report.violations)) == want
                 verdicts.append(report.holds)

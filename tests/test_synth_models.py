@@ -65,3 +65,28 @@ def test_queries_match_references():
                 for y in m.leaf_modes:
                     assert opmodel.can_cause(pres, M, term, f"l{leaf}", y, x) \
                         is m.can_cause(leaf, y, x)
+
+
+@pytest.mark.parametrize("source", ["lsi", *((d, s) for d in DEPTHS
+                                             for s in SEEDS)], ids=str)
+def test_joint_lifting(source, lsi):
+    """The stochastic functor refines P and M along whole terms: on every
+    node's term (every generator, on LSI) and on both sides of each
+    equation, aggregation of the folded pointed kernel is P's fold, its
+    support is M's fold, and the pointed-kernel condition holds."""
+    if source == "lsi":
+        model = lsi
+        terms = [opmodel.Term(g) for g in model.presentation.generators]
+    else:
+        m = synth_model(*source)
+        model = opmodel.parse(m.text)
+        terms = [opmodel.parse_term(node.term()) for node in m.nodes.values()]
+    pres = model.presentation
+    terms += [side for eq in pres.equations for side in (eq.lhs, eq.rhs)]
+    P, M, S = (model.prob_functors["P"], model.mode_functors["M"],
+               model.stoch_functors["S"])
+    for t in terms:
+        k = S.fold(pres, t)
+        assert opmodel.aggr(k).as_dict() == P.fold(t).as_dict(), str(t)
+        assert opmodel.supp(k.kernel) == M.fold(t), str(t)
+        assert opmodel.pt_condition(k).holds, str(t)
