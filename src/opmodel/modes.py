@@ -70,11 +70,10 @@ def compose_rel(outer: ModeRelation,
     A pair (leaf mode, root mode) survives iff some intermediate mode
     witnesses both legs.  Composite slots are labeled ``outerslot.innerslot``.
     """
-    chained = {slot: [(sub, frozenset((z, x) for z, y in sub_rel
-                                      for y2, x in rel if y == y2))
-                      for sub, sub_rel in inners[slot].pairs.items()]
-               for slot, rel in outer.pairs.items() if slot in inners}
-    return ModeRelation(dict(graft(outer.pairs.items(), chained)))
+    return ModeRelation(dict(graft(
+        outer.pairs.items(), {s: r.pairs.items() for s, r in inners.items()},
+        lambda rel, sub: frozenset((z, x) for z, y in sub
+                                   for y2, x in rel if y == y2))))
 
 
 class ModeFunctor(NamedTuple):

@@ -7,7 +7,7 @@ along the shared intermediate ports; the result is again an architecture.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 PHYSICAL = "physical"
 DIGITAL = "digital"
@@ -249,20 +249,29 @@ def is_identity(arch: Architecture) -> bool:
 
 
 def graft(outer: Iterable[tuple[str, V]],
-          inner: Mapping[str, Iterable[tuple[str, V]]]) -> tuple[tuple[str, V], ...]:
+          inner: Mapping[str, Iterable[tuple[str, V]]],
+          combine: Callable[[V, V], V] | None = None
+          ) -> tuple[tuple[str, V], ...]:
     """The slot list of a substitution, the one rule every semantics shares.
 
     Each outer ``(slot, value)`` is kept, or, where ``inner`` fills the slot,
-    replaced by the inner ``(sub, value)`` pairs labeled ``slot.sub``.
-    Entries of ``inner`` naming no outer slot are ignored.
+    replaced by the inner ``(sub, v)`` pairs labeled ``slot.sub``, each
+    valued ``combine(value, v)`` when ``combine`` is given.  A key of
+    ``inner`` naming no outer slot is an error.
     """
     out: list[tuple[str, V]] = []
+    filled: list[str] = []
     for slot, value in outer:
         sub = inner.get(slot)
         if sub is None:
             out.append((slot, value))
         else:
-            out.extend((f"{slot}.{s}", v) for s, v in sub)
+            filled.append(slot)
+            out.extend((f"{slot}.{s}", v if combine is None
+                        else combine(value, v)) for s, v in sub)
+    if len(filled) != len(inner):
+        stray = next(s for s in inner if s not in filled)
+        raise ValidationError(f"unknown slot {stray!r} in composition")
     return tuple(out)
 
 

@@ -213,11 +213,14 @@ def equation_correspondence(pres: OperadPresentation,
                             eq: CoherenceEquation) -> ComponentCorrespondence:
     """The explicit correspondence, or one derived by leaf boundary names.
 
-    Either must be a boundary-preserving bijection of the leaf paths.  A
-    derived one comes from the elaborated sides, whose labels differ from
-    the leaf paths where a side substitutes an identity, so every leaf path
-    must also have a derived match.
+    Either must be a boundary-preserving bijection of the leaf paths of two
+    well-typed sides.  A derived one comes from the elaborated sides, whose
+    labels differ from the leaf paths where a side substitutes an identity,
+    so every leaf path must also have a derived match.
     """
+    if eq.corr is not None:  # elaborate types the sides of a derived one
+        check_term(pres, eq.lhs)
+        check_term(pres, eq.rhs)
     corr = eq.corr or derive_correspondence(elaborate(pres, eq.lhs),
                                             elaborate(pres, eq.rhs))
     left = dict(leaf_paths(pres, eq.lhs))

@@ -8,6 +8,7 @@ architectures induces equations between products of probabilities.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, NamedTuple
 
 from .portgraph import ValidationError, Value, graft, lookup
@@ -82,12 +83,8 @@ def compose_dist(p: Distribution,
     Labels of ``p`` absent from ``qs`` behave as arity-1 identities and
     keep their label.
     """
-    for label in qs:
-        if label not in p.labels:
-            raise ValidationError(f"unknown label {label!r} in composition")
-    return Distribution(graft(p.entries, {
-        label: [(sub, pi * qij) for sub, qij in qs[label].entries]
-        for label, pi in p.entries if label in qs}))
+    return Distribution(graft(
+        p.entries, {label: q.entries for label, q in qs.items()}, mul))
 
 
 class ProbFunctor(NamedTuple):
@@ -172,14 +169,6 @@ def check_prob_functor(pres: OperadPresentation, F: ProbFunctor,
                        "leaf equations")
 
 
-def _products(outer: tuple[tuple[str, str], ...],
-              inner: dict[str, tuple[tuple[str, str], ...]]
-              ) -> tuple[tuple[str, str], ...]:
-    """Graft each slot's leaf products under the slot's own factor."""
-    return graft(outer, {slot: [(sub, f"{f}·{g}") for sub, g in inner[slot]]
-                         for slot, f in outer if slot in inner})
-
-
 def symbolic_constraints(pres: OperadPresentation) -> tuple[str, ...]:
     """The product-path identity induced by each matched leaf pair.
 
@@ -189,7 +178,7 @@ def symbolic_constraints(pres: OperadPresentation) -> tuple[str, ...]:
     def factors(t: Term) -> tuple[tuple[str, str], ...]:
         return fold_term(t, lambda gen: tuple(
             (slot, f"{gen}({slot})") for slot in pres.generator(gen).slots),
-            _products)
+            lambda outer, inner: graft(outer, inner, "{}·{}".format))
 
     out: list[str] = []
     for eq in pres.equations:

@@ -102,10 +102,9 @@ def compose_kernel(p: Kernel, qs: Mapping[str, Kernel]) -> Kernel:
     Slots absent from ``qs`` pass through unchanged; substituted slots are
     relabeled ``outerslot.innerslot``.
     """
+    slots = graft(p.slots, {label: q.slots for label, q in qs.items()})
     slot_modes = dict(p.slots)
     for label, q in qs.items():
-        if label not in slot_modes:
-            raise ValidationError(f"unknown slot {label!r} in composition")
         expected = slot_modes[label]
         if set(q.source.modes) != set(expected.modes):
             raise ValidationError(
@@ -123,8 +122,7 @@ def compose_kernel(p: Kernel, qs: Mapping[str, Kernel]) -> Kernel:
                 continue
             key = (x, f"{i}.{j}", z)
             entries[key] = entries.get(key, ZERO) + w * v
-    return Kernel(p.source, graft(p.slots, {l: q.slots for l, q in qs.items()}),
-                  entries)
+    return Kernel(p.source, slots, entries)
 
 
 def supp(k: Kernel) -> ModeRelation:
@@ -200,14 +198,13 @@ def aggr(k: PtKernel) -> Distribution:
 
 def compose_pt(p: PtKernel, qs: Mapping[str, PtKernel]) -> PtKernel:
     """Compose pointed kernels; inner source priors must match the slot priors."""
+    priors = graft(p.slot_priors.items(),
+                   {l: q.slot_priors.items() for l, q in qs.items()})
     for label, q in qs.items():
-        s = p.slot_priors.get(label)
-        if s is None or not q.source_prior.same_as(s):
+        if not q.source_prior.same_as(p.slot_priors[label]):
             raise ValidationError(
                 f"slot {label!r}: inner source prior does not match slot prior")
     kernel = compose_kernel(p.kernel, {l: q.kernel for l, q in qs.items()})
-    priors = graft(p.slot_priors.items(),
-                   {l: q.slot_priors.items() for l, q in qs.items()})
     return PtKernel(kernel, p.source_prior, dict(priors))
 
 

@@ -41,6 +41,20 @@ def incomplete_matching_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def ill_typed_matching_path(tmp_path_factory):
+    # the sides swap LengthSys and TempSys, and the matching pairs their
+    # leaves as if that were well typed
+    text = lsi_text().replace(
+        "equation phi(ls->lambda, ts->tau) = kappa(sn->sigma, ac->alpha)\n",
+        "equation phi(ls->tau, ts->lambda) = kappa(sn->sigma, ac->alpha) "
+        "matching { ls.ba ~ ac.ba, ls.bt ~ sn.bt, ls.rt ~ sn.rt, "
+        "ts.in ~ sn.in, ts.op ~ sn.op, ts.ch ~ ac.ch }\n")
+    path = tmp_path_factory.mktemp("models") / "ill_typed.opm"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def identity_model_text():
     """LSI plus an identity generator on Bath, used in an equation."""
     return (lsi_text()
@@ -155,6 +169,24 @@ class TestCheck:
                 "kappa(sn->sigma, ac->alpha): correspondence is not total "
                 "on left slots") in captured.out.splitlines()
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("functors", [["P"], ["M"], ["P", "M", "S"]],
+                             ids=" ".join)
+    def test_ill_typed_side_with_matching_is_not_folded(
+            self, ill_typed_matching_path, functors, capsys):
+        argv = ["check", ill_typed_matching_path]
+        argv += [arg for f in functors for arg in ("--functor", f)]
+        assert run(argv) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        error = ("  error: equation phi(ls->tau, ts->lambda) = "
+                 "kappa(sn->sigma, ac->alpha): slot 'ls' expects boundary "
+                 "LengthSys, got TempSys")
+        lines = captured.out.splitlines()
+        assert lines.count(error) == len(functors)
+        assert not [l for l in lines if " ~ " in l or "composed kernels" in l]
+        assert "    error: slot 'ls' expects boundary LengthSys, got TempSys" \
+            in lines
 
     @pytest.mark.parametrize("functors", [["P"], ["M"], ["P", "M", "S"]],
                              ids=" ".join)

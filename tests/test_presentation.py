@@ -27,6 +27,9 @@ from opmodel.presentation import (
     parse_term,
     resolve_leaf,
 )
+from opmodel.modes import compose_rel
+from opmodel.prob import compose_dist
+from opmodel.stoch import compose_kernel, compose_pt
 from randgen import FAULTS, leaf_paths_oracle, random_presentation, random_term
 
 
@@ -172,7 +175,8 @@ class TestCompile:
 
 class TestFoldedWalks:
     """``check_term`` and ``leaf_paths`` are folds; plain recursion and
-    ``elaborate`` are their oracles."""
+    ``elaborate`` are their oracles.  A fill of a missing slot has no leaf
+    paths: ``leaf_paths`` refuses it."""
 
     def test_random_terms_match_the_oracles(self):
         rng = random.Random(2009)
@@ -181,7 +185,11 @@ class TestFoldedWalks:
             pres, P = random_presentation(rng)
             fault = rng.choice(FAULTS)
             t = random_term(rng, pres, fault)
-            if fault != "generator":
+            if fault == "slot":
+                with pytest.raises(ValidationError, match=(
+                        "^unknown slot 'nowhere' in composition$")):
+                    leaf_paths(pres, t)
+            elif fault != "generator":
                 assert leaf_paths(pres, t) == leaf_paths_oracle(pres, t)
             try:
                 want = elaborate(pres, t).output
@@ -197,3 +205,36 @@ class TestFoldedWalks:
             assert P.fold(t).labels == tuple(p for p, _ in leaf_paths(pres, t))
             seen["identity" if "->id" in str(t) else "typed"] += 1
         assert set(seen) == {"typed", "identity", *FAULTS[1:]}, seen
+
+
+
+class TestStrayFills:
+    """``graft`` refuses a fill of a slot the outer value lacks, with one
+    message in every semantics: tau has slots ba, bt and rt, not x."""
+
+    STRAY = "^unknown slot 'x' in composition$"
+
+    @pytest.mark.parametrize("kind", ["dist", "rel", "kernel", "pt"])
+    @pytest.mark.parametrize("filled", ["x", "ba x"])
+    def test_compose_refuses(self, lsi, kind, filled):
+        P, M, S = (lsi.prob_functors["P"], lsi.mode_functors["M"],
+                   lsi.stoch_functors["S"])
+        compose, value = {
+            "dist": (compose_dist, P.__getitem__),
+            "rel": (compose_rel, M.relation_of),
+            "kernel": (compose_kernel, S.kernels.__getitem__),
+            "pt": (compose_pt, lambda g: S.pt_kernel(lsi.presentation, g)),
+        }[kind]
+        with pytest.raises(ValidationError, match=self.STRAY):
+            compose(value("tau"), {s: value("beta") for s in filled.split()})
+
+    @pytest.mark.parametrize("fold", ["leaf_paths", "P", "M", "S"])
+    def test_folds_refuse(self, lsi, fold):
+        pres = lsi.presentation
+        t = parse_term("tau(ba->beta, x->beta)")
+        run = {"leaf_paths": lambda: leaf_paths(pres, t),
+               "P": lambda: lsi.prob_functors["P"].fold(t),
+               "M": lambda: lsi.mode_functors["M"].fold(t),
+               "S": lambda: lsi.stoch_functors["S"].fold(pres, t)}[fold]
+        with pytest.raises(ValidationError, match=self.STRAY):
+            run()

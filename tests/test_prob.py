@@ -75,7 +75,8 @@ class TestComposeDist:
 
     def test_unknown_label_rejected(self):
         p = distribution(a=F(1))
-        with pytest.raises(ValidationError, match="unknown label"):
+        with pytest.raises(ValidationError,
+                           match="^unknown slot 'zz' in composition$"):
             compose_dist(p, {"zz": distribution(c=F(1))})
 
     def test_normalization_and_associativity(self):

@@ -1,7 +1,10 @@
 """Whole-model oracles: generated balanced models against the references
 that ``benchmarks/synth.py`` computes without calling ``opmodel``."""
 import functools
+import itertools
+import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -90,3 +93,104 @@ def test_joint_lifting(source, lsi):
         assert opmodel.aggr(k).as_dict() == P.fold(t).as_dict(), str(t)
         assert opmodel.supp(k.kernel) == M.fold(t), str(t)
         assert opmodel.pt_condition(k).holds, str(t)
+
+
+# ------------------------------------------------------ metamorphic relations
+
+KEYWORDS = {"interface", "boundary", "architecture", "wire", "expose",
+            "equation", "matching", "prob", "modes", "rel", "stoch", "prior",
+            "kernel", "physical", "digital"}
+NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def renamed(text: str, rng: random.Random) -> tuple[str, dict[str, str]]:
+    """``text`` with every generator, slot, boundary and mode renamed to a
+    fresh name, fresh names drawn in a shuffled order so that sorting by
+    name changes, and the map from fresh names back to the old ones."""
+    model = opmodel.parse(text)
+    pres = model.presentation
+    names = {*pres.generators, *pres.boundaries}
+    names |= {s for arch in pres.generators.values() for s in arch.slots}
+    names |= {m for M in model.mode_functors.values()
+              for ms in M.mode_sets.values() for m in ms.modes}
+    assert not names & KEYWORDS
+    fresh = [f"q{i:03d}" for i in range(len(names))]
+    assert not set(fresh) & set(NAME.findall(text))
+    rng.shuffle(fresh)
+    forward = dict(zip(sorted(names), fresh))
+    return (NAME.sub(lambda m: forward.get(m[0], m[0]), text),
+            {new: old for old, new in forward.items()})
+
+
+def permuted(text: str, rng: random.Random) -> str:
+    """``text``, as ``serialize`` writes it, with each run of sibling
+    declarations of one kind (and the entries of every block) shuffled."""
+    lines = iter(line for line in text.splitlines() if line.strip())
+
+    def kind(line: str) -> str:
+        word = line.split()[0]
+        return word if word in KEYWORDS else "entry"
+
+    def block() -> list[str]:
+        items, close = [], []
+        for line in lines:
+            if line.strip() == "}":
+                close = [line]
+                break
+            items.append((kind(line),
+                          [line, *block()] if line.endswith("{") else [line]))
+        out = []
+        for _, run in itertools.groupby(items, key=lambda item: item[0]):
+            run = list(run)
+            rng.shuffle(run)
+            out += [line for _, group in run for line in group]
+        return out + close
+
+    return "\n".join(block()) + "\n"
+
+
+def check_report(text: str, tmp_path, back: dict[str, str] | None = None):
+    """``check P M S --format json`` of a model, with fresh names mapped back
+    and the lists that follow declaration order sorted: compile errors,
+    equation results, functor errors and the per-generator lifting rows.
+    The models checked have one equation, so the P and M rows keep the
+    order of its leaves."""
+    path = tmp_path / "model.opm"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["check", str(path), "--functor", "P",
+                              "--functor", "M", "--functor", "S",
+                              "--format", "json"])
+    assert err == ""
+    if back:
+        out = NAME.sub(lambda m: back.get(m[0], m[0]), out)
+    report = json.loads(out)
+    arch = report["architecture"]
+    arch["errors"].sort()
+    arch["equation_results"].sort(key=json.dumps)
+    for f in report["functors"]:
+        f["errors"].sort()
+        if f["kind"] == "stoch":
+            per_gen = [r for r in f["rows"]
+                       if not r["subject"].startswith("equation ")]
+            f["rows"][:len(per_gen)] = sorted(per_gen, key=json.dumps)
+    return code, report
+
+
+@pytest.mark.parametrize("source", ["lsi", "synth", "synth twin"])
+def test_renaming_and_permutation_change_only_names(source, tmp_path):
+    """Renaming generators, slots, boundaries and modes consistently, or
+    permuting the order of declarations, changes the ``check`` report only
+    by that renaming (metamorphic testing)."""
+    if source == "lsi":
+        text = opmodel.lsi_text()
+    else:
+        m = synth_model(2, 1)  # 16 leaves
+        text = m.twin_text if source.endswith("twin") else m.text
+    want = check_report(text, tmp_path)
+    canon = opmodel.serialize(opmodel.parse(text))
+    rng = random.Random(source)
+    name_swap, back = renamed(canon, rng)
+    assert check_report(name_swap, tmp_path, back) == want
+    assert check_report(permuted(canon, rng), tmp_path) == want
+    name_swap, back = renamed(canon, rng)
+    assert check_report(permuted(name_swap, rng), tmp_path, back) == want

@@ -186,13 +186,14 @@ def test_repr_names_the_class_and_fields():
 
 
 def test_cli_import_leaves_out_dataclasses_and_loads_every_layer():
-    """A one-shot ``opmodel`` pays for ``dataclasses`` and ``inspect`` only if
-    it imports them; the layers listed are those benchmarks/tracing.py wraps."""
+    """A one-shot ``opmodel`` pays for ``dataclasses``, ``inspect`` and
+    ``importlib.resources`` (which only ``corpus.lsi_text`` uses) only if it
+    imports them; the layers listed are those benchmarks/tracing.py wraps."""
     src = Path(opmodel.__file__).resolve().parents[1]
     code = "import opmodel.cli, sys; print(*sorted(sys.modules), sep='\\n')"
     loaded = set(subprocess.run(
         [sys.executable, "-S", "-c", code], check=True, capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout.split())
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
     assert {f"opmodel.{m}" for m in ("dsl", "presentation", "portgraph", "prob",
                                      "modes", "stoch", "rates", "cli")} <= loaded
