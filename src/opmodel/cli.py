@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .dsl import DslError, Model, parse
+from .dsl import DslError, Model, parse, parse_rational
 from .modes import check_mode_functor
 from .portgraph import PortGraphError, lookup
 from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term, resolve_leaf
@@ -46,11 +46,12 @@ def _load_model(path: str) -> Model:
 
 def _tolerance(args: argparse.Namespace) -> Fraction:
     try:
-        tolerance = Fraction(args.tolerance)
+        tolerance = parse_rational(args.tolerance)
+    except DslError:
+        pass
+    else:
         if tolerance >= 0:
             return tolerance
-    except (ValueError, ZeroDivisionError):
-        pass
     raise CliError(f"bad tolerance {args.tolerance!r}")
 
 

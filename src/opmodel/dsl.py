@@ -95,16 +95,24 @@ def _tokenize(text: str) -> list[str]:
     """The tokens of ``text`` as plain strings, then ``""`` for end of input.
 
     Tokens carry no position: ``_located`` recomputes positions when an
-    error needs one.
+    error needs one.  No token spans whitespace, so each distinct
+    whitespace-separated chunk is scanned once, and its repeats share the
+    same token strings.
     """
     code = _COMMENT_RE.sub("", text) if "#" in text else text
-    tokens = _TOKEN_RE.findall(code)
-    # the tokens cover all of ``code`` but its whitespace (str.split and \s
-    # agree on what that is), unless findall skipped a character outside the
-    # grammar; then the located scan raises at the first one
-    if "".join(tokens) != "".join(code.split()):
-        for _ in _located(text):
-            pass
+    chunks: dict[str, list[str]] = {}
+    tokens: list[str] = []
+    for chunk in code.split():
+        found = chunks.get(chunk)
+        if found is None:
+            found = chunks[chunk] = _TOKEN_RE.findall(chunk)
+            # findall skips a character outside the grammar; then the
+            # located scan raises at the first one (str.split and \s agree
+            # on what whitespace is)
+            if "".join(found) != chunk:
+                for _ in _located(text):
+                    pass
+        tokens += found
     tokens.append("")
     return tokens
 
@@ -592,13 +600,24 @@ def parse(text: str) -> Model:
     return _Parser(text).parse()
 
 
-def parse_free_term(text: str) -> Term:
-    """Parse a ``gen(slot->gen, ...)`` term on its own; names are not resolved."""
+def _parse_whole(text: str, read: Callable[[_Parser], T]) -> T:
+    """``read`` from a parser over ``text``, which must hold nothing more."""
     parser = _Parser(text)
-    term = parser.parse_term(resolve=False)
+    value = read(parser)
     if parser.peek():
         raise parser.error(f"trailing input {parser.peek()!r}")
-    return term
+    return value
+
+
+def parse_free_term(text: str) -> Term:
+    """Parse a ``gen(slot->gen, ...)`` term on its own; names are not resolved."""
+    return _parse_whole(text, lambda parser: parser.parse_term(resolve=False))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a number on its own, as ``.opm`` writes one: an integer, a
+    finite decimal, or either over an integer denominator (``a/b``)."""
+    return _parse_whole(text, _Parser.rational)
 
 
 def serialize(model: Model) -> str:

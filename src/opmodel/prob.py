@@ -8,8 +8,9 @@ architectures induces equations between products of probabilities.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
-from typing import Mapping, NamedTuple
+from typing import Collection, Mapping, NamedTuple
 
 from .portgraph import ValidationError, Value, graft, lookup
 from .presentation import (
@@ -38,6 +39,18 @@ def format_probability(p: Fraction) -> str:
     return f"{p} ({percent(p):g}%)"
 
 
+EXACT = (Fraction, int)  # the probability types whose sums are checked exactly
+
+
+def exact_sum(values: Collection[Fraction | int]) -> tuple[int, int]:
+    """``sum(values)`` as an unreduced ``(numerator, denominator)`` pair,
+    over the lcm of the values' denominators: integer sums, no gcd per
+    addition."""
+    dens = [v.denominator for v in values]
+    d = lcm(*dens)
+    return sum(v.numerator * (d // e) for v, e in zip(values, dens)), d
+
+
 class Distribution(Value):
     """An ordered finite probability distribution with unique labels."""
 
@@ -49,9 +62,13 @@ class Distribution(Value):
         if len(set(labels)) != len(labels):
             raise ValidationError("distribution labels must be unique")
         for l, p in entries:
-            if not (ZERO <= p <= ONE):
+            if not isinstance(p, EXACT):
+                raise ValidationError(
+                    f"probability {l}: {p!r} is not an int or Fraction")
+            if not 0 <= p.numerator <= p.denominator:
                 raise ValidationError(f"probability {l}: {p} outside [0, 1]")
-        if sum(p for _, p in entries) != ONE:
+        n, d = exact_sum([p for _, p in entries])
+        if n != d:
             raise ValidationError("distribution does not sum to 1")
 
     @property

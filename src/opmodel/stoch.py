@@ -8,6 +8,7 @@ priors yields pointed kernels, which project onto plain slot probabilities
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
 from .modes import ModeFunctor, ModeRelation, ModeSet, check_totality
@@ -20,7 +21,14 @@ from .presentation import (
     check_term,
     fold_term,
 )
-from .prob import Distribution, ProbFunctor, check_arity, format_probability
+from .prob import (
+    EXACT,
+    Distribution,
+    ProbFunctor,
+    check_arity,
+    exact_sum,
+    format_probability,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -38,15 +46,20 @@ class Point(Value):
             if m not in modes:
                 raise ValidationError(
                     f"prior on {modes.boundary}: unknown mode {m!r}")
-            if p < ZERO:
+            if not isinstance(p, EXACT):
+                raise ValidationError(
+                    f"prior on {modes.boundary}: mass {p!r} on {m!r} is not "
+                    f"an int or Fraction")
+            if p.numerator < 0:
                 raise ValidationError(
                     f"prior on {modes.boundary}: negative mass on {m!r}")
-        if sum(probs.values(), ZERO) != ONE:
+        n, d = exact_sum(probs.values())
+        if n != d:
             raise ValidationError(
                 f"prior on {modes.boundary} does not sum to 1")
         self.modes = modes
         # store only positive entries, so equal priors compare equal
-        self.probs = {m: p for m, p in probs.items() if p > ZERO}
+        self.probs = {m: p for m, p in probs.items() if p}
 
     def __getitem__(self, mode: str) -> Fraction:
         return self.probs.get(mode, ZERO)
@@ -66,9 +79,12 @@ class Kernel(Value):
         slot_modes = dict(slots)
         if len(slot_modes) != len(slots):
             raise ValidationError("duplicate kernel slot labels")
-        rows = dict.fromkeys(source.modes, ZERO)
+        # each row is summed over the lcm of its own denominators: one lcm
+        # for the whole kernel grows with the number of distinct ones
+        rows: dict[str, list[Fraction]] = {x: [] for x in source.modes}
         for (x, i, y), p in entries.items():
-            if x not in rows:
+            row = rows.get(x)
+            if row is None:
                 raise ValidationError(
                     f"kernel: unknown source mode {x!r} on {source.boundary}")
             if i not in slot_modes:
@@ -76,13 +92,19 @@ class Kernel(Value):
             if y not in slot_modes[i]:
                 raise ValidationError(
                     f"kernel: unknown mode {y!r} on slot {i}")
-            if p < ZERO:
-                raise ValidationError(f"kernel entry ({x} -> {i}.{y}) negative")
-            rows[x] += p
-        for x, row in rows.items():
-            if row != ONE:
+            if not isinstance(p, EXACT):
                 raise ValidationError(
-                    f"kernel row for {source.boundary}.{x} sums to {row}")
+                    f"kernel entry ({x} -> {i}.{y}): {p!r} is not an int or "
+                    f"Fraction")
+            if p.numerator < 0:
+                raise ValidationError(f"kernel entry ({x} -> {i}.{y}) negative")
+            row.append(p)
+        for x, row in rows.items():
+            n, d = exact_sum(row)
+            if n != d:
+                raise ValidationError(
+                    f"kernel row for {source.boundary}.{x} sums to "
+                    f"{Fraction(n, d)}")
         self.source, self.slots = source, slots
         # store only positive entries, so equal kernels compare equal
         self.entries = {k: p for k, p in entries.items() if p}
@@ -159,19 +181,38 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
     Slots of zero aggregate weight are reported as violations, since their
     priors would be unconstrained.  The report carries each slot's aggregate
     weight |p|(i), from the same single pass over the stored entries.
+
+    The marginals are integer numerators over one denominator ``c``.  Row x
+    of lcm ``d`` adds r(x)/d, reduced, times its integer entries p * d, so
+    a prior that cancels a row's denominators keeps ``c`` small; each
+    marginal is compared with |p|(i) s_i(y) by cross-multiplying.
     """
-    r = k.source_prior
-    marginals: dict[str, dict[str, Fraction]] = {l: {} for l, _ in k.kernel.slots}
+    probs = k.source_prior.probs
+    rows: dict[str, list[tuple[str, str, int, int]]] = {}
     for (x, i, y), p in k.kernel.entries.items():
-        marginals[i][y] = marginals[i].get(y, ZERO) + r[x] * p
+        if x in probs:
+            rows.setdefault(x, []).append((i, y, p.numerator, p.denominator))
+    weighted: list[tuple[int, int, int, list]] = []
+    for x, row in rows.items():
+        q, d = probs[x], lcm(*[e for _, _, _, e in row])
+        g = gcd(q.numerator, d)
+        weighted.append((q.numerator // g, q.denominator * (d // g), d, row))
+    c = lcm(*[qd for _, qd, _, _ in weighted])
+    marginals: dict[str, dict[str, int]] = {l: {} for l, _ in k.kernel.slots}
+    for qn, qd, d, row in weighted:
+        f = qn * (c // qd)
+        for i, y, n, e in row:
+            masses = marginals[i]
+            masses[y] = masses.get(y, 0) + f * n * (d // e)
     aggregate: list[tuple[str, Fraction]] = []
     violations: list[str] = []
     max_res = ZERO
     for label, ms in k.kernel.slots:
         masses = marginals[label]
-        weight = sum(masses.values(), ZERO)
+        w = sum(masses.values())
+        weight = Fraction(w, c)
         aggregate.append((label, weight))
-        if weight == ZERO:
+        if not w:
             violations.append(f"slot {label} has zero aggregate weight")
             continue
         s = k.slot_priors.get(label)
@@ -179,14 +220,17 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
             violations.append(f"slot {label} has no prior")
             continue
         for y in ms.modes:
-            lhs = masses.get(y, ZERO)
-            rhs = weight * s[y]
-            res = abs(lhs - rhs)
-            max_res = max(max_res, res)
+            sy = s[y]
+            lhs = masses.get(y, 0)
+            # |lhs/c - (w/c) sy| over the denominator c * sy.denominator
+            diff = abs(lhs * sy.denominator - w * sy.numerator)
+            res = Fraction(diff, c * sy.denominator) if diff else ZERO
+            if res > max_res:
+                max_res = res
             if res > tolerance:
                 violations.append(
-                    f"slot {label}, mode {y}: marginal {lhs} != "
-                    f"{weight} * {s[y]}")
+                    f"slot {label}, mode {y}: marginal {Fraction(lhs, c)} != "
+                    f"{weight} * {sy}")
     return PtConditionReport(not violations, max_res, tuple(violations),
                              tuple(aggregate))
 

@@ -205,6 +205,20 @@ def random_distribution(rng: random.Random,
         (l, w / total) for l, w in zip(labels, weights)))
 
 
+def distribution_check_oracle(entries: Sequence[tuple[str, Fraction]]) -> str:
+    """The first message ``Distribution(entries)`` raises, or ``""`` if it
+    accepts them, from a plain ``Fraction`` sum."""
+    labels = [l for l, _ in entries]
+    if len(set(labels)) != len(labels):
+        return "distribution labels must be unique"
+    for l, p in entries:
+        if not 0 <= p <= 1:
+            return f"probability {l}: {p} outside [0, 1]"
+    if sum((p for _, p in entries), Fraction(0)) != 1:
+        return "distribution does not sum to 1"
+    return ""
+
+
 # ------------------------------------------------------------------ relations
 
 def random_modeset(rng: random.Random, boundary: str,
@@ -261,6 +275,32 @@ def random_kernel(rng: random.Random, source: ModeSet,
     return Kernel(source, slots, entries)
 
 
+def kernel_check_oracle(source: ModeSet,
+                        slots: tuple[tuple[str, ModeSet], ...],
+                        entries: Mapping[tuple[str, str, str], Fraction]
+                        ) -> str:
+    """The first message ``Kernel(source, slots, entries)`` raises, or
+    ``""`` if it accepts them, from plain ``Fraction`` row sums."""
+    slot_modes = dict(slots)
+    if len(slot_modes) != len(slots):
+        return "duplicate kernel slot labels"
+    rows = {x: Fraction(0) for x in source.modes}
+    for (x, i, y), p in entries.items():
+        if x not in rows:
+            return f"kernel: unknown source mode {x!r} on {source.boundary}"
+        if i not in slot_modes:
+            return f"kernel: unknown slot {i!r}"
+        if y not in slot_modes[i].modes:
+            return f"kernel: unknown mode {y!r} on slot {i}"
+        if p < 0:
+            return f"kernel entry ({x} -> {i}.{y}) negative"
+        rows[x] += p
+    for x, row in rows.items():
+        if row != 1:
+            return f"kernel row for {source.boundary}.{x} sums to {row}"
+    return ""
+
+
 def compose_kernel_oracle(p: Kernel, qs: Mapping[str, Kernel]) -> dict:
     """Triple-loop marginalization over the intermediate modes."""
     entries: dict = defaultdict(Fraction)
@@ -288,6 +328,19 @@ def random_point(rng: random.Random, ms: ModeSet,
                                       allow_zero=not strictly_positive)
     total = sum(weights)
     return Point(ms, {m: w / total for m, w in zip(ms.modes, weights)})
+
+
+def point_check_oracle(ms: ModeSet, probs: Mapping[str, Fraction]) -> str:
+    """The first message ``Point(ms, probs)`` raises, or ``""`` if it
+    accepts them, from a plain ``Fraction`` sum."""
+    for m, p in probs.items():
+        if m not in ms.modes:
+            return f"prior on {ms.boundary}: unknown mode {m!r}"
+        if p < 0:
+            return f"prior on {ms.boundary}: negative mass on {m!r}"
+    if sum(probs.values(), Fraction(0)) != 1:
+        return f"prior on {ms.boundary} does not sum to 1"
+    return ""
 
 
 def slot_marginal_oracle(k: PtKernel) -> dict[tuple[str, str], Fraction]:

@@ -441,6 +441,37 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err == "error: bad tolerance '-1'\n"
 
+    @pytest.mark.parametrize("text, value", [
+        ("0", "0"), ("-0", "0"), ("1/2", "1/2"), ("0.25", "1/4"),
+        ("0.5/2", "1/4"), (" 3 / 4 ", "3/4")])
+    def test_tolerance_is_an_opm_number(self, model_path, capsys, text,
+                                        value):
+        assert run(["check", model_path, "--functor", "P", "--format",
+                    "json", "--tolerance", text]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tolerance"] == value
+
+    @pytest.mark.parametrize("text", [
+        "1e5", "1E-3", "1_0", ".5", "5.", "+1", "1/-2", "1/0", "1/2.0",
+        "nan", "inf", "", "1 2", "@"])
+    def test_tolerance_outside_the_opm_grammar_exits_two(
+            self, model_path, capsys, text):
+        assert run(["check", model_path, "--functor", "P",
+                    "--tolerance", text]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad tolerance {text!r}\n"
+
+    def test_huge_exponent_tolerance_exits_promptly(self, model_path):
+        # an exponent is refused by the grammar, before any arithmetic
+        src = str(Path(opmodel.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "opmodel.cli", "check", model_path,
+             "--functor", "P", "--tolerance", "1e-100000000"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=10)
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr == "error: bad tolerance '1e-100000000'\n"
+
 
 class TestMutants:
     """Seeded mutants of the bundled model: every ``cli.run`` ends in exit
