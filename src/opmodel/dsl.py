@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Container, Iterator, TypeVar
+from typing import Callable, Container, Iterator, Mapping, TypeVar
 
 from .modes import ModeFunctor, ModeRelation, ModeSet
 from .portgraph import (
@@ -145,7 +145,10 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
+        self.tokens += [""] * 8  # so that no entry's slice runs short
         self.pos = 0
+        # each number spelling read so far, ``a`` or ``(a, b)`` for ``a/b``
+        self.numbers: dict[str | tuple[str, str], Fraction] = {}
         self.type_table: dict[str, str] = {}
         self.boundaries: dict[str, Boundary] = {}
         self.generators: dict[str, Architecture] = {}
@@ -156,9 +159,6 @@ class _Parser:
 
     # token helpers: a token is its text; errors name it by its index ----
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
     def error(self, message: str, index: int | None = None) -> DslError:
         """A ``DslError`` at token ``index``, by default the next token."""
         if index is None:
@@ -166,13 +166,12 @@ class _Parser:
         _, line, col = next(islice(_located(self.text), index, None))
         return DslError(message, line, col)
 
-    def expect(self, value: str) -> int:
-        """Consume ``value`` and return its index."""
+    def expect(self, value: str) -> None:
+        """Consume ``value``."""
         tok = self.tokens[self.pos]
         if tok != value:
             raise self.error(f"expected {value!r}, got {tok!r}")
         self.pos += 1
-        return self.pos - 1
 
     def ident(self, what: str = "identifier") -> str:
         tok = self.tokens[self.pos]
@@ -190,9 +189,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at(self, value: str) -> bool:
-        return self.tokens[self.pos] == value
-
     def accept(self, value: str) -> bool:
         """Consume the next token if it is ``value``."""
         if self.tokens[self.pos] == value:
@@ -200,22 +196,37 @@ class _Parser:
             return True
         return False
 
+    def items(self, close: str, commas: bool = True) -> Iterator[int]:
+        """The index of each entry's first token up to ``close``, which is
+        then consumed, as is a comma after an entry when ``commas``."""
+        tokens = self.tokens
+        while tokens[self.pos] != close:
+            yield self.pos
+            if commas and tokens[self.pos] == ",":
+                self.pos += 1
+        self.pos += 1
+
     def rational(self) -> Fraction:
-        tok = self.peek()
-        if not _is_number(tok):
-            raise self.error(f"expected a number, got {tok!r}")
-        value = self.number(tok)
-        self.pos += 1
-        if not self.accept("/"):
-            return Fraction(value)
-        den = self.peek()
-        if not _is_number(den) or "." in den:
-            raise self.error("expected an integer denominator")
-        denominator = self.number(den)
-        if denominator == 0:
-            raise self.error("zero denominator")
-        self.pos += 1
-        return Fraction(value, denominator)
+        """A number, ``a`` or ``a/b``: each spelling is checked and built
+        once per parse, and its repeats share one ``Fraction``."""
+        tokens, i = self.tokens, self.pos
+        slash = tokens[i + 1] == "/"
+        key = (tokens[i], tokens[i + 2]) if slash else tokens[i]
+        value = self.numbers.get(key)
+        if value is None:
+            if not _is_number(tokens[i]):
+                raise self.error(f"expected a number, got {tokens[i]!r}")
+            value, denominator = self.number(tokens[i]), 1
+            if slash:
+                self.pos = i + 2
+                if not _is_number(tokens[i + 2]) or "." in tokens[i + 2]:
+                    raise self.error("expected an integer denominator")
+                denominator = self.number(tokens[i + 2])
+                if denominator == 0:
+                    raise self.error("zero denominator")
+            value = self.numbers[key] = Fraction(value, denominator)
+        self.pos = i + 3 if slash else i + 1
+        return value
 
     def number(self, tok: str) -> Fraction | int:
         """The exact value of number token ``tok``, the next token: a
@@ -234,20 +245,16 @@ class _Parser:
             raise self.error(f"duplicate {what} {tok!r}", self.pos - 1)
         return tok
 
-    def boundary(self, seen: Container[str] = ()) -> Boundary:
-        tok = self.ident("boundary name")
-        b = self.boundaries.get(tok)
-        if b is None:
-            raise self.error(f"unknown boundary {tok!r}", self.pos - 1)
-        self.fresh(tok, seen, "boundary")
-        return b
-
-    def generator(self, seen: Container[str] = ()) -> tuple[str, Architecture]:
-        tok = self.ident("generator name")
-        arch = self.generators.get(tok)
-        if arch is None:
-            raise self.error(f"unknown generator {tok!r}", self.pos - 1)
-        return self.fresh(tok, seen, "generator"), arch
+    def known(self, table: Mapping[str, T], what: str,
+              seen: Container[str] = ()) -> tuple[str, T]:
+        """A name that ``table`` holds and ``seen`` lacks, with its value."""
+        tok = self.tokens[self.pos]
+        value = table.get(tok)
+        if value is None:
+            self.ident(f"{what} name")  # raises unless ``tok`` is a name
+            raise self.error(f"unknown {what} {tok!r}", self.pos - 1)
+        self.pos += 1
+        return self.fresh(tok, seen, what), value
 
     def slot(self, gen: str, slots: Container[str] | None,
              seen: Container[str] = ()) -> str:
@@ -272,12 +279,13 @@ class _Parser:
                 f"unknown mode {tok!r} on {modes.boundary}", self.pos - 1)
         return tok
 
-    def build(self, close: int, make: Callable[..., T], *args) -> T:
-        """``make(*args)``, its validation error located at token ``close``."""
+    def build(self, make: Callable[..., T], *args) -> T:
+        """``make(*args)``, its validation error located at the token just
+        read, the bracket that closes the value's text."""
         try:
             return make(*args)
         except ValidationError as exc:
-            raise self.error(str(exc), close) from exc
+            raise self.error(str(exc), self.pos - 1) from exc
 
     # top-level ----------------------------------------------------------
 
@@ -291,10 +299,11 @@ class _Parser:
             "modes": self.parse_modes,
             "stoch": self.parse_stoch,
         }
-        while tok := self.peek():
+        while tok := self.tokens[self.pos]:
             handler = handlers.get(tok)
             if handler is None:
                 raise self.error(f"unexpected {tok!r}")
+            self.pos += 1  # each handler reads what follows its keyword
             handler()
         pres = OperadPresentation(
             TypeTable(self.type_table), self.boundaries, self.generators,
@@ -303,7 +312,6 @@ class _Parser:
                      self.stoch_functors)
 
     def parse_interface(self) -> None:
-        self.expect("interface")
         index = self.pos
         name = self.ident("interface name")
         kind = self.ident("interface kind")
@@ -315,53 +323,55 @@ class _Parser:
         self.type_table[name] = kind
 
     def parse_boundary(self) -> None:
-        self.expect("boundary")
         name = self.fresh(self.ident("boundary name"), self.boundaries,
                           "boundary")
         self.expect("{")
-        ports: list[str] = []
         port_type: dict[str, str] = {}
-        while not self.at("}"):
-            index = self.pos
-            port = self.ident("port name")
-            self.expect(":")
-            ptype = self.ident("interface type")
-            if ptype not in self.type_table:
-                raise self.error(f"unknown interface {ptype!r}", index + 2)
-            if port in port_type:
-                raise self.error(f"duplicate port {port!r}", index)
-            ports.append(port)
+        for i in self.items("}"):
+            port, colon, ptype = self.tokens[i:i + 3]
+            if (colon == ":" and ptype in self.type_table
+                    and port.isidentifier() and port not in port_type):
+                self.pos += 3
+            else:  # read token by token, to raise the located error
+                port = self.ident("port name")
+                self.expect(":")
+                ptype = self.ident("interface type")
+                if ptype not in self.type_table:
+                    raise self.error(f"unknown interface {ptype!r}", i + 2)
+                if port in port_type:
+                    raise self.error(f"duplicate port {port!r}", i)
             port_type[port] = ptype
-            self.accept(",")
-        self.expect("}")
-        self.boundaries[name] = Boundary(name, tuple(ports), port_type)
+        self.boundaries[name] = Boundary(name, tuple(port_type), port_type)
 
     def parse_architecture(self) -> None:
-        self.expect("architecture")
         name = self.fresh(self.ident("architecture name"), self.generators,
                           "architecture")
         self.expect(":")
         self.expect("(")
         slots: dict[str, Boundary] = {}
-        while not self.at(")"):
-            index = self.pos
+        for i in self.items(")"):
             slot = self.ident("slot label")
             self.expect(":")
-            b = self.boundary()
+            _, b = self.known(self.boundaries, "boundary")
             if slot in slots:
-                raise self.error(f"duplicate slot {slot!r}", index)
+                raise self.error(f"duplicate slot {slot!r}", i)
             slots[slot] = b
-            self.accept(",")
-        self.expect(")")
         self.expect("->")
-        output = self.boundary()
+        _, output = self.known(self.boundaries, "boundary")
         self.expect("{")
+        ports = {(s, p) for s, b in slots.items() for p in b.port_type}
 
         # each wire is the list of its ports, first-named slot port first
         wires: list[list[PortRef]] = []
         wire_of: dict[PortRef, list[PortRef]] = {}
 
         def slot_ref(unwired: bool = False) -> PortRef:
+            """A ``slot.port`` reference, on no wire yet when ``unwired``."""
+            slot, dot, port = self.tokens[self.pos:self.pos + 3]
+            ref = PortRef(slot, port)
+            if dot == "." and ref in ports and not (unwired and ref in wire_of):
+                self.pos += 3
+                return ref
             slot = self.ident("slot label")
             b = slots.get(slot)
             if b is None:
@@ -385,7 +395,7 @@ class _Parser:
             w.extend(refs)
             wire_of.update(dict.fromkeys(refs, w))
 
-        while not self.at("}"):
+        for _ in self.items("}", commas=False):
             if self.keyword("wire", "expose") == "wire":
                 refs = [slot_ref(unwired=True)]
                 self.expect("=")
@@ -393,32 +403,29 @@ class _Parser:
                 while self.accept("="):
                     refs.append(slot_ref(unwired=True))
                 join(refs)
-            else:
-                ref = slot_ref()
-                self.expect("->")
-                port = self.ident("outer port name")
-                if port not in output.port_type:
-                    raise self.error(f"unknown port {port} on {output.name}",
-                                     self.pos - 1)
-                out_ref = PortRef(None, port)
-                if out_ref in wire_of:
-                    raise self.error(f"port {port} exposed twice",
-                                     self.pos - 1)
-                join([ref, out_ref], wire_of.get(ref))
-        close = self.expect("}")
+                continue
+            ref = slot_ref()
+            self.expect("->")
+            port = self.ident("outer port name")
+            if port not in output.port_type:
+                raise self.error(f"unknown port {port} on {output.name}",
+                                 self.pos - 1)
+            out_ref = PortRef(None, port)
+            if out_ref in wire_of:
+                raise self.error(f"port {port} exposed twice", self.pos - 1)
+            join([ref, out_ref], wire_of.get(ref))
 
         # unique-match auto-exposure of the remaining ports
         for port in output.ports:
-            if PortRef(None, port) in wire_of:
+            if (None, port) in wire_of:
                 continue
-            candidates = [PortRef(s, port) for s, b in slots.items()
-                          if port in b.port_type
-                          and PortRef(s, port) not in wire_of]
+            candidates = [PortRef(s, port) for s in slots
+                          if (s, port) in ports and (s, port) not in wire_of]
             if len(candidates) > 1:
                 raise self.error(
                     f"architecture {name}: ambiguous auto-exposure of "
                     f"port {port} (candidates {', '.join(map(str, candidates))})",
-                    close)
+                    self.pos - 1)
             if candidates:
                 join([candidates[0], PortRef(None, port)])
 
@@ -434,7 +441,7 @@ class _Parser:
     def parse_term(self, resolve: bool = True) -> Term:
         """A term; ``resolve`` checks its generator and slot names."""
         if resolve:
-            gen, arch = self.generator()
+            gen, arch = self.known(self.generators, "generator")
             slots = arch.slots
         else:
             gen, slots = self.ident("generator name"), None
@@ -456,7 +463,6 @@ class _Parser:
         return ".".join(parts)
 
     def parse_equation(self) -> None:
-        self.expect("equation")
         lhs = self.parse_term()
         self.expect("=")
         rhs = self.parse_term()
@@ -464,119 +470,117 @@ class _Parser:
         if self.accept("matching"):
             self.expect("{")
             mapping: dict[str, str] = {}
-            while not self.at("}"):
+            for _ in self.items("}"):
                 left = self.parse_path()
                 self.expect("~")
                 mapping[left] = self.parse_path()
-                self.accept(",")
-            self.expect("}")
             corr = ComponentCorrespondence(mapping)
         self.equations.append(CoherenceEquation(lhs, rhs, corr))
 
     # functor blocks -------------------------------------------------------
 
     def parse_prob(self) -> None:
-        self.expect("prob")
         name = self.functor_name()
         self.expect("{")
         dists: dict[str, Distribution] = {}
-        while not self.at("}"):
-            gen, arch = self.generator(dists)
+        for _ in self.items("}", commas=False):
+            gen, arch = self.known(self.generators, "generator", dists)
+            slots = arch.slots
             self.expect("=")
             self.expect("(")
             values: dict[str, Fraction] = {}
-            while not self.at(")"):
-                slot = self.slot(gen, arch.slots, values)
-                self.expect(":")
+            for i in self.items(")"):
+                slot, colon = self.tokens[i:i + 2]
+                if colon == ":" and slot in slots and slot not in values:
+                    self.pos += 2
+                else:
+                    slot = self.slot(gen, slots, values)
+                    self.expect(":")
                 values[slot] = self.rational()
-                self.accept(",")
-            close = self.expect(")")
-            dists[gen] = self.build(close, Distribution, tuple(
-                (s, values[s]) for s in arch.slots if s in values))
-            if set(values) != set(arch.slots):
+            dists[gen] = self.build(Distribution, tuple(
+                (s, values[s]) for s in slots if s in values))
+            if len(values) != len(slots):
                 raise self.error(
-                    f"distribution for {gen} does not cover all slots", close)
-        self.expect("}")
+                    f"distribution for {gen} does not cover all slots",
+                    self.pos - 1)
         self.prob_functors[name] = ProbFunctor(dists, name)
 
     def parse_modes(self) -> None:
-        self.expect("modes")
         name = self.functor_name()
         self.expect("{")
         mode_sets: dict[str, ModeSet] = {}
         relations: dict[str, ModeRelation] = {}
-        while not self.at("}"):
+        for _ in self.items("}", commas=False):
             if self.keyword("modes", "rel") == "modes":
-                b = self.boundary(mode_sets)
+                bname, _ = self.known(self.boundaries, "boundary", mode_sets)
                 self.expect("=")
                 self.expect("{")
-                modes: list[str] = []
-                while not self.at("}"):
-                    modes.append(self.mode(None))
-                    self.accept(",")
-                close = self.expect("}")
-                mode_sets[b.name] = self.build(
-                    close, ModeSet, b.name, tuple(modes))
-            else:
-                gen, arch = self.generator(relations)
-                out_modes = mode_sets.get(arch.output.name)
-                self.expect("{")
-                pairs: dict[str, set[tuple[str, str]]] = {
-                    s: set() for s in arch.slots}
-                while not self.at("}"):
-                    slot = self.slot(gen, arch.slots)
+                modes = [self.ident("mode name") for _ in self.items("}")]
+                mode_sets[bname] = self.build(ModeSet, bname, tuple(modes))
+                continue
+            gen, arch = self.known(self.generators, "generator", relations)
+            slots = arch.slots
+            out_modes = mode_sets.get(arch.output.name)
+            in_modes = {s: mode_sets.get(b.name) for s, b in arch.inputs}
+            self.expect("{")
+            pairs: dict[str, set[tuple[str, str]]] = {s: set() for s in slots}
+            for i in self.items("}"):
+                slot, dot, mode_in, arrow = self.tokens[i:i + 4]
+                ms = in_modes.get(slot)
+                if (dot == "." and arrow == "->" and ms is not None
+                        and mode_in in ms.modes):
+                    self.pos += 4
+                else:
+                    slot = self.slot(gen, slots)
                     self.expect(".")
-                    mode_in = self.mode(
-                        mode_sets.get(arch.slot_boundary(slot).name))
+                    mode_in = self.mode(in_modes[slot])
                     self.expect("->")
-                    pairs[slot].add((mode_in, self.mode(out_modes)))
-                    self.accept(",")
-                self.expect("}")
-                relations[gen] = ModeRelation(
-                    {s: frozenset(v) for s, v in pairs.items()})
-        self.expect("}")
+                pairs[slot].add((mode_in, self.mode(out_modes)))
+            relations[gen] = ModeRelation(
+                {s: frozenset(v) for s, v in pairs.items()})
         self.mode_functors[name] = ModeFunctor(mode_sets, relations, name)
 
     def parse_stoch(self) -> None:
-        self.expect("stoch")
         name = self.functor_name()
         self.expect("{")
         priors: dict[str, Point] = {}
         kernels: dict[str, Kernel] = {}
-        while not self.at("}"):
+        for index in self.items("}", commas=False):
             if self.keyword("prior", "kernel") == "prior":
-                b = self.boundary(priors)
+                bname, _ = self.known(self.boundaries, "boundary", priors)
                 self.expect("=")
                 self.expect("(")
-                modes: list[str] = []
-                probs: dict[str, Fraction] = {}
-                while not self.at(")"):
-                    modes.append(self.mode(None))
-                    self.expect(":")
-                    probs[modes[-1]] = self.rational()
-                    self.accept(",")
-                close = self.expect(")")
-                priors[b.name] = self.build(close, lambda: Point(
-                    ModeSet(b.name, tuple(modes)), probs))
-            else:
-                index = self.pos
-                gen, arch = self.generator(kernels)
-
-                def prior_modes(bname: str) -> ModeSet:
-                    p = priors.get(bname)
-                    if p is None:
-                        raise self.error(
-                            f"kernel {gen}: no prior declared for {bname}",
-                            index)
-                    return p.modes
-
-                source = prior_modes(arch.output.name)
-                slots = tuple((s, prior_modes(b.name)) for s, b in arch.inputs)
-                slot_modes = dict(slots)
-                self.expect("{")
-                entries: dict[tuple[str, str, str], Fraction] = {}
-                while not self.at("}"):
-                    start = self.pos
+                probs: list[tuple[str, Fraction]] = []
+                for i in self.items(")"):
+                    mode, colon = self.tokens[i:i + 2]
+                    if colon == ":" and mode.isidentifier():
+                        self.pos += 2
+                    else:
+                        mode = self.mode(None)
+                        self.expect(":")
+                    probs.append((mode, self.rational()))
+                priors[bname] = self.build(lambda: Point(
+                    ModeSet(bname, tuple(m for m, _ in probs)), dict(probs)))
+                continue
+            gen, arch = self.known(self.generators, "generator", kernels)
+            for b in (arch.output, *(b for _, b in arch.inputs)):
+                if b.name not in priors:
+                    raise self.error(
+                        f"kernel {gen}: no prior declared for {b.name}",
+                        index + 1)
+            source = priors[arch.output.name].modes
+            slots = tuple((s, priors[b.name].modes) for s, b in arch.inputs)
+            slot_modes = dict(slots)
+            slot_names = {s: ms.modes for s, ms in slots}
+            self.expect("{")
+            entries: dict[tuple[str, str, str], Fraction] = {}
+            for i in self.items("}"):
+                x, arrow, slot, dot, y, colon = self.tokens[i:i + 6]
+                if (arrow == "->" and dot == "." and colon == ":"
+                        and x in source.modes and y in slot_names.get(slot, ())
+                        and (x, slot, y) not in entries):
+                    self.pos += 6
+                else:
                     x = self.mode(source)
                     self.expect("->")
                     slot = self.slot(gen, slot_modes)
@@ -584,14 +588,10 @@ class _Parser:
                     y = self.mode(slot_modes[slot])
                     if (x, slot, y) in entries:
                         raise self.error(
-                            f"duplicate kernel entry {x} -> {slot}.{y}", start)
+                            f"duplicate kernel entry {x} -> {slot}.{y}", i)
                     self.expect(":")
-                    entries[(x, slot, y)] = self.rational()
-                    self.accept(",")
-                close = self.expect("}")
-                kernels[gen] = self.build(
-                    close, Kernel, source, slots, entries)
-        self.expect("}")
+                entries[(x, slot, y)] = self.rational()
+            kernels[gen] = self.build(Kernel, source, slots, entries)
         self.stoch_functors[name] = StochFunctor(priors, kernels, name)
 
 
@@ -604,8 +604,8 @@ def _parse_whole(text: str, read: Callable[[_Parser], T]) -> T:
     """``read`` from a parser over ``text``, which must hold nothing more."""
     parser = _Parser(text)
     value = read(parser)
-    if parser.peek():
-        raise parser.error(f"trailing input {parser.peek()!r}")
+    if parser.tokens[parser.pos]:
+        raise parser.error(f"trailing input {parser.tokens[parser.pos]!r}")
     return value
 
 

@@ -117,8 +117,9 @@ def check_totality(pres: OperadPresentation, M: ModeFunctor) -> list[str]:
                     problems.append(
                         f"relation {name}: unknown mode {m_out!r} "
                         f"on {arch.output.name}")
+        slots = arch.slots
         for slot in rel.pairs:
-            if slot not in arch.slots:
+            if slot not in slots:
                 problems.append(
                     f"relation {name}: unknown slot {slot!r}")
     return problems

@@ -107,8 +107,9 @@ class OperadPresentation(NamedTuple):
 
 
 def _check_slots(name: str, arch: Architecture, filled) -> None:
+    slots = arch.slots
     for slot in filled:
-        if slot not in arch.slots:
+        if slot not in slots:
             raise ValidationError(f"generator {name} has no slot {slot!r}")
 
 

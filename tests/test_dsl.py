@@ -60,6 +60,14 @@ class TestParsing:
         assert sigma["rt"] == F(3, 14)
         assert sigma["op"] == F(3, 7)
 
+    def test_equal_number_spellings_share_one_fraction(self):
+        model = parse(MINI + "\nstoch S {\n"
+                      "  prior Bath = (cold: 1/2, hot: 1/2)\n"
+                      "  prior Room = (hot: 1/2, ok: 2/4)\n}\n")
+        bath, room = model.stoch_functors["S"].priors.values()
+        assert bath["cold"] is bath["hot"] is room["hot"]
+        assert room["ok"] == F(1, 2) and room["ok"] is not room["hot"]
+
 
 class TestErrors:
     def test_unknown_port_with_location(self):
@@ -103,6 +111,8 @@ architecture f : (x: A, y: B) -> C {
               "  rel warm {\n    %s\n  }\n}\n")
     _STOCH = ("\nstoch S {\n  prior Bath = (cold: 1)\n  prior Room = (bad: 1)\n"
               "  kernel warm {\n    %s\n  }\n}\n")
+    _ARCH = ("\narchitecture f : (a: Bath, b: Bath, c: Bath) -> Room {\n"
+             "  %s\n}\n")
 
     @pytest.mark.parametrize("tail, message, line, col", [
         ("\nequation nope = warm\n", "unknown generator 'nope'", 10, 10),
@@ -173,6 +183,31 @@ architecture f : (x: A, y: B) -> C {
             marks=pytest.mark.skipif(
                 not hasattr(sys, "get_int_max_str_digits"),
                 reason="no int string conversion limit")),
+        ("\nboundary X { p: nope }\n", "unknown interface 'nope'", 10, 17),
+        ("\nboundary X { p: heat, p: temp }\n", "duplicate port 'p'", 10, 23),
+        (_ARCH % "wire xx.heat = b.heat", "unknown slot 'xx'", 11, 8),
+        (_ARCH % "wire a.heat = b.het", "unknown port het on Bath", 11, 19),
+        (_ARCH % "wire a.heat = b.heat\n  wire a.heat = c.heat",
+         "port a.heat attached to two wires", 12, 10),
+        (_ARCH % "wire a.heat = b.heat = c.het", "unknown port het on Bath",
+         11, 28),
+        (_ARCH % "expose a.heat -> nope", "unknown port nope on Room", 11, 20),
+        (_ARCH % "expose a.heat -> heat\n  expose b.heat -> heat",
+         "port heat exposed twice", 12, 20),
+        ("\nstoch S {\n  prior Bath = (cold 1)\n}\n", "expected ':', got '1'",
+         11, 22),
+        (_STOCH % "bad -> ba.cold: 1/0", "zero denominator", 14, 23),
+        (_STOCH % "bad -> ba.cold: 1/2.5", "expected an integer denominator",
+         14, 23),
+        (_MODES % "ba cold -> bad", "expected '.', got 'cold'", 14, 8),
+        (_MODES % "ba:cold -> bad", "expected '.', got ':'", 14, 7),
+        ("\nboundary X { p = heat }\n", "expected ':', got '='", 10, 16),
+        (_ARCH % "wire a:heat = b.heat", "expected '.', got ':'", 11, 9),
+        (_ARCH % "wire a.heat = b.heat,",
+         "expected 'wire' or 'expose', got ','", 11, 23),
+        (_STOCH % "bad -> ba.cold = 1", "expected ':', got '='", 14, 20),
+        ("\nprob P {\n  warm = (ba = 1)\n}\n", "expected ':', got '='",
+         11, 14),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
             "equation-duplicate-slot",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
@@ -185,12 +220,26 @@ architecture f : (x: A, y: B) -> C {
             "duplicate-prob", "prob-then-modes", "modes-then-stoch",
             "prob-generator", "rel-generator", "kernel-generator",
             "modes-boundary", "prior-boundary", "distribution-slot",
-            "kernel-entry", "long-rational"])
+            "kernel-entry", "long-rational", "port-interface",
+            "duplicate-port", "wire-slot", "wire-port", "wire-twice",
+            "wire-three-ports", "expose-port", "expose-twice", "prior-colon",
+            "kernel-zero-denominator", "kernel-decimal-denominator",
+            "rel-dot", "rel-separator", "port-colon", "wire-dot",
+            "wire-comma", "kernel-colon", "prob-colon"])
     def test_located_messages(self, tail, message, line, col):
         with pytest.raises(DslError) as err:
             parse(MINI + tail)
         assert str(err.value) == f"line {line}, column {col}: {message}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    def test_truncated_model_fails_at_end_of_input(self):
+        """LSI cut inside tau's block, after its first wire."""
+        text, last = lsi_text(), "  wire bt.heat1 = ba.heat\n"
+        with pytest.raises(DslError) as err:
+            parse(text[:text.index(last) + len(last)])
+        assert str(err.value) == (
+            "line 48, column 1: expected 'wire' or 'expose', got ''")
+        assert (err.value.line, err.value.col) == (48, 1)
 
     def test_history_block_is_not_part_of_the_grammar(self):
         text = MINI + "\nhistory ba interval [0, 10] { 1 2 }\n"
