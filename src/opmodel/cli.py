@@ -16,8 +16,9 @@ from pathlib import Path
 from .dsl import DslError, Model, parse, parse_rational
 from .modes import check_mode_functor
 from .portgraph import PortGraphError, lookup
-from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term, resolve_leaf
-from .prob import check_prob_functor, format_probability, leaf_probability, percent
+from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term
+from .prob import (check_prob_functor, format_probability,
+                   leaf_path_probability, percent)
 from .stoch import check_lifting, diagnose, format_posterior
 
 EXIT_OK = 0
@@ -148,9 +149,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     F = lookup(model.prob_functors, args.functor,
                "no probability functor named {!r}")
     term = parse_term(args.term)
-    value = leaf_probability(model.presentation, F, term, args.leaf)
-    path = resolve_leaf(model.presentation, term, args.leaf) \
-        if args.leaf else ""
+    path, value = leaf_path_probability(model.presentation, F, term,
+                                        args.leaf)
     return _emit(args, format_probability(value), {
         "term": str(term),
         "leaf": args.leaf,

@@ -7,6 +7,7 @@ by existential chaining, so functoriality is the transitivity of causation.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .portgraph import ValidationError, Value, graft, lookup
@@ -15,10 +16,10 @@ from .presentation import (
     CoherenceEquation,
     OperadPresentation,
     Term,
+    _path_entries,
     aligned_equations,
     check_term,
     fold_term,
-    resolve_leaf,
 )
 
 
@@ -130,7 +131,10 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     """Whether a leaf mode can cause the root mode along the term.
 
     The empty leaf selector names the root itself (depth-0 query), where a
-    mode trivially causes itself.
+    mode trivially causes itself.  Otherwise the modes that can cause
+    ``root_mode`` are carried down the leaf's path, once one walk over ``t``
+    has checked that folding it refuses nothing; if not, the pair is looked
+    up in ``M.fold(t)``, so every answer and error is the fold's.
     """
     root_modes = M.modes_of(check_term(pres, t).name)
     if root_mode not in root_modes:
@@ -138,9 +142,14 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
             f"unknown mode {root_mode!r} on {root_modes.boundary}")
     if leaf == "":
         return leaf_mode == root_mode
-    path = resolve_leaf(pres, t, leaf)
-    composed = M.fold(t)
-    return (leaf_mode, root_mode) in composed.slot(path)
+    path, entries = _path_entries(pres, t, leaf, M.relations,
+                                  attrgetter("pairs"))
+    if entries is None:
+        return (leaf_mode, root_mode) in M.fold(t).slot(path)
+    causes = {root_mode}
+    for pairs in entries:
+        causes = {y for y, x in pairs if x in causes}
+    return leaf_mode in causes
 
 
 class ModeCheckRow(NamedTuple):

@@ -172,20 +172,103 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     Accepts an exact path, a unique trailing segment of one, or a unique
     boundary name (case-insensitive).
     """
-    paths = leaf_paths(pres, t)
-    exact = [p for p, _ in paths if p == leaf]
-    if exact:
-        return exact[0]
-    by_suffix = [p for p, _ in paths
-                 if p.split(".")[-1] == leaf]
-    if len(by_suffix) == 1:
-        return by_suffix[0]
-    by_boundary = [p for p, bn in paths if bn.lower() == leaf.lower()]
-    if len(by_boundary) == 1:
-        return by_boundary[0]
-    if by_suffix or by_boundary:
+    return _leaf_route(pres, t, leaf)[0]
+
+
+def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
+                ) -> tuple[str, tuple[tuple[str, str], ...]]:
+    """The dotted path :func:`resolve_leaf` gives, and its steps: the
+    ``(generator, slot)`` pairs from the root of ``t`` down to the leaf.
+
+    One walk follows the term's slots, never splitting a path, since a slot
+    label built from Python may hold a dot; only the path returned is
+    joined.  A term that :func:`leaf_paths` refuses gets its error.
+    """
+    want = leaf.lower()
+    exact = None
+    by_suffix: list[tuple] = []
+    by_boundary: list[tuple] = []
+    checked = False  # leaf_paths has accepted t
+    # a node, the steps to it, and where the rest of ``leaf`` starts after
+    # the node's path, or -1 if that path does not begin ``leaf``
+    todo = [(t, (), 0)]
+    while todo:
+        node, steps, at = todo.pop()
+        g = node.generator
+        arch = pres.generators.get(g)
+        if arch is None:
+            leaf_paths(pres, t)  # raises the first error of the fold
+        fills = dict(node.children)
+        filled = 0
+        for slot, b in arch.inputs:
+            end = at + len(slot) if at >= 0 and leaf.startswith(slot, at) \
+                else -1
+            child = fills.get(slot)
+            if child is not None:
+                filled += 1
+                todo.append((child, steps + ((g, slot),),
+                             end + 1 if end >= 0 and leaf.startswith(".", end)
+                             else -1))
+            elif end == len(leaf):
+                exact = steps + ((g, slot),)
+            else:
+                if slot.rpartition(".")[2] == leaf:
+                    by_suffix.append(steps + ((g, slot),))
+                if b.name.lower() == want:
+                    by_boundary.append(steps + ((g, slot),))
+        if filled != len(node.children) and not checked:
+            leaf_paths(pres, t)  # raises on a stray fill; a slot filled
+            checked = True       # twice keeps its last filler, as a fold does
+    # leaves share a path only through a dotted label, which sends the
+    # queries to the fold, so the steps of any one of them serve
+    if exact is not None:
+        route = exact
+    elif len(by_suffix) == 1:
+        route = by_suffix[0]
+    elif len(by_boundary) == 1:
+        route = by_boundary[0]
+    elif by_suffix or by_boundary:
         raise ValidationError(f"leaf selector {leaf!r} is ambiguous in {t}")
-    raise ValidationError(f"no leaf {leaf!r} in {t}")
+    else:
+        raise ValidationError(f"no leaf {leaf!r} in {t}")
+    return ".".join(slot for _, slot in route), route
+
+
+def _path_entries(pres: OperadPresentation, t: Term, leaf: str,
+                  values: Mapping[str, V],
+                  labels_of: Callable[[V], Mapping[str, object]]
+                  ) -> tuple[str, list | None]:
+    """The path ``leaf`` resolves to in ``t``, and, root first, the entry
+    at each step's slot of its generator's value, which ``labels_of`` maps
+    by label.
+
+    The entries are None unless folding ``t`` through :func:`graft`
+    refuses nothing and gives the leaf this path alone as its label: every
+    generator has a value in ``values``, whose labels hold each slot filled
+    there and contain no dot, and the path's last slot is a label.
+    """
+    path, steps = _leaf_route(pres, t, leaf)
+    labels: dict[str, Mapping[str, object]] = {}
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        g = node.generator
+        own = labels.get(g)
+        if own is None:
+            try:
+                own = labels[g] = labels_of(values[g])
+            except KeyError:
+                return path, None
+            if "." in "".join(own):
+                return path, None
+        for slot, child in node.children:
+            if slot not in own:
+                return path, None
+            todo.append(child)
+    generator, slot = steps[-1]
+    if slot not in labels[generator]:
+        return path, None
+    return path, [labels[generator][slot] for generator, slot in steps]
 
 
 class EquationReport(NamedTuple):

@@ -18,11 +18,11 @@ from .presentation import (
     CoherenceEquation,
     OperadPresentation,
     Term,
+    _path_entries,
     aligned_equations,
     check_term,
     equation_correspondence,
     fold_term,
-    resolve_leaf,
 )
 
 ZERO = Fraction(0)
@@ -139,11 +139,28 @@ def leaf_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
 
     The empty selector names the root itself and yields 1.
     """
+    return leaf_path_probability(pres, F, t, leaf)[1]
+
+
+def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
+                          leaf: str) -> tuple[str, Fraction]:
+    """The dotted path a leaf selector resolves to, ``""`` for the empty
+    one, and :func:`leaf_probability` there.
+
+    One walk over ``t`` checks that folding it refuses nothing; then only
+    the path is multiplied.  Otherwise the value is read off ``F.fold(t)``,
+    so every value and error is the fold's.
+    """
     check_term(pres, t)
     if leaf == "":
-        return ONE
-    path = resolve_leaf(pres, t, leaf)
-    return F.fold(t)[path]
+        return "", ONE
+    path, entries = _path_entries(pres, t, leaf, F.dists, Distribution.as_dict)
+    if entries is None:
+        return path, F.fold(t)[path]
+    p = entries[-1]
+    for q in reversed(entries[:-1]):
+        p = q * p  # outer times inner, as folded
+    return path, p
 
 
 class ProbCheckRow(NamedTuple):

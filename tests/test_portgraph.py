@@ -152,6 +152,42 @@ class TestNormalForm:
             assert canonicalize(x) is x
             assert self.reversed_wires(x) == x
 
+    def test_wire_order_is_least_port_order(self):
+        """Wires sort by plain ``(slot or "", port)`` tuples in the order
+        that ``min(w.ports)`` under ``PortRef.__lt__`` gives: in built and
+        composed architectures, and in the wires ``equal`` reports."""
+        def old_order(wires):
+            return tuple(sorted(wires, key=lambda w: min(w.ports)))
+
+        rng = random.Random(108)
+        differ = 0
+        for _ in range(200):
+            out = random_boundary(rng, "Out")
+            f = random_architecture(rng, out, n_slots=rng.randint(1, 4))
+            s = rng.choice(f.slots)
+            g = random_architecture(rng, f.slot_boundary(s))
+            shuffled = list(f.wires)
+            rng.shuffle(shuffled)
+            for x in (Architecture(f.inputs, out, tuple(shuffled)),
+                      compose(f, {s: g})):
+                assert x.wires == old_order(x.wires)
+            corr = ComponentCorrespondence({t: t for t in f.slots})
+            other = random_architecture(rng, out, n_slots=0)
+            other = Architecture(f.inputs, out, other.wires + tuple(
+                Wire(frozenset({PortRef(t, p)}), b.port_type[p])
+                for t, b in f.inputs for p in b.ports))
+            report = equal(f, other, corr)
+            differ += len(report.only_left) > 1 and len(report.only_right) > 1
+            assert report.only_left == old_order(report.only_left)
+            assert report.only_right == old_order(report.only_right)
+        assert differ > 100
+        # an outer port and a port of slot "" tie, and keep their order
+        b = boundary("B", p="physical")
+        ties = (wire([outer("p")], "physical"),
+                wire([at("", "p")], "physical"))
+        for wires in (ties, ties[::-1]):
+            assert Architecture((("", b),), b, wires).wires == wires
+
     def test_ill_typed_wire_is_named_in_normal_order(self):
         # two ill-typed wires in tau: the error names the one whose least
         # port comes first, whichever was declared first
