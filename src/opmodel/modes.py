@@ -16,7 +16,7 @@ from .presentation import (
     CoherenceEquation,
     OperadPresentation,
     Term,
-    _path_entries,
+    _leaf_route,
     aligned_equations,
     check_term,
     fold_term,
@@ -131,25 +131,34 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     """Whether a leaf mode can cause the root mode along the term.
 
     The empty leaf selector names the root itself (depth-0 query), where a
-    mode trivially causes itself.  Otherwise the modes that can cause
-    ``root_mode`` are carried down the leaf's path, once one walk over ``t``
-    has checked that folding it refuses nothing; if not, the pair is looked
-    up in ``M.fold(t)``, so every answer and error is the fold's.
+    mode trivially causes itself.  A root mode unknown on the root's
+    boundary raises, and so, once the selector has resolved, does a leaf
+    mode unknown on the leaf's boundary (the root's, for the empty
+    selector).  After :func:`check_term`'s fold, one walk over ``t``
+    resolves the leaf and checks that folding ``t`` refuses nothing; then
+    the modes that can cause ``root_mode`` are carried down the path.  If
+    not, the pair is looked up in ``M.fold(t)``, so every other answer and
+    error is the fold's.
     """
     root_modes = M.modes_of(check_term(pres, t).name)
-    if root_mode not in root_modes:
-        raise ValidationError(
-            f"unknown mode {root_mode!r} on {root_modes.boundary}")
+    _check_mode(root_modes, root_mode)
     if leaf == "":
+        _check_mode(root_modes, leaf_mode)
         return leaf_mode == root_mode
-    path, entries = _path_entries(pres, t, leaf, M.relations,
-                                  attrgetter("pairs"))
+    path, b, entries = _leaf_route(pres, t, leaf, M.relations,
+                                   attrgetter("pairs"))
+    _check_mode(M.modes_of(b.name), leaf_mode)
     if entries is None:
         return (leaf_mode, root_mode) in M.fold(t).slot(path)
     causes = {root_mode}
     for pairs in entries:
         causes = {y for y, x in pairs if x in causes}
     return leaf_mode in causes
+
+
+def _check_mode(modes: ModeSet, mode: str) -> None:
+    if mode not in modes:
+        raise ValidationError(f"unknown mode {mode!r} on {modes.boundary}")
 
 
 class ModeCheckRow(NamedTuple):

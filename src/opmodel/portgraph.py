@@ -355,9 +355,6 @@ class ComponentCorrespondence(Value):
     def __init__(self, mapping: Mapping[str, str]) -> None:
         self.mapping = mapping
 
-    def inverse(self) -> "ComponentCorrespondence":
-        return ComponentCorrespondence({v: k for k, v in self.mapping.items()})
-
 
 class EqualityReport(NamedTuple):
     """Outcome of comparing two canonical architectures."""

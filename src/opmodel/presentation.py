@@ -175,20 +175,35 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     return _leaf_route(pres, t, leaf)[0]
 
 
-def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
-                ) -> tuple[str, tuple[tuple[str, str], ...]]:
-    """The dotted path :func:`resolve_leaf` gives, and its steps: the
-    ``(generator, slot)`` pairs from the root of ``t`` down to the leaf.
+def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
+                values: Mapping[str, V] | None = None,
+                labels_of: Callable[[V], Mapping[str, object]] | None = None
+                ) -> tuple[str, Boundary, list | None]:
+    """The dotted path :func:`resolve_leaf` gives, the boundary of its leaf
+    slot, and, given a functor's ``values``, the entry at each step of the
+    path, root first, in its generator's value, which ``labels_of`` maps by
+    label.
 
-    One walk follows the term's slots, never splitting a path, since a slot
-    label built from Python may hold a dot; only the path returned is
-    joined.  A term that :func:`leaf_paths` refuses gets its error.
+    A leaf query makes :func:`check_term`'s fold, this one explicit-stack
+    walk over the term, then the path.  The walk follows the term's slots,
+    never splitting a path, since a slot label built from Python may hold a
+    dot; only the path returned is joined.  A term that :func:`leaf_paths`
+    refuses gets its error.  Leaves share a path only through a dotted
+    label; the exact rule then takes the last of them in slot order.  The
+    entries are None unless folding ``t`` through :func:`graft` refuses
+    nothing and gives the leaf this path alone as its label: every
+    generator has a value, whose labels hold each slot filled there and
+    contain no dot, and the path's last slot is a label.
     """
     want = leaf.lower()
-    exact = None
+    exact: list[tuple] = []
     by_suffix: list[tuple] = []
     by_boundary: list[tuple] = []
     checked = False  # leaf_paths has accepted t
+    # each generator's labels while the entries can still be read; None
+    # once they cannot
+    labels: dict[str, Mapping[str, object]] | None = \
+        None if values is None else {}
     # a node, the steps to it, and where the rest of ``leaf`` starts after
     # the node's path, or -1 if that path does not begin ``leaf``
     todo = [(t, (), 0)]
@@ -198,7 +213,20 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
         arch = pres.generators.get(g)
         if arch is None:
             leaf_paths(pres, t)  # raises the first error of the fold
-        fills = dict(node.children)
+        if labels is not None:
+            own = labels.get(g)
+            if own is None and g in values:
+                own = labels[g] = labels_of(values[g])
+                if "." in "".join(own):
+                    own = None
+            if own is None:
+                labels = None
+            else:
+                for slot, _ in node.children:
+                    if slot not in own:
+                        labels = None
+                        break
+        fills = dict(node.children) if node.children else {}
         filled = 0
         for slot, b in arch.inputs:
             end = at + len(slot) if at >= 0 and leaf.startswith(slot, at) \
@@ -210,19 +238,18 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
                              end + 1 if end >= 0 and leaf.startswith(".", end)
                              else -1))
             elif end == len(leaf):
-                exact = steps + ((g, slot),)
+                exact.append(steps + ((g, slot),))
             else:
-                if slot.rpartition(".")[2] == leaf:
+                if leaf in slot and slot.rpartition(".")[2] == leaf:
                     by_suffix.append(steps + ((g, slot),))
                 if b.name.lower() == want:
                     by_boundary.append(steps + ((g, slot),))
         if filled != len(node.children) and not checked:
             leaf_paths(pres, t)  # raises on a stray fill; a slot filled
             checked = True       # twice keeps its last filler, as a fold does
-    # leaves share a path only through a dotted label, which sends the
-    # queries to the fold, so the steps of any one of them serve
-    if exact is not None:
-        route = exact
+    if exact:
+        route = max(exact, key=lambda route: [
+            pres.generators[g].slots.index(slot) for g, slot in route])
     elif len(by_suffix) == 1:
         route = by_suffix[0]
     elif len(by_boundary) == 1:
@@ -231,44 +258,12 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
         raise ValidationError(f"leaf selector {leaf!r} is ambiguous in {t}")
     else:
         raise ValidationError(f"no leaf {leaf!r} in {t}")
-    return ".".join(slot for _, slot in route), route
-
-
-def _path_entries(pres: OperadPresentation, t: Term, leaf: str,
-                  values: Mapping[str, V],
-                  labels_of: Callable[[V], Mapping[str, object]]
-                  ) -> tuple[str, list | None]:
-    """The path ``leaf`` resolves to in ``t``, and, root first, the entry
-    at each step's slot of its generator's value, which ``labels_of`` maps
-    by label.
-
-    The entries are None unless folding ``t`` through :func:`graft`
-    refuses nothing and gives the leaf this path alone as its label: every
-    generator has a value in ``values``, whose labels hold each slot filled
-    there and contain no dot, and the path's last slot is a label.
-    """
-    path, steps = _leaf_route(pres, t, leaf)
-    labels: dict[str, Mapping[str, object]] = {}
-    todo = [t]
-    while todo:
-        node = todo.pop()
-        g = node.generator
-        own = labels.get(g)
-        if own is None:
-            try:
-                own = labels[g] = labels_of(values[g])
-            except KeyError:
-                return path, None
-            if "." in "".join(own):
-                return path, None
-        for slot, child in node.children:
-            if slot not in own:
-                return path, None
-            todo.append(child)
-    generator, slot = steps[-1]
-    if slot not in labels[generator]:
-        return path, None
-    return path, [labels[generator][slot] for generator, slot in steps]
+    g, slot = route[-1]
+    path = ".".join(slot for _, slot in route)
+    b = pres.generators[g].slot_boundary(slot)
+    if labels is None or slot not in labels[g]:
+        return path, b, None
+    return path, b, [labels[g][slot] for g, slot in route]
 
 
 class EquationReport(NamedTuple):
@@ -387,11 +382,6 @@ class CompileReport(NamedTuple):
     @property
     def success(self) -> bool:
         return not self.errors and all(r.passed for r in self.equation_reports)
-
-    @property
-    def failure_count(self) -> int:
-        return len(self.errors) + sum(1 for r in self.equation_reports
-                                      if not r.passed)
 
     def to_dict(self) -> dict:
         return {"success": self.success,

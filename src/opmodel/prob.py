@@ -18,7 +18,7 @@ from .presentation import (
     CoherenceEquation,
     OperadPresentation,
     Term,
-    _path_entries,
+    _leaf_route,
     aligned_equations,
     check_term,
     equation_correspondence,
@@ -147,14 +147,16 @@ def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     """The dotted path a leaf selector resolves to, ``""`` for the empty
     one, and :func:`leaf_probability` there.
 
-    One walk over ``t`` checks that folding it refuses nothing; then only
-    the path is multiplied.  Otherwise the value is read off ``F.fold(t)``,
-    so every value and error is the fold's.
+    After :func:`check_term`'s fold, one walk over ``t`` resolves the path
+    and checks that folding ``t`` refuses nothing; then only the path is
+    multiplied.  Otherwise the value is read off ``F.fold(t)``, so every
+    value and error is the fold's.
     """
     check_term(pres, t)
     if leaf == "":
         return "", ONE
-    path, entries = _path_entries(pres, t, leaf, F.dists, Distribution.as_dict)
+    path, _, entries = _leaf_route(pres, t, leaf, F.dists,
+                                   Distribution.as_dict)
     if entries is None:
         return path, F.fold(t)[path]
     p = entries[-1]

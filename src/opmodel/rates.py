@@ -106,13 +106,6 @@ def history_stats(h: FailureHistory) -> MeanTime:
     return h.span / h.count
 
 
-def concat_histories(a: FailureHistory, b: FailureHistory) -> FailureHistory:
-    """Merge two histories over the same interval."""
-    if (a.t0, a.t1) != (b.t0, b.t1):
-        raise ValidationError("histories cover different intervals")
-    return FailureHistory(a.t0, a.t1, a.times + b.times)
-
-
 INDEPENDENCE_NOTE = ("rates aggregated assuming independent failure "
                      "processes with constant rates")
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import opmodel
-from opmodel.modes import ModeFunctor, ModeRelation, can_cause
+from opmodel.modes import ModeFunctor, ModeRelation, ModeSet, can_cause
 from opmodel.portgraph import (
     Architecture,
     PortRef,
@@ -48,14 +48,20 @@ from synth import Shape, SynthModel  # noqa: E402
 
 def resolve_oracle(pres, t, leaf):
     """The selector rules over every leaf path string of ``t``."""
+    return leaf_oracle(pres, t, leaf)[0]
+
+
+def leaf_oracle(pres, t, leaf):
+    """The (path, boundary name) the selector picks among the leaves of
+    ``t``; of leaves sharing the exact path, the last in slot order."""
     paths = leaf_paths(pres, t)
-    exact = [p for p, _ in paths if p == leaf]
+    exact = [(p, bn) for p, bn in paths if p == leaf]
     if exact:
-        return exact[0]
-    by_suffix = [p for p, _ in paths if p.split(".")[-1] == leaf]
+        return exact[-1]
+    by_suffix = [(p, bn) for p, bn in paths if p.split(".")[-1] == leaf]
     if len(by_suffix) == 1:
         return by_suffix[0]
-    by_boundary = [p for p, bn in paths if bn.lower() == leaf.lower()]
+    by_boundary = [(p, bn) for p, bn in paths if bn.lower() == leaf.lower()]
     if len(by_boundary) == 1:
         return by_boundary[0]
     if by_suffix or by_boundary:
@@ -73,13 +79,19 @@ def leaf_probability_oracle(pres, F, t, leaf):
 
 
 def can_cause_oracle(pres, M, t, leaf, leaf_mode, root_mode):
+    """Check both modes, each against its boundary, then fold the whole
+    term and read one pair."""
+    def check(modes, mode):
+        if mode not in modes:
+            raise ValidationError(f"unknown mode {mode!r} on {modes.boundary}")
+
     root_modes = M.modes_of(check_term(pres, t).name)
-    if root_mode not in root_modes:
-        raise ValidationError(
-            f"unknown mode {root_mode!r} on {root_modes.boundary}")
+    check(root_modes, root_mode)
     if leaf == "":
+        check(root_modes, leaf_mode)
         return leaf_mode == root_mode
-    path = resolve_oracle(pres, t, leaf)
+    path, bn = leaf_oracle(pres, t, leaf)
+    check(M.modes_of(bn), leaf_mode)
     return (leaf_mode, root_mode) in M.fold(t).slot(path)
 
 
@@ -251,6 +263,39 @@ def test_dotted_slot_is_one_step():
                        match="^distribution labels must be unique$"):
         leaf_probability(pres, F, t, "c")
     assert leaf_probability(pres, F, Term("f"), "a.b") == half
+
+
+@pytest.mark.parametrize("own_first", [False, True])
+def test_shared_path_takes_last_leaf(own_first):
+    """``f(a->g)`` has two leaves ``a.b``: slot ``a.b`` of ``f``, on
+    boundary B, and slot ``b`` of ``g``, on C.  The leaf mode is checked on
+    the last of them in slot order, whichever the walk meets first: the one
+    whose relation the mode fold keeps, when relations list their labels in
+    slot order."""
+    B, C = boundary("B", p="physical"), boundary("C", p="physical")
+    def arch(*inputs):
+        return Architecture(inputs, B, (Wire(frozenset(
+            {PortRef(None, "p"), *(PortRef(s, "p") for s, _ in inputs)}),
+            "physical"),))
+    own, through = ("a.b", B), ("a", B)
+    f = arch(own, through) if own_first else arch(through, own)
+    pres = OperadPresentation(TypeTable({"physical": "physical"}),
+                              {"B": B, "C": C},
+                              {"f": f, "g": arch(("b", C), ("c", B))})
+    step = frozenset({("m0", "m0")})
+    M = ModeFunctor({"B": ModeSet("B", ("m0",)),
+                     "C": ModeSet("C", ("m0", "m1"))},
+                    {"f": ModeRelation({s: step for s in f.slots}),
+                     "g": ModeRelation({"b": frozenset({("m1", "m0")}),
+                                        "c": step})})
+    t = Term("f", (("a", Term("g")),))
+    if own_first:  # the leaf through g comes last
+        assert can_cause(pres, M, t, "a.b", "m1", "m0")
+    else:
+        with pytest.raises(ValidationError, match="^unknown mode 'm1' on B$"):
+            can_cause(pres, M, t, "a.b", "m1", "m0")
+    assert outcome(lambda: can_cause(pres, M, t, "a.b", "m1", "m0")) \
+        == outcome(lambda: can_cause_oracle(pres, M, t, "a.b", "m1", "m0"))
 
 
 def test_slot_filled_twice_keeps_last_filler():

@@ -137,6 +137,25 @@ class TestCorpusCausation:
             can_cause(lsi.presentation, M, parse_term("tau"), "ba",
                       "too_hot", "nonsense")
 
+    def test_unknown_leaf_mode_rejected(self, lsi):
+        """A leaf mode is checked against the resolved leaf's boundary, or
+        the root's for the empty selector: after the root mode and the
+        selector, so their errors come first."""
+        pres, M = lsi.presentation, lsi.mode_functors["M"]
+        t = parse_term("tau")
+        for leaf, leaf_mode, root_mode, message in (
+                ("ba", "nonsense", "laser_low",
+                 "unknown mode 'nonsense' on Bath"),
+                ("", "too_hot", "laser_low",
+                 "unknown mode 'too_hot' on TempSys"),
+                ("ba", "nonsense", "too_hot",
+                 "unknown mode 'too_hot' on TempSys"),
+                ("zz", "nonsense", "laser_low", "no leaf 'zz' in tau")):
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                can_cause(pres, M, t, leaf, leaf_mode, root_mode)
+        assert can_cause(pres, M, t, "ba", "too_hot", "laser_high")
+        assert not can_cause(pres, M, t, "ba", "too_hot", "laser_low")
+
 
 class TestCorpusCoherence:
     def test_corpus_functor_passes(self, lsi):

@@ -11,7 +11,6 @@ from opmodel.rates import (
     FailureHistory,
     combine_meantime,
     combine_rates,
-    concat_histories,
     history_stats,
     invert,
     normalize,
@@ -112,18 +111,6 @@ class TestHistories:
         with pytest.raises(ValidationError, match="outside"):
             FailureHistory(F(0), F(10), (F(11),))
 
-    def test_concat_adds_rates(self):
-        a = FailureHistory(F(0), F(10), (F(1), F(2)))
-        b = FailureHistory(F(0), F(10), (F(5), F(6), F(7)))
-        merged = concat_histories(a, b)
-        assert invert(history_stats(merged)) == \
-            invert(history_stats(a)) + invert(history_stats(b))
-
-    def test_concat_rejects_different_intervals(self):
-        a = FailureHistory(F(0), F(10), ())
-        b = FailureHistory(F(0), F(20), ())
-        with pytest.raises(ValidationError, match="intervals"):
-            concat_histories(a, b)
 
 
 class TestPipeline:
@@ -147,7 +134,7 @@ class TestPipeline:
         assert "independent" in result.note
 
     def test_conflicting_terms_detected(self, lsi):
-        doubled = {k: concat_histories(h, h)
+        doubled = {k: FailureHistory(h.t0, h.t1, h.times + h.times)
                    for k, h in self.beta_histories().items()}
         skewed = dict(self.beta_histories())
         skewed["ht"] = FailureHistory(F(0), F(10), (F(5),))

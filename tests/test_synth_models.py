@@ -152,9 +152,8 @@ def permuted(text: str, rng: random.Random) -> str:
 def check_report(text: str, tmp_path, back: dict[str, str] | None = None):
     """``check P M S --format json`` of a model, with fresh names mapped back
     and the lists that follow declaration order sorted: compile errors,
-    equation results, functor errors and the per-generator lifting rows.
-    The models checked have one equation, so the P and M rows keep the
-    order of its leaves."""
+    equation results, functor errors, the P and M rows, and the stoch
+    per-generator and equation rows, each part on its own."""
     path = tmp_path / "model.opm"
     path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(["check", str(path), "--functor", "P",
@@ -170,23 +169,44 @@ def check_report(text: str, tmp_path, back: dict[str, str] | None = None):
     for f in report["functors"]:
         f["errors"].sort()
         if f["kind"] == "stoch":
-            per_gen = [r for r in f["rows"]
-                       if not r["subject"].startswith("equation ")]
-            f["rows"][:len(per_gen)] = sorted(per_gen, key=json.dumps)
+            n = sum(not r["subject"].startswith("equation ")
+                    for r in f["rows"])
+            f["rows"] = (sorted(f["rows"][:n], key=json.dumps)
+                         + sorted(f["rows"][n:], key=json.dumps))
+        else:
+            f["rows"].sort(key=json.dumps)
     return code, report
 
 
-@pytest.mark.parametrize("source", ["lsi", "synth", "synth twin"])
+def with_swapped_equation(text: str, before: bool = False) -> str:
+    """``text``, as ``serialize`` writes it, with a second equation: its
+    first one with the sides swapped, after it or ``before`` it."""
+    lines = text.splitlines()
+    i = next(k for k, line in enumerate(lines) if line.startswith("equation "))
+    assert " matching " not in lines[i]
+    lhs, rhs = lines[i].removeprefix("equation ").split(" = ")
+    lines.insert(i if before else i + 1, f"equation {rhs} = {lhs}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("source", ["lsi", "synth", "synth twin",
+                                    "lsi swapped", "synth swapped"])
 def test_renaming_and_permutation_change_only_names(source, tmp_path):
     """Renaming generators, slots, boundaries and modes consistently, or
-    permuting the order of declarations, changes the ``check`` report only
-    by that renaming (metamorphic testing)."""
-    if source == "lsi":
+    permuting the order of declarations, equations included, changes the
+    ``check`` report only by that renaming (metamorphic testing)."""
+    if source.startswith("lsi"):
         text = opmodel.lsi_text()
     else:
         m = synth_model(2, 1)  # 16 leaves
         text = m.twin_text if source.endswith("twin") else m.text
+    if source.endswith("swapped"):
+        one = opmodel.serialize(opmodel.parse(text))
+        text = with_swapped_equation(one)
     want = check_report(text, tmp_path)
+    if source.endswith("swapped"):  # the shuffles below may keep the order
+        assert check_report(with_swapped_equation(one, before=True),
+                            tmp_path) == want
     canon = opmodel.serialize(opmodel.parse(text))
     rng = random.Random(source)
     name_swap, back = renamed(canon, rng)
