@@ -53,28 +53,22 @@ def relation(**pairs) -> ModeRelation:
     return ModeRelation({s: frozenset(v) for s, v in pairs.items()})
 
 
-def identity_relation(modes: ModeSet, slot: str) -> ModeRelation:
-    return ModeRelation({slot: frozenset((m, m) for m in modes.modes)})
-
-
-def total_relation(slot_modes: Mapping[str, ModeSet],
-                   out_modes: ModeSet) -> ModeRelation:
-    return ModeRelation({
-        s: frozenset((m, x) for m in ms.modes for x in out_modes.modes)
-        for s, ms in slot_modes.items()})
-
-
 def compose_rel(outer: ModeRelation,
                 inners: Mapping[str, ModeRelation]) -> ModeRelation:
     """Relation composition along a substitution.
 
     A pair (leaf mode, root mode) survives iff some intermediate mode
-    witnesses both legs.  Composite slots are labeled ``outerslot.innerslot``.
+    witnesses both legs.  Composite slots are labeled ``outerslot.innerslot``,
+    and must be unique.
     """
-    return ModeRelation(dict(graft(
+    items = graft(
         outer.pairs.items(), {s: r.pairs.items() for s, r in inners.items()},
         lambda rel, sub: frozenset((z, x) for z, y in sub
-                                   for y2, x in rel if y == y2))))
+                                   for y2, x in rel if y == y2))
+    pairs = dict(items)
+    if len(pairs) != len(items):
+        raise ValidationError("relation labels must be unique")
+    return ModeRelation(pairs)
 
 
 class ModeFunctor(NamedTuple):
@@ -134,11 +128,11 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     mode trivially causes itself.  A root mode unknown on the root's
     boundary raises, and so, once the selector has resolved, does a leaf
     mode unknown on the leaf's boundary (the root's, for the empty
-    selector).  After :func:`check_term`'s fold, one walk over ``t``
-    resolves the leaf and checks that folding ``t`` refuses nothing; then
-    the modes that can cause ``root_mode`` are carried down the path.  If
-    not, the pair is looked up in ``M.fold(t)``, so every other answer and
-    error is the fold's.
+    selector).  After :func:`check_term`, one walk over ``t`` resolves the
+    leaf, and the modes that can cause ``root_mode`` are carried down the
+    path when the walk can read ``M``'s relations along it; otherwise the
+    pair is looked up in ``M.fold(t)``.  Every other answer and error is
+    the fold's.
     """
     root_modes = M.modes_of(check_term(pres, t).name)
     _check_mode(root_modes, root_mode)

@@ -170,8 +170,10 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     """Resolve a leaf selector to a full dotted path.
 
     Accepts an exact path, a unique trailing segment of one, or a unique
-    boundary name (case-insensitive).
+    boundary name (case-insensitive).  A term that :func:`leaf_paths`
+    refuses gets its error.
     """
+    leaf_paths(pres, t)
     return _leaf_route(pres, t, leaf)[0]
 
 
@@ -184,56 +186,37 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
     path, root first, in its generator's value, which ``labels_of`` maps by
     label.
 
-    A leaf query makes :func:`check_term`'s fold, this one explicit-stack
-    walk over the term, then the path.  The walk follows the term's slots,
-    never splitting a path, since a slot label built from Python may hold a
-    dot; only the path returned is joined.  A term that :func:`leaf_paths`
-    refuses gets its error.  Leaves share a path only through a dotted
-    label; the exact rule then takes the last of them in slot order.  The
-    entries are None unless folding ``t`` through :func:`graft` refuses
-    nothing and gives the leaf this path alone as its label: every
-    generator has a value, whose labels hold each slot filled there and
-    contain no dot, and the path's last slot is a label.
+    ``t`` must pass :func:`leaf_paths` (or :func:`check_term`).  One
+    explicit-stack walk follows the term's slots, a slot filled twice its
+    last filler, as a fold does.  It never splits a path, since a slot label
+    built from Python may hold a dot; where leaves then share a path, the
+    exact rule takes the last of them in slot order.  The entries are None
+    unless folding ``t`` through :func:`graft` gives the leaf this path
+    alone as its label: every generator has a value, whose labels hold each
+    slot filled there and contain no dot, and the path's last slot is a
+    label.
     """
     want = leaf.lower()
     exact: list[tuple] = []
     by_suffix: list[tuple] = []
     by_boundary: list[tuple] = []
-    checked = False  # leaf_paths has accepted t
-    # each generator's labels while the entries can still be read; None
-    # once they cannot
-    labels: dict[str, Mapping[str, object]] | None = \
-        None if values is None else {}
+    clean = values is not None  # the entries can still be read
     # a node, the steps to it, and where the rest of ``leaf`` starts after
     # the node's path, or -1 if that path does not begin ``leaf``
     todo = [(t, (), 0)]
     while todo:
         node, steps, at = todo.pop()
         g = node.generator
-        arch = pres.generators.get(g)
-        if arch is None:
-            leaf_paths(pres, t)  # raises the first error of the fold
-        if labels is not None:
-            own = labels.get(g)
-            if own is None and g in values:
-                own = labels[g] = labels_of(values[g])
-                if "." in "".join(own):
-                    own = None
-            if own is None:
-                labels = None
-            else:
-                for slot, _ in node.children:
-                    if slot not in own:
-                        labels = None
-                        break
         fills = dict(node.children) if node.children else {}
-        filled = 0
-        for slot, b in arch.inputs:
+        if clean:
+            own = labels_of(values[g]) if g in values else None
+            clean = own is not None and "." not in "".join(own) \
+                and fills.keys() <= own.keys()
+        for slot, b in pres.generators[g].inputs:
             end = at + len(slot) if at >= 0 and leaf.startswith(slot, at) \
                 else -1
             child = fills.get(slot)
             if child is not None:
-                filled += 1
                 todo.append((child, steps + ((g, slot),),
                              end + 1 if end >= 0 and leaf.startswith(".", end)
                              else -1))
@@ -244,9 +227,6 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
                     by_suffix.append(steps + ((g, slot),))
                 if b.name.lower() == want:
                     by_boundary.append(steps + ((g, slot),))
-        if filled != len(node.children) and not checked:
-            leaf_paths(pres, t)  # raises on a stray fill; a slot filled
-            checked = True       # twice keeps its last filler, as a fold does
     if exact:
         route = max(exact, key=lambda route: [
             pres.generators[g].slots.index(slot) for g, slot in route])
@@ -261,9 +241,9 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
     g, slot = route[-1]
     path = ".".join(slot for _, slot in route)
     b = pres.generators[g].slot_boundary(slot)
-    if labels is None or slot not in labels[g]:
+    if not clean or slot not in labels_of(values[g]):
         return path, b, None
-    return path, b, [labels[g][slot] for g, slot in route]
+    return path, b, [labels_of(values[h])[s] for h, s in route]
 
 
 class EquationReport(NamedTuple):

@@ -147,10 +147,10 @@ def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     """The dotted path a leaf selector resolves to, ``""`` for the empty
     one, and :func:`leaf_probability` there.
 
-    After :func:`check_term`'s fold, one walk over ``t`` resolves the path
-    and checks that folding ``t`` refuses nothing; then only the path is
-    multiplied.  Otherwise the value is read off ``F.fold(t)``, so every
-    value and error is the fold's.
+    After :func:`check_term`, one walk over ``t`` resolves the path, and
+    only the path is multiplied when the walk can read ``F``'s entries
+    along it; otherwise the value is read off ``F.fold(t)``.  Either way it
+    is the fold's.
     """
     check_term(pres, t)
     if leaf == "":

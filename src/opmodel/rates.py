@@ -138,10 +138,10 @@ def pipeline_check(pres: OperadPresentation,
 
     def visit(t: Term, histories: Mapping[str, FailureHistory],
               prefix: str) -> Rate:
-        arch = pres.generator(t.generator)
+        fills = dict(t.children)
         child_rates: dict[str, Rate] = {}
-        for slot, _ in arch.inputs:
-            sub = t.child(slot)
+        for slot, _ in pres.generators[t.generator].inputs:
+            sub = fills.get(slot)
             path = prefix + slot
             if sub is None:
                 rate = invert(history_stats(lookup(

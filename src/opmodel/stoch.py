@@ -31,7 +31,6 @@ from .prob import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 Entry = tuple[str, str, str]  # (source mode, slot label, slot mode)
 
@@ -111,11 +110,6 @@ class Kernel(Value):
 
     def __call__(self, x: str, slot: str, y: str) -> Fraction:
         return self.entries.get((x, slot, y), ZERO)
-
-
-def identity_kernel(ms: ModeSet, slot: str) -> Kernel:
-    return Kernel(ms, ((slot, ms),),
-                  {(m, slot, m): ONE for m in ms.modes})
 
 
 def compose_kernel(p: Kernel, qs: Mapping[str, Kernel]) -> Kernel:

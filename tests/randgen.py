@@ -227,6 +227,19 @@ def random_modeset(rng: random.Random, boundary: str,
     return ModeSet(boundary, tuple(f"m{i}" for i in range(n)))
 
 
+def identity_relation(modes: ModeSet, slot: str) -> ModeRelation:
+    """The unit of relation composition on one slot."""
+    return ModeRelation({slot: frozenset((m, m) for m in modes.modes)})
+
+
+def total_relation(slot_modes: Mapping[str, ModeSet],
+                   out_modes: ModeSet) -> ModeRelation:
+    """Every slot mode can cause every output mode."""
+    return ModeRelation({
+        s: frozenset((m, x) for m in ms.modes for x in out_modes.modes)
+        for s, ms in slot_modes.items()})
+
+
 def random_relation(rng: random.Random, slot_modes: Mapping[str, ModeSet],
                     out_modes: ModeSet) -> ModeRelation:
     return ModeRelation({
@@ -256,6 +269,12 @@ def compose_rel_oracle(outer: ModeRelation,
 
 
 # -------------------------------------------------------------------- kernels
+
+def identity_kernel(ms: ModeSet, slot: str) -> Kernel:
+    """The unit of kernel composition on one slot."""
+    return Kernel(ms, ((slot, ms),), {(m, slot, m): Fraction(1)
+                                      for m in ms.modes})
+
 
 def random_kernel(rng: random.Random, source: ModeSet,
                   slots: tuple[tuple[str, ModeSet], ...]) -> Kernel:

@@ -229,7 +229,7 @@ def dotted(rng, pres, F, M):
 
 def test_dotted_labels_match_fold_then_read():
     """Slot labels holding dots: paths may coincide, which the probability
-    fold refuses and the mode fold merges; the route still follows slots."""
+    and mode folds refuse; the route still follows slots."""
     rng = random.Random("dotted labels")
     for _ in range(60):
         pres, F = random_presentation(rng)
@@ -269,9 +269,8 @@ def test_dotted_slot_is_one_step():
 def test_shared_path_takes_last_leaf(own_first):
     """``f(a->g)`` has two leaves ``a.b``: slot ``a.b`` of ``f``, on
     boundary B, and slot ``b`` of ``g``, on C.  The leaf mode is checked on
-    the last of them in slot order, whichever the walk meets first: the one
-    whose relation the mode fold keeps, when relations list their labels in
-    slot order."""
+    the last of them in slot order, whichever the walk meets first; where
+    it passes, the mode fold refuses the doubled label."""
     B, C = boundary("B", p="physical"), boundary("C", p="physical")
     def arch(*inputs):
         return Architecture(inputs, B, (Wire(frozenset(
@@ -289,8 +288,10 @@ def test_shared_path_takes_last_leaf(own_first):
                      "g": ModeRelation({"b": frozenset({("m1", "m0")}),
                                         "c": step})})
     t = Term("f", (("a", Term("g")),))
-    if own_first:  # the leaf through g comes last
-        assert can_cause(pres, M, t, "a.b", "m1", "m0")
+    if own_first:  # the leaf through g comes last, and m1 is on C
+        with pytest.raises(ValidationError,
+                           match="^relation labels must be unique$"):
+            can_cause(pres, M, t, "a.b", "m1", "m0")
     else:
         with pytest.raises(ValidationError, match="^unknown mode 'm1' on B$"):
             can_cause(pres, M, t, "a.b", "m1", "m0")

@@ -10,13 +10,17 @@ from opmodel.modes import (
     can_cause,
     check_mode_functor,
     compose_rel,
-    identity_relation,
     relation,
-    total_relation,
 )
 from opmodel.portgraph import ValidationError
 from opmodel.presentation import parse_term
-from randgen import compose_rel_oracle, random_modeset, random_relation
+from randgen import (
+    compose_rel_oracle,
+    identity_relation,
+    random_modeset,
+    random_relation,
+    total_relation,
+)
 
 
 class TestRelationBasics:
@@ -102,6 +106,16 @@ class TestComposeRel:
             left = compose_rel(compose_rel(f, {"s": g}), {"s.t": h})
             right = compose_rel(f, {"s": compose_rel(g, {"t": h})})
             assert left.pairs == right.pairs
+
+    def test_coinciding_labels_rejected(self):
+        """Slot ``a.b`` of ``f`` and slot ``b`` of ``g`` in slot ``a`` both
+        compose to ``a.b``; as with distributions, that is refused rather
+        than one leaf's relation silently replacing the other's."""
+        f = relation(**{"a": {("x", "x")}, "a.b": {("x", "x")}})
+        g = relation(b={("y", "x")})
+        with pytest.raises(ValidationError,
+                           match="^relation labels must be unique$"):
+            compose_rel(f, {"a": g})
 
 
 class TestCorpusCausation:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from opmodel.portgraph import ValidationError
-from opmodel.presentation import parse_term
+from opmodel.presentation import Term, leaf_paths, parse_term
 from opmodel.rates import (
     INF,
     FailureHistory,
@@ -163,6 +163,22 @@ class TestPipeline:
             F(43, 60) + F(1, 10) + F(2, 10)
         total = result.rates["tau(ba->beta)"]
         assert result.functor["tau"]["ba"] == F(43, 60) / total
+
+    def test_slot_filled_twice_follows_last_filler(self, lsi):
+        """A term built from Python may fill a slot twice; like
+        ``check_term`` and the folds, the pipeline follows the last filler,
+        with a history for each of that term's leaf paths."""
+        pres = lsi.presentation
+        once = parse_term("phi(ts->tau(ba->beta))")
+        twice = Term("phi", (("ts", parse_term("tau")),) + once.children)
+        histories = {path: FailureHistory(F(0), F(10), (F(i + 1),))
+                     for i, (path, _) in enumerate(leaf_paths(pres, twice))}
+        assert "ts.ba.ht" in histories
+        got = pipeline_check(pres, [(twice, histories)])
+        want = pipeline_check(pres, [(once, histories)])
+        assert got.functor == want.functor
+        assert got.rates[str(twice)] == want.rates[str(once)]
+        assert got.conflicts == want.conflicts == ()
 
     def test_missing_history_rejected(self, lsi):
         with pytest.raises(ValidationError, match="missing history"):

@@ -19,7 +19,6 @@ from opmodel.stoch import (
     compose_pt,
     diagnose,
     format_posterior,
-    identity_kernel,
     pt_condition,
     supp,
 )
@@ -28,6 +27,7 @@ from randgen import (
     compose_kernel_oracle,
     compose_rel_oracle,
     consistent_ptkernel,
+    identity_kernel,
     pt_condition_oracle,
     random_modeset,
     random_point,
