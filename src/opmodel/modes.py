@@ -61,10 +61,15 @@ def compose_rel(outer: ModeRelation,
     witnesses both legs.  Composite slots are labeled ``outerslot.innerslot``,
     and must be unique.
     """
+    caused: dict = {s: {} for s in inners}  # slot -> slot mode -> root modes
+    for s, index in caused.items():
+        for y, x in outer.pairs.get(s, ()):
+            index.setdefault(y, []).append(x)
     items = graft(
-        outer.pairs.items(), {s: r.pairs.items() for s, r in inners.items()},
-        lambda rel, sub: frozenset((z, x) for z, y in sub
-                                   for y2, x in rel if y == y2))
+        ((s, caused.get(s, rel)) for s, rel in outer.pairs.items()),
+        {s: r.pairs.items() for s, r in inners.items()},
+        lambda index, sub: frozenset([(z, x) for z, y in sub
+                                      for x in index.get(y, ())]))
     pairs = dict(items)
     if len(pairs) != len(items):
         raise ValidationError("relation labels must be unique")

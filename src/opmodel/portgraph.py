@@ -203,13 +203,13 @@ def canonicalize(arch: Architecture) -> Architecture:
     port, or a wire mixes interface types.  Ports attached to no wire are
     permitted here; use :func:`validate` to insist on total wiring.
     """
-    port_type = arch.port_types()
-    seen: set[PortRef] = set()
-    for w in arch.wires:
+    # a wire pops its ports, so a port on an earlier wire is missing too
+    pop = arch.port_types().pop
+    for i, w in enumerate(arch.wires):
         for ref in w.ports:
-            if port_type.get(ref) != w.type or ref in seen:
-                raise _wire_error(w, port_type, seen)
-        seen.update(w.ports)
+            if pop(ref, None) != w.type:
+                raise _wire_error(w, arch.port_types(), {
+                    r for v in arch.wires[:i] for r in v.ports})
     return arch
 
 
@@ -226,11 +226,14 @@ def _wire_error(w: Wire, port_type: Mapping, seen: set) -> ValidationError:
 
 
 def validate(arch: Architecture) -> Architecture:
-    """Canonicalize and additionally require every port to be wired."""
+    """Canonicalize and additionally require every port to be wired: a count,
+    since canonical wires hold distinct known ports."""
     canon = canonicalize(arch)
-    wired = {ref for w in canon.wires for ref in w.ports}
-    missing = [PortRef(*ref) for ref in canon.port_types() if ref not in wired]
-    if missing:
+    ports = len(canon.output.ports) + sum(len(b.ports) for _, b in canon.inputs)
+    if sum(len(w.ports) for w in canon.wires) != ports:
+        wired = {ref for w in canon.wires for ref in w.ports}
+        missing = [PortRef(*ref) for ref in canon.port_types()
+                   if ref not in wired]
         names = ", ".join(str(r) for r in missing)
         raise ValidationError(f"unwired ports: {names}")
     return canon
@@ -246,11 +249,9 @@ def identity(b: Boundary) -> Architecture:
 
 
 def is_identity(arch: Architecture) -> bool:
-    if len(arch.inputs) != 1:
+    if len(arch.inputs) != 1 or arch.inputs[0][1] != arch.output:
         return False
     slot, b = arch.inputs[0]
-    if b != arch.output:
-        return False
     expected = {frozenset({PortRef(slot, p), PortRef(None, p)}) for p in b.ports}
     return {w.ports for w in arch.wires} == expected
 
@@ -289,33 +290,43 @@ def compose(outer_arch: Architecture,
     Slots absent from ``inner`` (or filled with an identity) are left alone.
     Wires of the result are the connected components of inner and outer
     wires glued along the shared intermediate ports, which are deleted.
-    Composite slots are labeled ``outerslot.innerslot``.
-    """
+    Composite slots are labeled ``outerslot.innerslot``.  A port that an
+    input puts on two wires is refused."""
     subst: dict[str, Architecture] = {}
     for slot, g in inner.items():
         outer_arch.check_fill(slot, g.output)
         if not is_identity(g):
             subst[slot] = g
 
-    # Each wire carries composite PortRefs and ("mid", slot, port) nodes for
-    # the deleted intermediate ports.  A node remembers the first wire that
-    # carried it, and a later wire carrying it is glued to that wire by a
-    # union-find over wire indices.
-    carried: list[tuple[str, list[PortRef], list[tuple[str, str, str]]]] = []
+    # Only deleted ports, ``(slot, port)`` of a substituted slot, glue wires;
+    # other wires pass, relabeled.  A deleted port remembers the first wire
+    # carrying it, and a union-find over ``glued`` joins a later one to it.
+    # (Plain loops: on wires of two or three ports they beat comprehensions.)
+    wires: list[Wire] = []
+    glued: list[tuple[str, list[PortRef], list[tuple[str, str]]]] = []
     for w in outer_arch.wires:
-        carried.append((w.type,
-                        [r for r in w.ports if r.slot not in subst],
-                        [("mid", r.slot, r.port) for r in w.ports
-                         if r.slot in subst]))
+        refs, mids = [], []
+        for r in w.ports:
+            (mids if r.slot in subst else refs).append(r)
+        if mids:
+            glued.append((w.type, refs, mids))
+        else:
+            wires.append(w)
     for slot, g in subst.items():
+        prefix = slot + "."
         for w in g.wires:
-            carried.append((w.type,
-                            [PortRef(f"{slot}.{r.slot}", r.port)
-                             for r in w.ports if r.slot is not None],
-                            [("mid", slot, r.port) for r in w.ports
-                             if r.slot is None]))
+            refs, mids = [], []
+            for s, p in w.ports:
+                if s is None:
+                    mids.append((slot, p))
+                else:
+                    refs.append(PortRef(prefix + s, p))
+            if mids:
+                glued.append((w.type, refs, mids))
+            else:
+                wires.append(Wire(frozenset(refs), w.type))
 
-    parent = list(range(len(carried)))
+    parent = list(range(len(glued)))
 
     def root(i: int) -> int:
         while parent[i] != i:
@@ -323,25 +334,22 @@ def compose(outer_arch: Architecture,
             i = parent[i]
         return i
 
-    first: dict = {}
-    for i, (_, refs, mids) in enumerate(carried):
-        for node in refs + mids:
+    first: dict[tuple[str, str], int] = {}
+    for i, (_, _, mids) in enumerate(glued):
+        for node in mids:
             j = first.setdefault(node, i)
             if j != i:
                 parent[root(i)] = root(j)
 
     # every wire's type must be the type of its glued component
-    types: dict[int, str] = {}
-    members: dict[int, list[PortRef]] = {}
-    for i, (wtype, refs, _) in enumerate(carried):
-        r = root(i)
-        t = types.setdefault(r, wtype)
+    members: dict[int, tuple[str, list[PortRef]]] = {}
+    for i, (wtype, refs, _) in enumerate(glued):
+        t, component = members.setdefault(root(i), (wtype, []))
         if t != wtype:
             raise CompositionError(
                 f"type conflict among glued wires: {t!r} vs {wtype!r}")
-        members.setdefault(r, []).extend(refs)
-    wires = [Wire(frozenset(refs), types[r])
-             for r, refs in members.items() if refs]
+        component += refs
+    wires += [Wire(frozenset(refs), t) for t, refs in members.values() if refs]
 
     inputs = graft(outer_arch.inputs, {s: g.inputs for s, g in subst.items()})
     return canonicalize(Architecture(inputs, outer_arch.output, tuple(wires)))
@@ -422,10 +430,9 @@ def derive_correspondence(a: Architecture,
     """Match slots by boundary name, when each boundary occurs at most once per side."""
     by_name_a: dict[str, list[str]] = {}
     by_name_b: dict[str, list[str]] = {}
-    for s, bd in a.inputs:
-        by_name_a.setdefault(bd.name, []).append(s)
-    for s, bd in b.inputs:
-        by_name_b.setdefault(bd.name, []).append(s)
+    for arch, by_name in ((a, by_name_a), (b, by_name_b)):
+        for s, bd in arch.inputs:
+            by_name.setdefault(bd.name, []).append(s)
     if set(by_name_a) != set(by_name_b):
         raise ValidationError(
             "cannot auto-match components: boundary sets differ "

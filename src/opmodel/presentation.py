@@ -42,10 +42,8 @@ class Term(Value):
         self.generator, self.children = generator, children
 
     def child(self, slot: str) -> "Term | None":
-        for s, t in self.children:
-            if s == slot:
-                return t
-        return None
+        """The last filler of ``slot``, the one every fold reads, or None."""
+        return dict(self.children).get(slot)
 
     def __str__(self) -> str:
         # an explicit stack of terms and text pieces, so depth is unbounded

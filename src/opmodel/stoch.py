@@ -35,6 +35,14 @@ ZERO = Fraction(0)
 Entry = tuple[str, str, str]  # (source mode, slot label, slot mode)
 
 
+def _exact(q: Fraction) -> str:
+    """``str(q)``, or in hexadecimal past the interpreter's digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        return f"{q.numerator:#x}/{q.denominator:#x}"
+
+
 class Point(Value):
     """A prior: a single distribution over a mode set."""
 
@@ -103,7 +111,7 @@ class Kernel(Value):
             if n != d:
                 raise ValidationError(
                     f"kernel row for {source.boundary}.{x} sums to "
-                    f"{Fraction(n, d)}")
+                    f"{_exact(Fraction(n, d))}")
         self.source, self.slots = source, slots
         # store only positive entries, so equal kernels compare equal
         self.entries = {k: p for k, p in entries.items() if p}
@@ -223,8 +231,9 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
                 max_res = res
             if res > tolerance:
                 violations.append(
-                    f"slot {label}, mode {y}: marginal {Fraction(lhs, c)} != "
-                    f"{weight} * {sy}")
+                    f"slot {label}, mode {y}: marginal "
+                    f"{_exact(Fraction(lhs, c))} != {_exact(weight)} * "
+                    f"{_exact(sy)}")
     return PtConditionReport(not violations, max_res, tuple(violations),
                              tuple(aggregate))
 
@@ -288,9 +297,12 @@ class LiftingRow(NamedTuple):
 def _kernels_agree(a: PtKernel, b: PtKernel,
                    relabel: Mapping[str, str],
                    tolerance: Fraction) -> str:
-    """Empty string when equal after relabeling a's slots, else a description."""
+    """Empty string when equal after relabeling a's slots, else a description.
+    ``relabel`` is one-to-one; entries are scanned only if stored ones differ."""
     if not a.source_prior.same_as(b.source_prior):
         return "source priors differ"
+    same = b.kernel.entries == {(x, relabel[i], y): p for (x, i, y), p
+                                in a.kernel.entries.items()}
     b_slots = dict(b.kernel.slots)
     for label, ms in a.kernel.slots:
         other = relabel[label]
@@ -300,7 +312,7 @@ def _kernels_agree(a: PtKernel, b: PtKernel,
             return f"slot {label} ~ {other}: mode sets differ"
         if not a.slot_priors[label].same_as(b.slot_priors[other]):
             return f"slot {label} ~ {other}: slot priors differ"
-        for x in a.kernel.source.modes:
+        for x in () if same else a.kernel.source.modes:
             for y in ms.modes:
                 pa = a.kernel(x, label, y)
                 pb = b.kernel(x, other, y)
@@ -320,12 +332,10 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
     """
     errors = check_arity(pres, P)
     errors += check_totality(pres, M)
-    for name in pres.boundaries:
-        if name not in S.priors:
-            errors.append(f"no prior for boundary {name}")
-    for name in pres.generators:
-        if name not in S.kernels:
-            errors.append(f"no kernel for generator {name}")
+    errors += [f"no prior for boundary {name}" for name in pres.boundaries
+               if name not in S.priors]
+    errors += [f"no kernel for generator {name}" for name in pres.generators
+               if name not in S.kernels]
     if errors:
         return CheckReport("lifting check", (), tuple(errors))
 
@@ -347,10 +357,8 @@ def check_lifting(pres: OperadPresentation, S: StochFunctor, P: ProbFunctor,
         diffs = []
         for slot in dict.fromkeys([*got_rel.pairs, *want_rel.pairs]):
             g, w = got_rel.slot(slot), want_rel.slot(slot)
-            for pair in sorted(g - w):
-                diffs.append(f"{slot}: extra pair {pair}")
-            for pair in sorted(w - g):
-                diffs.append(f"{slot}: missing pair {pair}")
+            diffs += [f"{slot}: extra pair {pair}" for pair in sorted(g - w)]
+            diffs += [f"{slot}: missing pair {pair}" for pair in sorted(w - g)]
         rows.append(LiftingRow(
             f"{name}: support matches mode functor", not diffs,
             "; ".join(diffs)))

@@ -122,7 +122,7 @@ def compose_partition_oracle(
 
 # ---------------------------------------------------------------------- terms
 
-FAULTS = (None, "generator", "slot", "boundary")
+FAULTS = (None, "generator", "slot", "boundary", "twice")
 
 
 def random_presentation(rng: random.Random
@@ -143,7 +143,8 @@ def random_presentation(rng: random.Random
 def random_term(rng: random.Random, pres: OperadPresentation,
                 fault: str | None = None, depth: int = 3) -> Term:
     """A random well-typed term, or one with a ``fault`` at a random node:
-    an unknown generator, an unknown slot or a boundary mismatch."""
+    an unknown generator, an unknown slot, a boundary mismatch, or a slot
+    filled twice more, well typed each time, after any fill it had."""
     def grow(name: str, depth: int) -> Term:
         children = []
         for slot, b in pres.generators[name].inputs:
@@ -164,6 +165,10 @@ def random_term(rng: random.Random, pres: OperadPresentation,
             return Term(t.generator,
                         t.children + (("nowhere", Term(t.generator)),))
         slot, b = rng.choice(pres.generators[t.generator].inputs)
+        if fault == "twice":
+            fits = [g for g, a in pres.generators.items() if a.output == b]
+            return Term(t.generator, t.children + tuple(
+                (slot, grow(rng.choice(fits), 1)) for _ in range(2)))
         children = dict(t.children)
         children[slot] = Term(rng.choice(
             [g for g, a in pres.generators.items() if a.output != b]))
@@ -265,6 +270,23 @@ def compose_rel_oracle(outer: ModeRelation,
                 for z in {z for z, _ in sub_rel}
                 for x in {x for _, x in rel}
                 if any((z, y) in sub_rel and (y, x) in rel for y in middles))
+    return ModeRelation(out)
+
+
+def compose_rel_scan_oracle(outer: ModeRelation,
+                            inners: Mapping[str, ModeRelation]
+                            ) -> ModeRelation:
+    """For each leaf pair (z, y), a scan of the whole outer relation for the
+    pairs (y, x) it chains with, slot by slot."""
+    out: dict[str, frozenset[tuple[str, str]]] = {}
+    for slot, rel in outer.pairs.items():
+        inner = inners.get(slot)
+        if inner is None:
+            out[slot] = rel
+            continue
+        for sub, sub_rel in inner.pairs.items():
+            out[f"{slot}.{sub}"] = frozenset(
+                (z, x) for z, y in sub_rel for y2, x in rel if y == y2)
     return ModeRelation(out)
 
 
@@ -465,3 +487,29 @@ def random_ptkernel(rng: random.Random, source: ModeSet,
             probs[y2] += delta
         slot_priors[label] = Point(ms, probs)
     return PtKernel(kernel, prior, slot_priors)
+
+
+def kernels_agree_oracle(a: PtKernel, b: PtKernel,
+                         relabel: Mapping[str, str],
+                         tolerance: Fraction) -> str:
+    """The first difference between two pointed kernels after relabeling
+    a's slots, or ``""``: the priors, then each slot's counterpart, mode
+    set, prior and every (source mode, slot mode) entry, in slot order."""
+    if not a.source_prior.same_as(b.source_prior):
+        return "source priors differ"
+    b_slots = dict(b.kernel.slots)
+    for label, ms in a.kernel.slots:
+        other = relabel[label]
+        if other not in b_slots:
+            return f"slot {label} has no counterpart {other}"
+        if set(ms.modes) != set(b_slots[other].modes):
+            return f"slot {label} ~ {other}: mode sets differ"
+        if not a.slot_priors[label].same_as(b.slot_priors[other]):
+            return f"slot {label} ~ {other}: slot priors differ"
+        for x in a.kernel.source.modes:
+            for y in ms.modes:
+                pa = a.kernel(x, label, y)
+                pb = b.kernel(x, other, y)
+                if abs(pa - pb) > tolerance:
+                    return (f"entry ({x} -> {label}.{y}): {pa} vs {pb}")
+    return ""

@@ -5,6 +5,7 @@ common denominator.  Each must accept exactly what a plain ``Fraction`` sum
 accepts, and reject the rest with the same first message.
 """
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from time import perf_counter
@@ -219,3 +220,47 @@ def test_rows_with_distinct_prime_denominators_take_linear_time():
     assert report.holds and report.aggregate == (("s", 1),)
     assert kernel_s < 0.25, f"Kernel check took {kernel_s:.2f} s"
     assert pt_s < 0.25, f"pt_condition took {pt_s:.2f} s"
+
+
+def _hex(q: Fraction) -> str:
+    return f"{q.numerator:#x}/{q.denominator:#x}"
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 7000,
+    reason="no integer string conversion limit below 7000 digits")
+class TestOverlongValues:
+    """A value whose decimal form passes the interpreter's limit on integer
+    string conversion is named in hexadecimal: the checks report it instead
+    of raising ``ValueError``.  The sums of 1/p over 2000 distinct odd
+    primes p have about 7500 digits."""
+
+    PRIMES = _odd_primes(2000)
+
+    def test_pt_condition_names_an_overlong_marginal(self):
+        source = ModeSet("X", tuple(f"x{k}" for k in range(len(self.PRIMES))))
+        target = ModeSet("Y", ("a", "b"))
+        entries = {}
+        for k, p in enumerate(self.PRIMES):
+            entries[(f"x{k}", "s", "a")] = F(1, p)
+            entries[(f"x{k}", "s", "b")] = 1 - F(1, p)
+        n = len(self.PRIMES)
+        pointed = PtKernel(
+            Kernel(source, (("s", target),), entries),
+            Point(source, {x: F(1, n) for x in source.modes}),
+            {"s": Point(target, {"a": F(1, 2), "b": F(1, 2)})})
+        report = pt_condition(pointed)
+        marginal = sum(F(1, p) for p in self.PRIMES) / n
+        assert not report.holds
+        assert report.violations == (
+            f"slot s, mode a: marginal {_hex(marginal)} != 1 * 1/2",
+            f"slot s, mode b: marginal {_hex(1 - marginal)} != 1 * 1/2")
+
+    def test_kernel_names_an_overlong_row_sum(self):
+        target = ModeSet("Y", tuple(f"y{k}" for k in range(len(self.PRIMES))))
+        entries = {("x", "s", f"y{k}"): F(1, p)
+                   for k, p in enumerate(self.PRIMES)}
+        row = sum(F(1, p) for p in self.PRIMES)
+        with pytest.raises(ValidationError) as err:
+            Kernel(ModeSet("X", ("x",)), (("s", target),), entries)
+        assert str(err.value) == f"kernel row for X.x sums to {_hex(row)}"

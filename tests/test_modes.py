@@ -16,6 +16,7 @@ from opmodel.portgraph import ValidationError
 from opmodel.presentation import parse_term
 from randgen import (
     compose_rel_oracle,
+    compose_rel_scan_oracle,
     identity_relation,
     random_modeset,
     random_relation,
@@ -77,6 +78,28 @@ class TestComposeRel:
             assert set(composed.pairs) == set(oracle.pairs)
             for slot in composed.pairs:
                 assert composed.slot(slot) == oracle.slot(slot)
+
+    def test_matches_nested_scan_oracle(self):
+        """Labels in graft order and pairs as the nested scan finds them,
+        on relations with few pairs, and with inner modes the outer
+        relation never names."""
+        rng = random.Random(303)
+        for _ in range(300):
+            out_ms = random_modeset(rng, "O")
+            slot_ms = {f"s{i}": random_modeset(rng, f"B{i}")
+                       for i in range(rng.randint(1, 3))}
+            outer = random_relation(rng, slot_ms, out_ms)
+            inners = {}
+            for slot, ms in slot_ms.items():
+                if rng.random() < 0.7:
+                    inner_slots = {f"t{j}": random_modeset(rng, f"C{j}")
+                                   for j in range(rng.randint(1, 3))}
+                    wider = ModeSet(ms.boundary, ms.modes + ("extra",))
+                    inners[slot] = random_relation(
+                        rng, inner_slots, wider if rng.random() < 0.3 else ms)
+            composed = compose_rel(outer, inners)
+            oracle = compose_rel_scan_oracle(outer, inners)
+            assert list(composed.pairs.items()) == list(oracle.pairs.items())
 
     def test_monotone_in_the_inner_relation(self):
         rng = random.Random(302)

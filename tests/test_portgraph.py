@@ -260,6 +260,31 @@ class TestCompose:
         with pytest.raises(CompositionError, match="type conflict"):
             compose(f, {"s": g})
 
+    def test_refuses_an_outer_port_on_two_wires(self):
+        # s.x is on a wire that passes through and on one glued at u, so it
+        # ends on two wires of the composite
+        m = boundary("M", x="physical")
+        f = Architecture(
+            (("s", m), ("u", m)), boundary("O", x="physical"),
+            (wire([at("s", "x"), outer("x")], "physical"),
+             wire([at("s", "x"), at("u", "x")], "physical")))
+        g = Architecture((("t", boundary("B", a="physical")),), m,
+                         (wire([at("t", "a"), outer("x")], "physical"),))
+        with pytest.raises(ValidationError,
+                           match=r"^port s\.x attached to two wires$"):
+            compose(f, {"u": g})
+
+    def test_passing_wires_are_kept_or_relabeled_alone(self, pres):
+        tau, beta = pres.generators["tau"], pres.generators["beta"]
+        composite = compose(tau, {"ba": beta})
+        kept = [w for w in tau.wires if all(r.slot != "ba" for r in w.ports)]
+        assert kept and all(any(v is w for v in composite.wires) for w in kept)
+        inside = [w for w in beta.wires if all(r.slot for r in w.ports)]
+        assert inside
+        for w in inside:
+            assert wire([at(f"ba.{r.slot}", r.port) for r in w.ports],
+                        w.type) in composite.wires
+
     def test_type_conflict_is_independent_of_hash_seed(self):
         src = str(Path(opmodel.__file__).resolve().parent.parent)
         for seed in range(8):

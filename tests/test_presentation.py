@@ -175,7 +175,17 @@ class TestCompile:
 class TestFoldedWalks:
     """``check_term`` and ``leaf_paths`` are folds; plain recursion and
     ``elaborate`` are their oracles.  A fill of a missing slot has no leaf
-    paths: ``leaf_paths`` refuses it."""
+    paths: ``leaf_paths`` refuses it.  A slot filled twice is read through
+    its last filler, by the folds and by ``Term.child`` alike."""
+
+    def test_slot_filled_twice_reads_the_last_filler(self, lsi):
+        pres = lsi.presentation
+        t = Term("phi", (("ts", Term("tau")),
+                         ("ts", parse_term("tau(ba->beta)"))))
+        assert t.child("ts") == parse_term("tau(ba->beta)")
+        paths = leaf_paths(pres, t)
+        assert len(paths) == 6
+        assert leaf_paths_oracle(pres, t) == paths
 
     def test_random_terms_match_the_oracles(self):
         rng = random.Random(2009)
@@ -199,10 +209,10 @@ class TestFoldedWalks:
                     == (type(exc), str(exc))
                 seen[fault] += 1
                 continue
-            assert fault is None
+            assert fault in (None, "twice")
             assert check_term(pres, t) == want
             assert P.fold(t).labels == tuple(p for p, _ in leaf_paths(pres, t))
-            seen["identity" if "->id" in str(t) else "typed"] += 1
+            seen[fault or ("identity" if "->id" in str(t) else "typed")] += 1
         assert set(seen) == {"typed", "identity", *FAULTS[1:]}, seen
 
 

@@ -13,6 +13,7 @@ from opmodel.stoch import (
     Point,
     PtKernel,
     StochFunctor,
+    _kernels_agree,
     aggr,
     check_lifting,
     compose_kernel,
@@ -28,6 +29,7 @@ from randgen import (
     compose_rel_oracle,
     consistent_ptkernel,
     identity_kernel,
+    kernels_agree_oracle,
     pt_condition_oracle,
     random_modeset,
     random_point,
@@ -212,6 +214,85 @@ class TestMarginalOracle:
         # only within 1/100, or at neither; each kind of violation occurs
         assert {(True, True), (False, True), (False, False), "zero prior",
                 *self.KINDS} <= seen
+
+
+class TestKernelsAgree:
+    """``_kernels_agree`` compares the relabeled stored entries first; the
+    full scan in slot order is its oracle, message for message."""
+
+    KINDS = ("", "source priors differ", "no counterpart", "mode sets differ",
+             "slot priors differ", "entry")
+
+    @staticmethod
+    def copy(k, relabel, entries=None, slot_priors=None, source_prior=None):
+        """``k`` with its slots renamed by ``relabel`` and listed in reverse
+        order, and any of its parts replaced."""
+        kern = k.kernel
+        entries = entries if entries is not None else {
+            (x, relabel[i], y): p for (x, i, y), p in kern.entries.items()}
+        slots = tuple((relabel[l], ms) for l, ms in reversed(kern.slots))
+        priors = slot_priors if slot_priors is not None else {
+            relabel[l]: p for l, p in k.slot_priors.items()}
+        return PtKernel(Kernel(kern.source, slots, entries),
+                        source_prior or k.source_prior, priors)
+
+    @staticmethod
+    def nudged(rng, entries):
+        """``entries`` with 1/200 or 1/50 of one row's mass moved, where it
+        fits, from one entry to another place in the same row."""
+        entries = dict(entries)
+        (x, i, y), p = rng.choice(sorted(entries.items()))
+        j, z = rng.choice(sorted({(j, z) for (_, j, z) in entries}))
+        delta = min(p, rng.choice((F(1, 200), F(1, 50))))
+        entries[(x, i, y)] = p - delta
+        entries[(x, j, z)] = entries.get((x, j, z), F(0)) + delta
+        return entries
+
+    def test_matches_the_full_scan(self):
+        rng = random.Random(2020)
+        seen = set()
+        for _ in range(300):
+            src = random_modeset(rng, "S", max_modes=3)
+            labels = ("a", "b", "c")[:rng.randint(1, 3)]
+            slots = tuple((l, random_modeset(rng, "B", 3)) for l in labels)
+            a = consistent_ptkernel(rng, src, slots)
+            names = [f"r{n}" for n in range(len(labels))]
+            rng.shuffle(names)
+            relabel = dict(zip(labels, names))
+            b = self.copy(a, relabel)
+            label = rng.choice(labels)
+            kind = rng.choice(("same", "nudged", "prior", "source prior",
+                               "other bijection", "no counterpart"))
+            if kind == "nudged":
+                b = self.copy(a, relabel, self.nudged(rng, b.kernel.entries))
+            elif kind == "prior":
+                b = self.copy(a, relabel, slot_priors={
+                    **b.slot_priors, relabel[label]: random_point(
+                        rng, dict(slots)[label], strictly_positive=False)})
+            elif kind == "source prior":
+                b = self.copy(a, relabel, source_prior=random_point(rng, src))
+            elif kind == "other bijection":
+                rng.shuffle(names)
+                relabel = dict(zip(labels, names))
+            elif kind == "no counterpart":
+                relabel = {**relabel, label: "zz"}
+            for tolerance in (F(0), F(1, 100)):
+                want = kernels_agree_oracle(a, b, relabel, tolerance)
+                assert _kernels_agree(a, b, relabel, tolerance) == want
+                seen.update(k for k in self.KINDS if k and k in want)
+                seen.add((kind, tolerance, want == ""))
+        assert set(self.KINDS[1:]) <= seen, seen
+        # a nudge of 1/200 passes within 1/100 and fails exactly; one of
+        # 1/50 fails both
+        assert {("same", 0, True), ("nudged", 0, False),
+                ("nudged", F(1, 100), True), ("nudged", F(1, 100), False),
+                } <= seen, seen
+
+    def test_a_relabeled_copy_agrees(self, lsi):
+        S = lsi.stoch_functors["S"]
+        k = S.pt_kernel(lsi.presentation, "tau")
+        relabel = {l: l.upper() for l, _ in k.kernel.slots}
+        assert _kernels_agree(k, self.copy(k, relabel), relabel, F(0)) == ""
 
 
 class TestCorpusLifting:
