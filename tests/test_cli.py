@@ -1,4 +1,6 @@
 """Command-line interface: subcommands, exit codes, text and JSON output."""
+import gc
+import io
 import json
 import os
 import random
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import opmodel
+import opmodel.cli as cli
 from opmodel.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, run
 from opmodel.corpus import lsi_text
 
@@ -695,3 +698,89 @@ class TestRepeatedRuns:
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == \
                 fresh[(tuple(argv), columns)], argv
+
+
+class TestCollector:
+    """``run`` runs each command with the cyclic collector disabled, and on
+    every way out of ``run`` leaves the collector as the caller had it."""
+
+    @staticmethod
+    def record(monkeypatch) -> list[bool]:
+        """Record ``gc.isenabled()`` at every model load and every write to
+        standard output or error, the points every exit path passes."""
+        states: list[bool] = []
+
+        class Stream(io.StringIO):
+            def write(self, text):
+                states.append(gc.isenabled())
+                return super().write(text)
+
+        load = cli._load_model
+
+        def recording_load(path):
+            states.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(sys, "stdout", Stream())
+        monkeypatch.setattr(sys, "stderr", Stream())
+        monkeypatch.setattr(cli, "_load_model", recording_load)
+        return states
+
+    @pytest.mark.parametrize("case, code", [
+        ("validate", EXIT_OK),
+        ("perturbed", EXIT_CHECK_FAILED),
+        ("missing file", EXIT_ERROR),
+        ("usage error", EXIT_ERROR),
+        ("help", EXIT_OK),
+        ("deep term", EXIT_ERROR),
+        pytest.param("digit limit", EXIT_ERROR, marks=pytest.mark.skipif(
+            not 3001 <= getattr(sys, "get_int_max_str_digits",
+                                lambda: 0)() < 6000,
+            reason="no integer string conversion limit in [3001, 6000) "
+            "digits")),
+        ("re-raised", None)])
+    def test_paused_during_the_command_and_restored(
+            self, case, code, tmp_path, monkeypatch):
+        text = lsi_text()
+        if case == "perturbed":
+            text = text.replace("  wire ch.focus = op.focus\n", "")
+        elif case == "digit limit":  # as TestOutputLimits builds it
+            a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
+            text = text.replace(
+                "laser_low -> bt.leak: 1/10", f"laser_low -> bt.leak: 1/{a}"
+            ).replace("laser_low -> rt.too_cold: 1/10",
+                      f"laser_low -> rt.too_cold: {a - 5}/{5 * a}").replace(
+                "prior TempSys = (laser_low: 1/2, laser_high: 1/2)",
+                f"prior TempSys = (laser_low: 1/{b}, laser_high: {b - 1}/{b})")
+        model = tmp_path / "model.opm"
+        if case != "missing file":
+            model.write_text(text, encoding="utf-8")
+        argv = {
+            "usage error": ["check"],
+            "help": ["validate", "--help"],
+            "deep term": ["compose", str(model), "--term",
+                          "phi(ls->" * 1200 + "lambda" + ")" * 1200],
+            "digit limit": ["check", str(model), "--functor", "P",
+                            "--functor", "M", "--functor", "S"],
+        }.get(case, ["validate", str(model)])
+        states = self.record(monkeypatch)
+        if case == "re-raised":  # a ValueError that run does not handle
+            def broken_load(path):
+                states.append(gc.isenabled())
+                raise ValueError("not a digit limit")
+            monkeypatch.setattr(cli, "_load_model", broken_load)
+
+        was = gc.isenabled()
+        try:
+            for caller_enabled in (True, False):
+                (gc.enable if caller_enabled else gc.disable)()
+                states.clear()
+                if code is None:
+                    with pytest.raises(ValueError, match="not a digit limit"):
+                        run(argv)
+                else:
+                    assert run(argv) == code
+                assert states and not any(states), states
+                assert gc.isenabled() is caller_enabled
+        finally:
+            (gc.enable if was else gc.disable)()

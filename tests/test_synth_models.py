@@ -1,6 +1,7 @@
 """Whole-model oracles: generated balanced models against the references
 that ``benchmarks/synth.py`` computes without calling ``opmodel``."""
 import functools
+import gc
 import itertools
 import json
 import random
@@ -214,3 +215,65 @@ def test_renaming_and_permutation_change_only_names(source, tmp_path):
     assert check_report(permuted(canon, rng), tmp_path) == want
     name_swap, back = renamed(canon, rng)
     assert check_report(permuted(name_swap, rng), tmp_path, back) == want
+
+
+def saved_garbage(call):
+    """``call()``'s result, and the number of objects it leaves as cyclic
+    garbage: what ``gc.collect()`` finds after it under
+    ``gc.DEBUG_SAVEALL``."""
+    gc.collect()
+    gc.garbage.clear()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = call()
+        gc.collect()
+        return result, len(gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_commands_make_no_cyclic_garbage(tmp_path):
+    """``cli.run`` pauses the cyclic collector, which is safe because no
+    command leaves cyclic garbage behind: every ``lsi-cli`` op of
+    ``benchmarks/lsi_expected.json`` (the perturbed and truncated models
+    included), ``check P M S`` on a 16-leaf synth model and its twin, and a
+    missing model file.
+
+    A text op leaves none.  A JSON op leaves exactly what a bare
+    ``json.dumps(payload, indent=2, sort_keys=True)`` leaves: with ``indent``
+    CPython 3.10 to 3.12 use the pure-Python encoder, whose nested closures
+    form a reference cycle on every call (33 objects), and 3.13 its C
+    encoder, which leaves none.  Comparing with that count, not with a
+    constant, makes the assertion hold on each of them."""
+    expected = json.loads((Path(__file__).resolve().parents[1] / "benchmarks"
+                           / "lsi_expected.json").read_text(encoding="utf-8"))
+    text = opmodel.lsi_text()
+    cut = text.index(expected["truncate_after"]) + \
+        len(expected["truncate_after"])
+    models = {"clean": text,
+              "perturbed": text.replace(expected["perturb_remove"], ""),
+              "truncated": text[:cut],
+              "synth": synth_model(2, 1).text,  # 16 leaves
+              "twin": synth_model(2, 1).twin_text}
+    paths = {}
+    for key, body in models.items():
+        paths[key] = tmp_path / f"{key}.opm"
+        paths[key].write_text(body, encoding="utf-8")
+    pms = ["--functor", "P", "--functor", "M", "--functor", "S"]
+    argvs = [[arg.format(**paths) for arg in op["argv"]]
+             for op in expected["ops"]]
+    argvs += [["check", str(paths[key]), *pms, *fmt]
+              for key in ("synth", "twin")
+              for fmt in ([], ["--format", "json"])]
+    argvs.append(["validate", str(tmp_path / "missing.opm")])
+
+    _, bare = saved_garbage(lambda: json.dumps(
+        {"command": "check", "success": True}, indent=2, sort_keys=True))
+    run_cli(argvs[0])  # warm-up
+    for argv in argvs:
+        (code, out, err), left = saved_garbage(lambda: run_cli(argv))
+        assert "Traceback" not in err, argv
+        printed_json = "--format" in argv and out != ""
+        assert left == (bare if printed_json else 0), (argv, code)
