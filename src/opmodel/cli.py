@@ -89,15 +89,15 @@ def cmd_compose(args: argparse.Namespace) -> int:
         "term": str(term),
         "inputs": [{"slot": s, "boundary": b.name} for s, b in arch.inputs],
         "output": arch.output.name,
-        "wires": [{"ports": [str(r) for r in w.sorted_ports()],
-                   "type": w.type} for w in arch.wires],
+        "wires": [w.to_dict() for w in arch.wires],
     })
 
 
 def _functor_checks(model: Model, names: list[str], tolerance: Fraction):
     """Dispatch named functors by kind: one ``(name, kind, report)`` per check."""
     reports = []
-    prob_name = modes_name = stoch_name = None
+    prob_name = modes_name = None
+    stoch_names = []
     for name in names:
         if name in model.prob_functors:
             prob_name = name
@@ -108,16 +108,17 @@ def _functor_checks(model: Model, names: list[str], tolerance: Fraction):
             reports.append((name, "modes", check_mode_functor(
                 model.presentation, model.mode_functors[name])))
         elif name in model.stoch_functors:
-            stoch_name = name
+            stoch_names.append(name)
         else:
             raise CliError(f"no functor named {name!r} in the model")
-    if stoch_name is not None:
-        if prob_name is None or modes_name is None:
-            raise CliError(
-                "checking a stochastic functor requires naming a "
-                "probability functor and a mode functor as well")
-        reports.append((stoch_name, "stoch", check_lifting(
-            model.presentation, model.stoch_functors[stoch_name],
+    if stoch_names and (prob_name is None or modes_name is None):
+        raise CliError(
+            "checking a stochastic functor requires naming a "
+            "probability functor and a mode functor as well")
+    # each stochastic functor against the last probability and mode functor
+    for name in stoch_names:
+        reports.append((name, "stoch", check_lifting(
+            model.presentation, model.stoch_functors[name],
             model.prob_functors[prob_name], model.mode_functors[modes_name],
             tolerance)))
     return reports
@@ -247,7 +248,7 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_ERROR
     except ValueError as exc:
         # CPython refuses ``str`` of an integer over its digit limit, which
-        # an exact value can reach in any report or message
+        # a reported value can reach; messages use ``prob.format_exact``
         if "integer string conversion" not in str(exc):
             raise
         print("error: a result has more digits than the interpreter's limit "

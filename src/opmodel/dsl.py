@@ -381,11 +381,8 @@ class _Parser:
             if port not in b.port_type:
                 raise self.error(f"unknown port {port} on {b.name}",
                                  self.pos - 1)
-            ref = PortRef(slot, port)
-            if unwired and ref in wire_of:
-                raise self.error(f"port {ref} attached to two wires",
-                                 self.pos - 1)
-            return ref
+            raise self.error(f"port {slot}.{port} attached to two wires",
+                             self.pos - 1)
 
         def join(refs: list[PortRef], w: list[PortRef] | None = None) -> None:
             """Add ``refs`` to wire ``w``, or to a new wire when it is None."""

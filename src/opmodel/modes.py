@@ -183,7 +183,9 @@ class ModeCheckRow(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"lhs": self.lhs_path, "rhs": self.rhs_path,
-                "passed": self.passed}
+                "passed": self.passed,
+                "only_lhs": [list(pair) for pair in sorted(self.missing_rhs)],
+                "only_rhs": [list(pair) for pair in sorted(self.missing_lhs)]}
 
 
 def check_mode_functor(pres: OperadPresentation,

@@ -124,6 +124,10 @@ class Wire(Value):
     def __str__(self) -> str:
         return "{" + ", ".join(str(p) for p in self.sorted_ports()) + "}:" + self.type
 
+    def to_dict(self) -> dict:
+        return {"ports": [str(p) for p in self.sorted_ports()],
+                "type": self.type}
+
 
 def wire(refs: Iterable[PortRef], type: str) -> Wire:
     return Wire(frozenset(refs), type)

@@ -262,8 +262,11 @@ class EquationReport(NamedTuple):
         return head
 
     def to_dict(self) -> dict:
+        diff = self.diff or EqualityReport(True)
         return {"equation": str(self.equation), "passed": self.passed,
-                "error": self.error}
+                "error": self.error, "reason": diff.reason,
+                "only_left": [w.to_dict() for w in diff.only_left],
+                "only_right": [w.to_dict() for w in diff.only_right]}
 
 
 def equation_correspondence(pres: OperadPresentation,

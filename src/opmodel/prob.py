@@ -39,6 +39,14 @@ def format_probability(p: Fraction) -> str:
     return f"{p} ({percent(p):g}%)"
 
 
+def format_exact(q: Fraction) -> str:
+    """``str(q)``, or ``0x…/0x…`` past ``sys.get_int_max_str_digits()``."""
+    try:
+        return str(q)
+    except ValueError:
+        return f"{q.numerator:#x}/{q.denominator:#x}"
+
+
 EXACT = (Fraction, int)  # the probability types whose sums are checked exactly
 
 
@@ -66,7 +74,8 @@ class Distribution(Value):
                 raise ValidationError(
                     f"probability {l}: {p!r} is not an int or Fraction")
             if not 0 <= p.numerator <= p.denominator:
-                raise ValidationError(f"probability {l}: {p} outside [0, 1]")
+                raise ValidationError(
+                    f"probability {l}: {format_exact(p)} outside [0, 1]")
         n, d = exact_sum([p for _, p in entries])
         if n != d:
             raise ValidationError("distribution does not sum to 1")
@@ -85,7 +94,7 @@ class Distribution(Value):
         return dict(self.entries)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(f"{l}: {format_probability(p)}"
+        return "(" + ", ".join(f"{l}: {format_exact(p)} ({percent(p):g}%)"
                                for l, p in self.entries) + ")"
 
 

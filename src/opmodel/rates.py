@@ -13,7 +13,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .portgraph import ValidationError, Value, lookup
 from .presentation import OperadPresentation, Term, check_term
-from .prob import Distribution, ProbFunctor
+from .prob import Distribution, ProbFunctor, format_exact
 
 INF = math.inf
 
@@ -88,7 +88,8 @@ class FailureHistory(Value):
             raise ValidationError("history interval must satisfy t0 < t1")
         for t in times:
             if not (t0 <= t <= t1):
-                raise ValidationError(f"timestamp {t} outside [{t0}, {t1}]")
+                raise ValidationError("timestamp {} outside [{}, {}]".format(
+                    *map(format_exact, (t, t0, t1))))
 
     @property
     def count(self) -> int:

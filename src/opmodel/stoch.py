@@ -27,20 +27,13 @@ from .prob import (
     ProbFunctor,
     check_arity,
     exact_sum,
+    format_exact,
     format_probability,
 )
 
 ZERO = Fraction(0)
 
 Entry = tuple[str, str, str]  # (source mode, slot label, slot mode)
-
-
-def _exact(q: Fraction) -> str:
-    """``str(q)``, or in hexadecimal past the interpreter's digit limit."""
-    try:
-        return str(q)
-    except ValueError:
-        return f"{q.numerator:#x}/{q.denominator:#x}"
 
 
 class Point(Value):
@@ -111,7 +104,7 @@ class Kernel(Value):
             if n != d:
                 raise ValidationError(
                     f"kernel row for {source.boundary}.{x} sums to "
-                    f"{_exact(Fraction(n, d))}")
+                    f"{format_exact(Fraction(n, d))}")
         self.source, self.slots = source, slots
         # store only positive entries, so equal kernels compare equal
         self.entries = {k: p for k, p in entries.items() if p}
@@ -232,8 +225,8 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
             if res > tolerance:
                 violations.append(
                     f"slot {label}, mode {y}: marginal "
-                    f"{_exact(Fraction(lhs, c))} != {_exact(weight)} * "
-                    f"{_exact(sy)}")
+                    f"{format_exact(Fraction(lhs, c))} != "
+                    f"{format_exact(weight)} * {format_exact(sy)}")
     return PtConditionReport(not violations, max_res, tuple(violations),
                              tuple(aggregate))
 
@@ -314,10 +307,10 @@ def _kernels_agree(a: PtKernel, b: PtKernel,
             return f"slot {label} ~ {other}: slot priors differ"
         for x in () if same else a.kernel.source.modes:
             for y in ms.modes:
-                pa = a.kernel(x, label, y)
-                pb = b.kernel(x, other, y)
+                pa, pb = a.kernel(x, label, y), b.kernel(x, other, y)
                 if abs(pa - pb) > tolerance:
-                    return (f"entry ({x} -> {label}.{y}): {pa} vs {pb}")
+                    return (f"entry ({x} -> {label}.{y}): "
+                            f"{format_exact(pa)} vs {format_exact(pb)}")
     return ""
 
 

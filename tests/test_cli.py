@@ -83,6 +83,18 @@ def identity_model_path(tmp_path_factory):
     return str(path)
 
 
+def overlong_query_text():
+    """LSI with phi's and lambda's weights over 4001-digit denominators: the
+    leaf ls.in of phi(ls->lambda, ts->tau) has a probability of 8001
+    digits, past the default limit on integer string conversion."""
+    n, m = 10 ** 4000 + 7, 10 ** 4000 + 9
+    return lsi_text().replace(
+        "phi = (ls: 2/5, ts: 3/5)",
+        f"phi = (ls: 1/{n}, ts: {n - 1}/{n})").replace(
+        "lambda = (in: 1/10, op: 3/10, ch: 3/5)",
+        f"lambda = (in: 1/{m}, op: 1/{m}, ch: {m - 2}/{m})")
+
+
 class TestValidate:
     def test_corpus_validates(self, model_path, capsys):
         assert run(["validate", model_path]) == EXIT_OK
@@ -97,6 +109,25 @@ class TestValidate:
         assert payload["generators"] == 7
         assert payload["equation_results"][0]["passed"] is True
 
+
+    def test_json_carries_the_wire_diff(self, tmp_path, capsys):
+        """A failing equation's JSON result lists the wires its text prints,
+        as ``compose`` lists wires."""
+        model = tmp_path / "perturbed.opm"
+        model.write_text(lsi_text().replace("  wire ch.focus = op.focus\n", ""),
+                         encoding="utf-8")
+        assert run(["validate", str(model)]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "  not equal", "    only right: {ac.ch.focus, sn.op.focus}:focus"]
+        assert run(["validate", str(model), "--format", "json"]) \
+            == EXIT_CHECK_FAILED
+        result, = json.loads(capsys.readouterr().out)["equation_results"]
+        assert result == {
+            "equation": "phi(ls->lambda, ts->tau) = kappa(sn->sigma, "
+                        "ac->alpha)",
+            "passed": False, "error": "", "reason": "", "only_left": [],
+            "only_right": [{"ports": ["ac.ch.focus", "sn.op.focus"],
+                            "type": "focus"}]}
 
     def test_identity_generator_in_equation_fails(
             self, identity_model_path, capsys):
@@ -140,6 +171,43 @@ class TestCheck:
         assert captured.err == (
             "error: checking a stochastic functor requires naming a "
             "probability functor and a mode functor as well\n")
+
+    def test_every_stochastic_functor_is_checked(self, tmp_path, capsys):
+        """LSI plus T, a copy of S, with S's TempSys prior changed to 1/3,
+        2/3, so that S fails and T passes: each stochastic functor named is
+        checked, in the order named, after the probability and mode ones."""
+        text = lsi_text()
+        start = text.index("stoch S {")
+        block = text[start:text.index("\n}\n", start) + 3]
+        text = text.replace(block, block.replace(
+            "prior TempSys = (laser_low: 1/2, laser_high: 1/2)",
+            "prior TempSys = (laser_low: 1/3, laser_high: 2/3)")
+            + "\n" + block.replace("stoch S {", "stoch T {"))
+        model = tmp_path / "two_stoch.opm"
+        model.write_text(text, encoding="utf-8")
+        check = ["check", str(model), "--functor", "P", "--functor", "M"]
+        verdicts = {}
+        for names in (["S"], ["T"], ["S", "T"], ["T", "S"]):
+            argv = check + [arg for n in names for arg in ("--functor", n)]
+            code = run(argv)
+            lines = capsys.readouterr().out.splitlines()
+            heads = [(l, lines[i + 1].split(":")[1].split()[0])
+                     for i, l in enumerate(lines) if l.startswith("[")]
+            verdicts[" ".join(names)] = code, heads
+            assert run(argv + ["--format", "json"]) == code
+            functors = json.loads(capsys.readouterr().out)["functors"]
+            assert [(f"[{f['kind']} {f['name']}]",
+                     "pass" if f["passed"] else "FAIL")
+                    for f in functors] == heads
+        prefix = [("[prob P]", "pass"), ("[modes M]", "pass")]
+        assert verdicts == {
+            "S": (EXIT_CHECK_FAILED, prefix + [("[stoch S]", "FAIL")]),
+            "T": (EXIT_OK, prefix + [("[stoch T]", "pass")]),
+            "S T": (EXIT_CHECK_FAILED,
+                    prefix + [("[stoch S]", "FAIL"), ("[stoch T]", "pass")]),
+            "T S": (EXIT_CHECK_FAILED,
+                    prefix + [("[stoch T]", "pass"), ("[stoch S]", "FAIL")]),
+        }
 
     def test_unknown_functor_message(self, model_path, capsys):
         assert run(["check", model_path, "--functor", "nope"]) == EXIT_ERROR
@@ -277,6 +345,14 @@ class TestCompose:
         assert capsys.readouterr().out == first
         assert "{ba.rs.heat1, bt.heat1}:heat" in first
 
+    def test_json_wires_in_normal_order(self, model_path, capsys):
+        # the sixth wire glues beta's heater and reservoir
+        assert run(["compose", model_path, "--term", "tau(ba->beta)",
+                    "--format", "json"]) == EXIT_OK
+        wires = json.loads(capsys.readouterr().out)["wires"]
+        assert wires[5] == {"ports": ["ba.ht.heat", "ba.rs.heat2"],
+                            "type": "heat"}
+
     def test_bad_term_exits_two(self, model_path, capsys):
         assert run(["compose", model_path, "--term", "tau(ba->"]) == EXIT_ERROR
         assert "error" in capsys.readouterr().err
@@ -347,6 +423,20 @@ class TestQuery:
         assert payload["value"] == "12/25"
         assert payload["percent"] == 48.0
         assert payload["path"] == "ts.ba"
+
+    def test_boundary_name_selector_ignores_case(self, model_path, capsys):
+        assert run(["query", model_path, "--functor", "P", "--term",
+                    "phi(ts->tau)", "--leaf", "BATH", "--format", "json"]) \
+            == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["path"], payload["value"]) == ("ts.ba", "12/25")
+
+    def test_unknown_leaf_message(self, model_path, capsys):
+        assert run(["query", model_path, "--functor", "P", "--term",
+                    "phi(ts->tau)", "--leaf", "zz"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no leaf 'zz' in phi(ts->tau)\n"
 
     def test_unknown_functor_exits_two(self, model_path, capsys):
         assert run(["query", model_path, "--functor", "ZZ",
@@ -575,14 +665,8 @@ class TestOutputLimits:
         reason="no integer string conversion limit below 8000 digits")
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_overlong_result_exits_two(self, tmp_path, capsys, fmt):
-        n, m = 10 ** 4000 + 7, 10 ** 4000 + 9
         model = tmp_path / "long.opm"
-        model.write_text(lsi_text().replace(
-            "phi = (ls: 2/5, ts: 3/5)",
-            f"phi = (ls: 1/{n}, ts: {n - 1}/{n})").replace(
-            "lambda = (in: 1/10, op: 3/10, ch: 3/5)",
-            f"lambda = (in: 1/{m}, op: 1/{m}, ch: {m - 2}/{m})"),
-            encoding="utf-8")
+        model.write_text(overlong_query_text(), encoding="utf-8")
         assert run(["query", str(model), "--functor", "P", "--term",
                     "phi(ls->lambda, ts->tau)", "--leaf", "ls.in",
                     "--format", fmt]) == EXIT_ERROR
@@ -592,17 +676,6 @@ class TestOutputLimits:
         assert captured.err == (
             "error: a result has more digits than the interpreter's limit "
             f"of {limit} for integer string conversion\n")
-
-    @staticmethod
-    def assert_digit_limit_error(argv, capsys):
-        assert run(argv) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err == (
-            "error: a result has more digits than the interpreter's limit "
-            f"of {sys.get_int_max_str_digits()} for integer string "
-            "conversion\n")
 
     # N and M have 4001 digits, within the default limit of 4300, but tau's
     # row sum, formatted into the kernel's error message, has 8001: the
@@ -627,23 +700,48 @@ class TestOutputLimits:
             f"{row.denominator:#x}\n")
 
     # tau's row still sums to 1, but the lifting rows weigh it by TempSys's
-    # prior, and their values have up to 6001 digits
+    # prior, and their values have up to 6001 digits: the failing rows name
+    # those in hexadecimal, so the check reports them and exits 1
     @pytest.mark.skipif(
         not 3001 <= getattr(sys, "get_int_max_str_digits", lambda: 0)() < 6000,
         reason="no integer string conversion limit in [3001, 6000) digits")
-    def test_overlong_value_in_a_lifting_row_exits_two(self, tmp_path, capsys):
+    def test_overlong_value_in_a_lifting_row_is_reported(self, tmp_path,
+                                                         capsys):
         a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
-        model = tmp_path / "long_lifting.opm"
-        model.write_text(lsi_text().replace(
+        text = lsi_text().replace(
             "laser_low -> bt.leak: 1/10", f"laser_low -> bt.leak: 1/{a}").replace(
             "laser_low -> rt.too_cold: 1/10",
             f"laser_low -> rt.too_cold: {a - 5}/{5 * a}").replace(
             "prior TempSys = (laser_low: 1/2, laser_high: 1/2)",
-            f"prior TempSys = (laser_low: 1/{b}, laser_high: {b - 1}/{b})"),
-            encoding="utf-8")
-        self.assert_digit_limit_error(
-            ["check", str(model), "--functor", "P", "--functor", "M",
-             "--functor", "S"], capsys)
+            f"prior TempSys = (laser_low: 1/{b}, laser_high: {b - 1}/{b})")
+        model = tmp_path / "long_lifting.opm"
+        model.write_text(text, encoding="utf-8")
+        m = opmodel.parse(text)
+        report = opmodel.check_lifting(
+            m.presentation, m.stoch_functors["S"], m.prob_functors["P"],
+            m.mode_functors["M"])
+        assert not report.passed and report.errors == ()
+        assert [r.subject for r in report.rows if not r.passed] == [
+            "phi: pointed-kernel condition", "tau: pointed-kernel condition",
+            "tau: aggregate matches probability functor",
+            "equation phi(ls->lambda, ts->tau) = kappa(sn->sigma, "
+            "ac->alpha): composed kernels agree"]
+        tau = report.rows[7].detail
+        assert tau.startswith("aggr (ba: 4/5 (80%), bt: 0x")
+        assert tau.endswith(
+            " (10%)) vs (ba: 4/5 (80%), bt: 1/10 (10%), rt: 1/10 (10%))")
+
+        argv = ["check", str(model), "--functor", "P", "--functor", "M",
+                "--functor", "S"]
+        assert run(argv) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith(f"[stoch S]\n{report}\n")
+        assert run([*argv, "--format", "json"]) == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["functors"][2] == {
+            "name": "S", "kind": "stoch", **report.to_dict()}
 
 
 class TestRepeatedRuns:
@@ -734,9 +832,9 @@ class TestCollector:
         ("help", EXIT_OK),
         ("deep term", EXIT_ERROR),
         pytest.param("digit limit", EXIT_ERROR, marks=pytest.mark.skipif(
-            not 3001 <= getattr(sys, "get_int_max_str_digits",
-                                lambda: 0)() < 6000,
-            reason="no integer string conversion limit in [3001, 6000) "
+            not 4001 <= getattr(sys, "get_int_max_str_digits",
+                                lambda: 0)() < 8000,
+            reason="no integer string conversion limit in [4001, 8000) "
             "digits")),
         ("re-raised", None)])
     def test_paused_during_the_command_and_restored(
@@ -744,14 +842,8 @@ class TestCollector:
         text = lsi_text()
         if case == "perturbed":
             text = text.replace("  wire ch.focus = op.focus\n", "")
-        elif case == "digit limit":  # as TestOutputLimits builds it
-            a, b = 10 ** 3000 + 7, 10 ** 3000 + 9
-            text = text.replace(
-                "laser_low -> bt.leak: 1/10", f"laser_low -> bt.leak: 1/{a}"
-            ).replace("laser_low -> rt.too_cold: 1/10",
-                      f"laser_low -> rt.too_cold: {a - 5}/{5 * a}").replace(
-                "prior TempSys = (laser_low: 1/2, laser_high: 1/2)",
-                f"prior TempSys = (laser_low: 1/{b}, laser_high: {b - 1}/{b})")
+        elif case == "digit limit":
+            text = overlong_query_text()
         model = tmp_path / "model.opm"
         if case != "missing file":
             model.write_text(text, encoding="utf-8")
@@ -760,8 +852,8 @@ class TestCollector:
             "help": ["validate", "--help"],
             "deep term": ["compose", str(model), "--term",
                           "phi(ls->" * 1200 + "lambda" + ")" * 1200],
-            "digit limit": ["check", str(model), "--functor", "P",
-                            "--functor", "M", "--functor", "S"],
+            "digit limit": ["query", str(model), "--functor", "P", "--term",
+                            "phi(ls->lambda, ts->tau)", "--leaf", "ls.in"],
         }.get(case, ["validate", str(model)])
         states = self.record(monkeypatch)
         if case == "re-raised":  # a ValueError that run does not handle

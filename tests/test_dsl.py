@@ -208,6 +208,13 @@ architecture f : (x: A, y: B) -> C {
         (_STOCH % "bad -> ba.cold = 1", "expected ':', got '='", 14, 20),
         ("\nprob P {\n  warm = (ba = 1)\n}\n", "expected ':', got '='",
          11, 14),
+        ("\ninterface heat digital\n", "duplicate interface 'heat'", 10, 11),
+        ("\narchitecture f : (a: Bath, a: Bath) -> Room {\n}\n",
+         "duplicate slot 'a'", 10, 28),
+        ("\narchitecture f : (a: Bath, b: Bath) -> Room {\n"
+         "  expose a.heat -> heat\n  expose a.temp -> temp\n}\n"
+         "prob P {\n  f = (a: 1)\n}\n",
+         "distribution for f does not cover all slots", 15, 12),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
             "equation-duplicate-slot",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
@@ -225,7 +232,8 @@ architecture f : (x: A, y: B) -> C {
             "wire-three-ports", "expose-port", "expose-twice", "prior-colon",
             "kernel-zero-denominator", "kernel-decimal-denominator",
             "rel-dot", "rel-separator", "port-colon", "wire-dot",
-            "wire-comma", "kernel-colon", "prob-colon"])
+            "wire-comma", "kernel-colon", "prob-colon", "duplicate-interface",
+            "architecture-duplicate-slot", "prob-cover"])
     def test_located_messages(self, tail, message, line, col):
         with pytest.raises(DslError) as err:
             parse(MINI + tail)
@@ -363,6 +371,22 @@ class TestSerialization:
         assert lsi_text() not in texts
         for text in texts:
             assert parse(text) == lsi
+
+    def test_matching_round_trip(self):
+        """An equation's explicit correspondence is written back as its
+        ``matching`` block, pairs sorted."""
+        text = lsi_text().replace(
+            "= kappa(sn->sigma, ac->alpha)\n",
+            "= kappa(sn->sigma, ac->alpha) matching { ts.rt ~ sn.rt, "
+            "ts.bt ~ sn.bt, ts.ba ~ ac.ba, ls.ch ~ ac.ch, ls.op ~ sn.op, "
+            "ls.in ~ sn.in }\n")
+        model = parse(text)
+        out = serialize(model)
+        assert ("equation phi(ls->lambda, ts->tau) = kappa(sn->sigma, "
+                "ac->alpha) matching { ls.ch ~ ac.ch, ls.in ~ sn.in, "
+                "ls.op ~ sn.op, ts.ba ~ ac.ba, ts.bt ~ sn.bt, ts.rt ~ sn.rt }"
+                ) in out.splitlines()
+        assert parse(out) == model
 
     def test_mini_round_trip(self):
         model = parse(MINI)

@@ -14,8 +14,10 @@ import pytest
 
 from opmodel.modes import ModeSet
 from opmodel.portgraph import ValidationError
+from opmodel.presentation import parse_term
 from opmodel.prob import Distribution
-from opmodel.stoch import Kernel, Point, PtKernel, pt_condition
+from opmodel.rates import FailureHistory, pipeline_check
+from opmodel.stoch import Kernel, Point, PtKernel, _kernels_agree, pt_condition
 from randgen import (
     distribution_check_oracle,
     kernel_check_oracle,
@@ -233,9 +235,10 @@ class TestOverlongValues:
     """A value whose decimal form passes the interpreter's limit on integer
     string conversion is named in hexadecimal: the checks report it instead
     of raising ``ValueError``.  The sums of 1/p over 2000 distinct odd
-    primes p have about 7500 digits."""
+    primes p have about 7500 digits, and ``BIG`` has 7001."""
 
     PRIMES = _odd_primes(2000)
+    BIG = 10 ** 7000 + 1
 
     def test_pt_condition_names_an_overlong_marginal(self):
         source = ModeSet("X", tuple(f"x{k}" for k in range(len(self.PRIMES))))
@@ -264,3 +267,41 @@ class TestOverlongValues:
         with pytest.raises(ValidationError) as err:
             Kernel(ModeSet("X", ("x",)), (("s", target),), entries)
         assert str(err.value) == f"kernel row for X.x sums to {_hex(row)}"
+
+    def test_distribution_names_an_overlong_entry(self):
+        q = F(1, self.BIG)
+        d = Distribution((("a", q), ("b", 1 - q)))
+        assert str(d) == f"(a: {_hex(q)} (0%), b: {_hex(1 - q)} (100%))"
+        with pytest.raises(ValidationError) as err:
+            Distribution((("a", 1 + q),))
+        assert str(err.value) == f"probability a: {_hex(1 + q)} outside [0, 1]"
+
+    def test_kernels_agree_names_an_overlong_entry(self):
+        q = F(1, self.BIG)
+        source, target = ModeSet("X", ("x",)), ModeSet("Y", ("a", "b"))
+        priors = (Point(source, {"x": 1}),
+                  {"s": Point(target, {"a": F(1, 2), "b": F(1, 2)})})
+        a, b = (PtKernel(Kernel(source, (("s", target),), {
+            ("x", "s", "a"): p, ("x", "s", "b"): 1 - p}), *priors)
+            for p in (q, 2 * q))
+        assert _kernels_agree(a, b, {"s": "s"}, F(0)) == \
+            f"entry (x -> s.a): {_hex(q)} vs {_hex(2 * q)}"
+
+    def test_failure_history_names_an_overlong_timestamp(self):
+        t = 1 + F(1, self.BIG)
+        with pytest.raises(ValidationError) as err:
+            FailureHistory(F(0), F(1), (t,))
+        assert str(err.value) == f"timestamp {_hex(t)} outside [0, 1]"
+
+    def test_pipeline_check_names_an_overlong_conflict(self, pres):
+        once = FailureHistory(F(0), F(1), (F(1),))  # rate 1
+        rare = FailureHistory(F(0), F(self.BIG), (F(1),))  # rate 1/BIG
+        beta = parse_term("beta")
+        result = pipeline_check(pres, [
+            (beta, {"ht": rare, "mx": once, "rs": once}),
+            (beta, {"ht": once, "mx": once, "rs": once})])
+        ht, mx = F(1, 2 * self.BIG + 1), F(self.BIG, 2 * self.BIG + 1)
+        assert result.conflicts == (
+            "generator beta: (ht: 1/3 (33.3%), mx: 1/3 (33.3%), "
+            f"rs: 1/3 (33.3%)) conflicts with (ht: {_hex(ht)} (0%), "
+            f"mx: {_hex(mx)} (50%), rs: {_hex(mx)} (50%))",)

@@ -230,3 +230,44 @@ class TestCorpusCoherence:
         report = check_mode_functor(lsi.presentation, bad)
         assert not report.passed
         assert any("nonsense" in e for e in report.errors)
+
+    @pytest.mark.parametrize("case, error", [
+        ("no mode set", "no mode set for boundary Bath"),
+        ("no relation", "no relation for generator beta"),
+        ("unknown output mode",
+         "relation tau: unknown mode 'nonsense' on TempSys"),
+        ("unknown slot", "relation tau: unknown slot 'zz'"),
+    ])
+    def test_totality_problems_reported(self, lsi, case, error):
+        M = lsi.mode_functors["M"]
+        mode_sets, relations = dict(M.mode_sets), dict(M.relations)
+        tau = relations["tau"].pairs
+        if case == "no mode set":
+            del mode_sets["Bath"]
+        elif case == "no relation":
+            del relations["beta"]
+        elif case == "unknown output mode":
+            relations["tau"] = ModeRelation(
+                {**tau, "ba": frozenset({("too_cold", "nonsense")})})
+        else:
+            relations["tau"] = ModeRelation({**tau, "zz": frozenset()})
+        report = check_mode_functor(lsi.presentation,
+                                    ModeFunctor(mode_sets, relations))
+        assert report.errors == (error,)
+        assert report.rows == () and not report.passed
+
+    def test_missing_lhs_pair_is_only_rhs(self, lsi):
+        """A pair dropped from the left side's tau is listed under
+        ``only rhs``, in the text and in the JSON row."""
+        M = lsi.mode_functors["M"]
+        tau = M.relations["tau"]
+        weakened = ModeRelation(
+            {**tau.pairs, "ba": tau.slot("ba") - {("too_cold", "laser_low")}})
+        report = check_mode_functor(lsi.presentation, ModeFunctor(
+            M.mode_sets, {**M.relations, "tau": weakened}))
+        failing = [r for r in report.rows if not r.passed]
+        assert [str(r) for r in failing] == [
+            "ts.ba ~ ac.ba: FAIL\n    only rhs: (too_cold -> bad_length)"]
+        assert failing[0].to_dict() == {
+            "lhs": "ts.ba", "rhs": "ac.ba", "passed": False,
+            "only_lhs": [], "only_rhs": [["too_cold", "bad_length"]]}

@@ -13,6 +13,7 @@ from opmodel.portgraph import (
     ComponentCorrespondence,
     CompositionError,
     PortRef,
+    TypeTable,
     ValidationError,
     Wire,
     at,
@@ -346,6 +347,28 @@ class TestEqual:
         with pytest.raises(ValidationError, match="correspondence"):
             equal(arch, arch, ComponentCorrespondence({"ba": "ba"}))
 
+    @pytest.mark.parametrize("mapping, message", [
+        ({"ba": "ba", "bt": "bt", "rt": "bt"},
+         "correspondence is not a bijection onto right slots"),
+        ({"ba": "bt", "bt": "ba", "rt": "rt"},
+         "correspondence ba ~ bt does not preserve boundaries"),
+    ], ids=["not a bijection", "boundaries"])
+    def test_correspondence_is_a_boundary_preserving_bijection(
+            self, pres, mapping, message):
+        arch = tau(pres)
+        with pytest.raises(ValidationError) as err:
+            equal(arch, arch, ComponentCorrespondence(mapping))
+        assert str(err.value) == message
+
+    def test_output_boundaries_differ(self, pres):
+        arch = tau(pres)
+        other = Architecture(arch.inputs, pres.boundaries["LSI"], ())
+        report = equal(arch, other,
+                       ComponentCorrespondence({s: s for s in arch.slots}))
+        reason = "output boundaries differ: TempSys vs LSI"
+        assert report == (False, (), (), reason)
+        assert str(report) == f"not equal\n  {reason}"
+
     def test_derive_correspondence_by_boundary_name(self, pres):
         lhs = compose(pres.generators["phi"], {"ls": pres.generators["lambda"],
                                                "ts": pres.generators["tau"]})
@@ -353,6 +376,13 @@ class TestEqual:
                                                  "ac": pres.generators["alpha"]})
         corr = derive_correspondence(lhs, rhs)
         assert corr.mapping["ts.ba"] == "ac.ba"
+
+    def test_derive_correspondence_boundary_sets_differ(self, pres):
+        with pytest.raises(ValidationError) as err:
+            derive_correspondence(tau(pres), pres.generators["beta"])
+        assert str(err.value) == (
+            "cannot auto-match components: boundary sets differ "
+            "(['Bath', 'Box', 'Lab'] vs ['Heater', 'Mixer', 'Resevoir'])")
 
     def test_derive_correspondence_ambiguous(self, pres):
         bath = pres.boundaries["Bath"]
@@ -460,3 +490,13 @@ def test_boundary_rejects_duplicates_and_untyped_ports():
     with pytest.raises(ValidationError):
         from opmodel.portgraph import Boundary
         Boundary("B", ("a",), {})
+
+
+def test_type_table_and_architecture_reject_malformed_input(pres):
+    with pytest.raises(ValidationError) as err:
+        TypeTable({"heat": "physical", "x": "analog"})
+    assert str(err.value) == "interface 'x' has unknown kind 'analog'"
+    bath = pres.boundaries["Bath"]
+    with pytest.raises(ValidationError) as err:
+        Architecture((("a", bath), ("a", bath)), bath, ())
+    assert str(err.value) == "duplicate slot labels"

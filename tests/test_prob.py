@@ -131,6 +131,13 @@ class TestCorpusCoherence:
         assert not report.passed
         assert any("sigma" in e for e in report.errors)
 
+    def test_missing_distribution_reported(self, lsi):
+        P = lsi.prob_functors["P"]
+        dists = {g: d for g, d in P.dists.items() if g != "sigma"}
+        report = check_prob_functor(lsi.presentation, ProbFunctor(dists))
+        assert report.errors == ("no distribution for generator sigma",)
+        assert report.rows == () and not report.passed
+
 
 class TestQueries:
     def test_ts_ba_is_twelve_twentyfifths(self, lsi):

@@ -52,6 +52,19 @@ class TestKernelBasics:
         with pytest.raises(ValidationError, match="unknown"):
             Kernel(X, (("a", Y),), {("x", "a", "zz"): F(1)})
 
+    @pytest.mark.parametrize("slots, entry, message", [
+        ((("a", Y),), ("zz", "a", "y1"),
+         "kernel: unknown source mode 'zz' on X"),
+        ((("a", Y),), ("x", "b", "y1"), "kernel: unknown slot 'b'"),
+        ((("a", Y),), ("x", "a", "zz"), "kernel: unknown mode 'zz' on slot a"),
+        ((("a", Y), ("a", Z)), ("x", "a", "y1"),
+         "duplicate kernel slot labels"),
+    ], ids=["source mode", "slot", "mode", "duplicate slots"])
+    def test_malformed_entries_rejected(self, slots, entry, message):
+        with pytest.raises(ValidationError) as err:
+            Kernel(X, slots, {entry: F(1)})
+        assert str(err.value) == message
+
     def test_zero_entries_are_dropped(self):
         k = Kernel(X, (("a", Y),),
                    {("x", "a", "y1"): F(1), ("x", "a", "y2"): F(0)})
@@ -94,6 +107,15 @@ class TestComposeKernel:
                 row = sum(v for (x2, _, _), v in composed.entries.items()
                           if x2 == x)
                 assert row == 1
+
+    def test_inner_source_modes_must_match_the_slot(self):
+        p = Kernel(X, (("a", Y),), {("x", "a", "y1"): F(1)})
+        q = Kernel(Z, (("b", Z),),
+                   {("u", "b", "u"): F(1), ("v", "b", "v"): F(1)})
+        with pytest.raises(ValidationError) as err:
+            compose_kernel(p, {"a": q})
+        assert str(err.value) == ("slot 'a': inner kernel source modes "
+                                  "('u', 'v') do not match ('y1', 'y2')")
 
     def test_supp_flips_to_cause_convention(self):
         p = Kernel(X, (("a", Y),),
@@ -307,6 +329,16 @@ class TestCorpusLifting:
         assert report.passed
         # three projection rows per generator plus one per equation
         assert len(report.rows) == 3 * 7 + 1
+
+    def test_incomplete_functor_is_not_checked(self, lsi):
+        S = lsi.stoch_functors["S"]
+        kernels = {g: k for g, k in S.kernels.items() if g != "beta"}
+        report = check_lifting(
+            lsi.presentation, StochFunctor(S.priors, kernels),
+            lsi.prob_functors["P"], lsi.mode_functors["M"])
+        assert report == ("lifting check", (),
+                          ("no kernel for generator beta",), "")
+        assert not report.passed
 
     def test_zeroed_entry_fails(self, lsi):
         S = lsi.stoch_functors["S"]
