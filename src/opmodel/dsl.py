@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
+from operator import itemgetter
 from typing import Callable, Container, Iterator, Mapping, TypeVar
 
 from .modes import ModeFunctor, ModeRelation, ModeSet
@@ -89,26 +90,39 @@ _TOKEN_RE = re.compile(_TOKEN)
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _LOCATED_RE = re.compile(
     rf"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<token>{_TOKEN})|(?P<bad>.)")
+# the lone tokens, in no longer token (but a decimal's ``.``), spaced out
+_ALONE = {tok: f" {tok} " for tok in ("->", *"{}()[]:,=~./")}
+_DOT_DIGIT_RE = re.compile(r"\.\d")  # a literal first, so a fast search
 
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of ``text`` as plain strings, then ``""`` for end of input.
 
     Tokens carry no position: ``_located`` recomputes positions when an
-    error needs one.  No token spans whitespace, so each distinct
-    whitespace-separated chunk is scanned once, and its repeats share the
-    same token strings.
+    error needs one.  Where no ``.`` precedes a digit (none is a decimal's),
+    the code with its lone tokens spaced out splits into the tokens, if each
+    word is one such token, identifier or integer; else each distinct
+    chunk is scanned once.  Repeated tokens share strings either way, which
+    keeps the parsed model small.
     """
     code = _COMMENT_RE.sub("", text) if "#" in text else text
+    if not _DOT_DIGIT_RE.search(code):
+        for tok, padded in _ALONE.items():
+            code = code.replace(tok, padded)
+        words = code.split()
+        shared = {w: w for w in set(words)}  # one string per distinct token
+        if all(w in _ALONE or w.isascii() and (w.isidentifier() or w.isdecimal())
+               for w in shared):
+            shared[""] = ""  # the end of input
+            return list(itemgetter(*words, "")(shared)) if words else [""]
     chunks: dict[str, list[str]] = {}
     tokens: list[str] = []
     for chunk in code.split():
         found = chunks.get(chunk)
         if found is None:
             found = chunks[chunk] = _TOKEN_RE.findall(chunk)
-            # findall skips a character outside the grammar; then the
-            # located scan raises at the first one (str.split and \s agree
-            # on what whitespace is)
+            # findall skips a character outside the grammar: the located scan
+            # raises at the first one (str.split and \s agree on whitespace)
             if "".join(found) != chunk:
                 for _ in _located(text):
                     pass
@@ -245,16 +259,25 @@ class _Parser:
             raise self.error(f"duplicate {what} {tok!r}", self.pos - 1)
         return tok
 
-    def known(self, table: Mapping[str, T], what: str,
-              seen: Container[str] = ()) -> tuple[str, T]:
-        """A name that ``table`` holds and ``seen`` lacks, with its value."""
-        tok = self.tokens[self.pos]
-        value = table.get(tok)
-        if value is None:
+    def known(self, table: Mapping[str, T] | None, what: str,
+              seen: Container[str] = (), *after: str) -> tuple[str, T]:
+        """A name that ``table`` holds (any name, if it is None) and ``seen``
+        lacks, with its value, then the tokens ``after``: one slice of the
+        token list, read token by token only to raise the located error."""
+        i, end = self.pos, self.pos + 1 + len(after)
+        tok = self.tokens[i]
+        value = tok.isidentifier() if table is None else table.get(tok)
+        if value and tok not in seen and self.tokens[i + 1:end] == [*after]:
+            self.pos = end
+            return tok, value
+        if not value:
             self.ident(f"{what} name")  # raises unless ``tok`` is a name
-            raise self.error(f"unknown {what} {tok!r}", self.pos - 1)
+            raise self.error(f"unknown {what} {tok!r}", i)
         self.pos += 1
-        return self.fresh(tok, seen, what), value
+        self.fresh(tok, seen, what)
+        for expected in after:
+            self.expect(expected)
+        return tok, value
 
     def slot(self, gen: str, slots: Container[str] | None,
              seen: Container[str] = ()) -> str:
@@ -266,10 +289,10 @@ class _Parser:
         return self.fresh(tok, seen, "slot")
 
     def functor_name(self) -> str:
-        """A functor name not yet taken by a functor of any kind."""
-        return self.fresh(self.ident("functor name"), (
+        """A functor name not taken by a functor of any kind, then ``{``."""
+        return self.known(None, "functor", (
             *self.prob_functors, *self.mode_functors, *self.stoch_functors),
-            "functor")
+            "{")[0]
 
     def mode(self, modes: ModeSet | None) -> str:
         """A mode name, checked against ``modes`` unless it is None."""
@@ -323,9 +346,7 @@ class _Parser:
         self.type_table[name] = kind
 
     def parse_boundary(self) -> None:
-        name = self.fresh(self.ident("boundary name"), self.boundaries,
-                          "boundary")
-        self.expect("{")
+        name, _ = self.known(None, "boundary", self.boundaries, "{")
         port_type: dict[str, str] = {}
         for i in self.items("}"):
             port, colon, ptype = self.tokens[i:i + 3]
@@ -344,10 +365,7 @@ class _Parser:
         self.boundaries[name] = Boundary(name, tuple(port_type), port_type)
 
     def parse_architecture(self) -> None:
-        name = self.fresh(self.ident("architecture name"), self.generators,
-                          "architecture")
-        self.expect(":")
-        self.expect("(")
+        name, _ = self.known(None, "architecture", self.generators, ":", "(")
         slots: dict[str, Boundary] = {}
         for i in self.items(")"):
             slot = self.ident("slot label")
@@ -357,21 +375,18 @@ class _Parser:
                 raise self.error(f"duplicate slot {slot!r}", i)
             slots[slot] = b
         self.expect("->")
-        _, output = self.known(self.boundaries, "boundary")
-        self.expect("{")
-        ports = {(s, p) for s, b in slots.items() for p in b.port_type}
+        _, output = self.known(self.boundaries, "boundary", (), "{")
+        types = {(s, p): t for s, b in slots.items()
+                 for p, t in b.port_type.items()}
+        ref = PortRef._make  # a PortRef from a (slot, port) pair
 
-        # each wire is the list of its ports, first-named slot port first
-        wires: list[list[PortRef]] = []
-        wire_of: dict[PortRef, list[PortRef]] = {}
+        # a wire: its least port as a plain ``(slot or "", port)``, its key in
+        # the normal order, then its ports, first-named slot port first
+        wires: list[list] = []
+        wire_of: dict[PortRef, list] = {}
 
         def slot_ref(unwired: bool = False) -> PortRef:
             """A ``slot.port`` reference, on no wire yet when ``unwired``."""
-            slot, dot, port = self.tokens[self.pos:self.pos + 3]
-            ref = PortRef(slot, port)
-            if dot == "." and ref in ports and not (unwired and ref in wire_of):
-                self.pos += 3
-                return ref
             slot = self.ident("slot label")
             b = slots.get(slot)
             if b is None:
@@ -381,57 +396,74 @@ class _Parser:
             if port not in b.port_type:
                 raise self.error(f"unknown port {port} on {b.name}",
                                  self.pos - 1)
-            raise self.error(f"port {slot}.{port} attached to two wires",
-                             self.pos - 1)
+            if unwired and (slot, port) in wire_of:
+                raise self.error(f"port {slot}.{port} attached to two wires",
+                                 self.pos - 1)
+            return ref((slot, port))
 
-        def join(refs: list[PortRef], w: list[PortRef] | None = None) -> None:
-            """Add ``refs`` to wire ``w``, or to a new wire when it is None."""
+        def join(refs: list[PortRef], least: tuple[str, str],
+                 w: list | None = None) -> None:
+            """Add ``refs``, whose least port is ``least``, to wire ``w``, or
+            to a new wire when it is None."""
             if w is None:
-                w = []
+                w = [least]
                 wires.append(w)
-            w.extend(refs)
+            w[0] = min(w[0], least)
+            w += refs
             wire_of.update(dict.fromkeys(refs, w))
 
-        for _ in self.items("}", commas=False):
-            if self.keyword("wire", "expose") == "wire":
+        for i in self.items("}", commas=False):
+            # a two-port wire or an expose line, read as one slice
+            kw, s, dot, p, sep, s2, dot2, p2, more = self.tokens[i:i + 9]
+            a, b = (s, p), (s2, p2)
+            if (kw == "wire" and dot == dot2 == "." and sep == "=" != more
+                    and a in types and b in types and a not in wire_of
+                    and b not in wire_of):
+                self.pos = i + 8
+                join([ref(a), ref(b)], min(a, b))
+            elif (kw == "expose" and dot == "." and sep == "->" and a in types
+                    and s2 in output.port_type and (None, s2) not in wire_of):
+                self.pos = i + 6
+                join([ref(a), ref((None, s2))], ("", s2), wire_of.get(a))
+            elif self.keyword("wire", "expose") == "wire":
                 refs = [slot_ref(unwired=True)]
                 self.expect("=")
                 refs.append(slot_ref(unwired=True))
                 while self.accept("="):
                     refs.append(slot_ref(unwired=True))
-                join(refs)
-                continue
-            ref = slot_ref()
-            self.expect("->")
-            port = self.ident("outer port name")
-            if port not in output.port_type:
-                raise self.error(f"unknown port {port} on {output.name}",
-                                 self.pos - 1)
-            out_ref = PortRef(None, port)
-            if out_ref in wire_of:
-                raise self.error(f"port {port} exposed twice", self.pos - 1)
-            join([ref, out_ref], wire_of.get(ref))
+                join(refs, min(map(tuple, refs)))
+            else:
+                inner = slot_ref()
+                self.expect("->")
+                port = self.ident("outer port name")
+                if port not in output.port_type:
+                    raise self.error(f"unknown port {port} on {output.name}",
+                                     self.pos - 1)
+                if (None, port) in wire_of:
+                    raise self.error(f"port {port} exposed twice",
+                                     self.pos - 1)
+                join([inner, ref((None, port))], ("", port),
+                     wire_of.get(inner))
 
         # unique-match auto-exposure of the remaining ports
         for port in output.ports:
             if (None, port) in wire_of:
                 continue
-            candidates = [PortRef(s, port) for s in slots
-                          if (s, port) in ports and (s, port) not in wire_of]
+            candidates = [ref((s, port)) for s, b in slots.items()
+                          if port in b.port_type and (s, port) not in wire_of]
             if len(candidates) > 1:
                 raise self.error(
                     f"architecture {name}: ambiguous auto-exposure of "
                     f"port {port} (candidates {', '.join(map(str, candidates))})",
                     self.pos - 1)
             if candidates:
-                join([candidates[0], PortRef(None, port)])
+                join([candidates[0], ref((None, port))], ("", port))
 
-        # each wire is typed by its first port; an ill-typed one is reported
-        # by compile, with more context
-        self.generators[name] = Architecture(
+        # in normal order, each wire typed by its first port; an ill-typed
+        # one is reported by compile, with more context
+        self.generators[name] = Architecture._new(
             tuple(slots.items()), output,
-            tuple(Wire(frozenset(w), slots[w[0].slot].port_type[w[0].port])
-                  for w in wires))
+            tuple(Wire(frozenset(w[1:]), types[w[1]]) for w in sorted(wires)))
 
     # terms and equations --------------------------------------------------
 
@@ -478,13 +510,10 @@ class _Parser:
 
     def parse_prob(self) -> None:
         name = self.functor_name()
-        self.expect("{")
         dists: dict[str, Distribution] = {}
         for _ in self.items("}", commas=False):
-            gen, arch = self.known(self.generators, "generator", dists)
+            gen, arch = self.known(self.generators, "generator", dists, "=", "(")
             slots = arch.slots
-            self.expect("=")
-            self.expect("(")
             values: dict[str, Fraction] = {}
             for i in self.items(")"):
                 slot, colon = self.tokens[i:i + 2]
@@ -494,7 +523,7 @@ class _Parser:
                     slot = self.slot(gen, slots, values)
                     self.expect(":")
                 values[slot] = self.rational()
-            dists[gen] = self.build(Distribution, tuple(
+            dists[gen] = self.build(Distribution._new, tuple(
                 (s, values[s]) for s in slots if s in values))
             if len(values) != len(slots):
                 raise self.error(
@@ -504,49 +533,47 @@ class _Parser:
 
     def parse_modes(self) -> None:
         name = self.functor_name()
-        self.expect("{")
         mode_sets: dict[str, ModeSet] = {}
         relations: dict[str, ModeRelation] = {}
         for _ in self.items("}", commas=False):
             if self.keyword("modes", "rel") == "modes":
-                bname, _ = self.known(self.boundaries, "boundary", mode_sets)
-                self.expect("=")
-                self.expect("{")
+                bname, _ = self.known(self.boundaries, "boundary", mode_sets,
+                                      "=", "{")
                 modes = [self.ident("mode name") for _ in self.items("}")]
                 mode_sets[bname] = self.build(ModeSet, bname, tuple(modes))
                 continue
-            gen, arch = self.known(self.generators, "generator", relations)
+            gen, arch = self.known(self.generators, "generator", relations,
+                                   "{")
             slots = arch.slots
             out_modes = mode_sets.get(arch.output.name)
+            outs = () if out_modes is None else out_modes.modes
             in_modes = {s: mode_sets.get(b.name) for s, b in arch.inputs}
-            self.expect("{")
             pairs: dict[str, set[tuple[str, str]]] = {s: set() for s in slots}
             for i in self.items("}"):
-                slot, dot, mode_in, arrow = self.tokens[i:i + 4]
+                slot, dot, mode_in, arrow, mode_out = self.tokens[i:i + 5]
                 ms = in_modes.get(slot)
                 if (dot == "." and arrow == "->" and ms is not None
-                        and mode_in in ms.modes):
-                    self.pos += 4
+                        and mode_in in ms.modes and mode_out in outs):
+                    self.pos += 5
                 else:
                     slot = self.slot(gen, slots)
                     self.expect(".")
                     mode_in = self.mode(in_modes[slot])
                     self.expect("->")
-                pairs[slot].add((mode_in, self.mode(out_modes)))
+                    mode_out = self.mode(out_modes)
+                pairs[slot].add((mode_in, mode_out))
             relations[gen] = ModeRelation(
                 {s: frozenset(v) for s, v in pairs.items()})
         self.mode_functors[name] = ModeFunctor(mode_sets, relations, name)
 
     def parse_stoch(self) -> None:
         name = self.functor_name()
-        self.expect("{")
         priors: dict[str, Point] = {}
         kernels: dict[str, Kernel] = {}
         for index in self.items("}", commas=False):
             if self.keyword("prior", "kernel") == "prior":
-                bname, _ = self.known(self.boundaries, "boundary", priors)
-                self.expect("=")
-                self.expect("(")
+                bname, _ = self.known(self.boundaries, "boundary", priors,
+                                      "=", "(")
                 probs: list[tuple[str, Fraction]] = []
                 for i in self.items(")"):
                     mode, colon = self.tokens[i:i + 2]
@@ -556,7 +583,7 @@ class _Parser:
                         mode = self.mode(None)
                         self.expect(":")
                     probs.append((mode, self.rational()))
-                priors[bname] = self.build(lambda: Point(
+                priors[bname] = self.build(lambda: Point._new(
                     ModeSet(bname, tuple(m for m, _ in probs)), dict(probs)))
                 continue
             gen, arch = self.known(self.generators, "generator", kernels)
@@ -588,7 +615,7 @@ class _Parser:
                             f"duplicate kernel entry {x} -> {slot}.{y}", i)
                     self.expect(":")
                 entries[(x, slot, y)] = self.rational()
-            kernels[gen] = self.build(Kernel, source, slots, entries)
+            kernels[gen] = self.build(Kernel._new, source, slots, entries)
         self.stoch_functors[name] = StochFunctor(priors, kernels, name)
 
 
@@ -620,20 +647,15 @@ def parse_rational(text: str) -> Fraction:
 def serialize(model: Model) -> str:
     """Deterministic canonical rendering; ``parse(serialize(m))`` equals ``m``."""
     pres = model.presentation
-    out: list[str] = []
-
-    for name in sorted(pres.type_table.kinds):
-        out.append(f"interface {name} {pres.type_table.kinds[name]}")
+    out = [f"interface {name} {kind}"
+           for name, kind in sorted(pres.type_table.kinds.items())]
     out.append("")
-
-    for name in sorted(pres.boundaries):
-        b = pres.boundaries[name]
+    for name, b in sorted(pres.boundaries.items()):
         ports = ", ".join(f"{p}: {b.port_type[p]}" for p in b.ports)
         out.append(f"boundary {name} {{ {ports} }}")
     out.append("")
 
-    for name in sorted(pres.generators):
-        arch = pres.generators[name]
+    for name, arch in sorted(pres.generators.items()):
         ins = ", ".join(f"{s}: {b.name}" for s, b in arch.inputs)
         out.append(f"architecture {name} : ({ins}) -> {arch.output.name} {{")
         for w in canonicalize(arch).wires:
@@ -644,10 +666,8 @@ def serialize(model: Model) -> str:
                     f"architecture {name}: wire {w} has no slot ports")
             if len(internal) > 1:
                 out.append("  wire " + " = ".join(map(str, internal)))
-            for ref in external:
-                out.append(f"  expose {internal[0]} -> {ref.port}")
-        out.append("}")
-        out.append("")
+            out += [f"  expose {internal[0]} -> {r.port}" for r in external]
+        out += ["}", ""]
 
     for eq in pres.equations:
         line = f"equation {eq.lhs} = {eq.rhs}"
@@ -659,53 +679,36 @@ def serialize(model: Model) -> str:
     if pres.equations:
         out.append("")
 
-    for fname in sorted(model.prob_functors):
-        F = model.prob_functors[fname]
+    for fname, F in sorted(model.prob_functors.items()):
         out.append(f"prob {fname} {{")
-        for gen in sorted(F.dists):
-            entries = ", ".join(f"{l}: {p}"
-                                for l, p in F.dists[gen].entries)
+        for gen, dist in sorted(F.dists.items()):
+            entries = ", ".join(f"{l}: {p}" for l, p in dist.entries)
             out.append(f"  {gen} = ({entries})")
-        out.append("}")
-        out.append("")
+        out += ["}", ""]
 
-    for fname in sorted(model.mode_functors):
-        M = model.mode_functors[fname]
+    for fname, M in sorted(model.mode_functors.items()):
         out.append(f"modes {fname} {{")
-        for bname in sorted(M.mode_sets):
-            ms = M.mode_sets[bname]
+        for bname, ms in sorted(M.mode_sets.items()):
             out.append(f"  modes {bname} = {{ " + ", ".join(ms.modes) + " }")
-        for gen in sorted(M.relations):
+        for gen, rel in sorted(M.relations.items()):
             out.append(f"  rel {gen} {{")
-            rel = M.relations[gen]
-            for slot in sorted(rel.pairs):
-                for m_in, m_out in sorted(rel.pairs[slot]):
-                    out.append(f"    {slot}.{m_in} -> {m_out}")
+            out += [f"    {slot}.{m_in} -> {m_out}" for slot in sorted(rel.pairs)
+                    for m_in, m_out in sorted(rel.pairs[slot])]
             out.append("  }")
-        out.append("}")
-        out.append("")
+        out += ["}", ""]
 
-    for fname in sorted(model.stoch_functors):
-        S = model.stoch_functors[fname]
+    for fname, S in sorted(model.stoch_functors.items()):
         out.append(f"stoch {fname} {{")
-        for bname in sorted(S.priors):
-            p = S.priors[bname]
-            entries = ", ".join(f"{m}: {p[m]}"
-                                for m in p.modes.modes)
+        for bname, p in sorted(S.priors.items()):
+            entries = ", ".join(f"{m}: {p[m]}" for m in p.modes.modes)
             out.append(f"  prior {bname} = ({entries})")
-        for gen in sorted(S.kernels):
-            k = S.kernels[gen]
+        for gen, k in sorted(S.kernels.items()):
             out.append(f"  kernel {gen} {{")
-            for x in k.source.modes:
-                for slot, ms in k.slots:
-                    for y in ms.modes:
-                        v = k(x, slot, y)
-                        if v > 0:
-                            out.append(
-                                f"    {x} -> {slot}.{y}: {v}")
+            out += [f"    {x} -> {slot}.{y}: {k(x, slot, y)}"
+                    for x in k.source.modes for slot, ms in k.slots
+                    for y in ms.modes if k(x, slot, y) > 0]
             out.append("  }")
-        out.append("}")
-        out.append("")
+        out += ["}", ""]
 
     while out and out[-1] == "":
         out.pop()

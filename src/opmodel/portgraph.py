@@ -44,6 +44,12 @@ class Value:
     def __hash__(self) -> int:
         return hash(tuple(getattr(self, s) for s in self.__slots__))
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle pass these to ``__new__``, which checks them in
+        # the classes that give their constructors a private path; a slot
+        # whose name starts with ``_`` is derived from the others
+        return tuple(getattr(self, s) for s in self.__slots__ if s[0] != "_")
+
     def __repr__(self) -> str:
         fields = ", ".join(repr(getattr(self, s)) for s in self.__slots__)
         return f"{type(self).__name__}({fields})"
@@ -157,15 +163,24 @@ class Architecture(Value):
 
     __slots__ = ("inputs", "output", "wires", "_boundary_of")
 
-    def __init__(self, inputs: tuple[tuple[str, Boundary], ...],
-                 output: Boundary, wires: tuple[Wire, ...]) -> None:
-        self.inputs, self.output = inputs, output
+    def __new__(cls, inputs: tuple[tuple[str, Boundary], ...],
+                output: Boundary, wires: tuple[Wire, ...]) -> Architecture:
+        self = cls._new(inputs, output, tuple(
+            sorted((w for w in wires if w.ports), key=_least_port)))
+        if len(self._boundary_of) != len(inputs):  # the dict ``_new`` built
+            raise ValidationError("duplicate slot labels")
+        return self
+
+    @classmethod
+    def _new(cls, inputs: tuple[tuple[str, Boundary], ...], output: Boundary,
+             wires: tuple[Wire, ...]) -> Architecture:
+        """An architecture over distinct slot labels whose wires are
+        already in normal form: nothing is checked."""
+        self = object.__new__(cls)
+        self.inputs, self.output, self.wires = inputs, output, wires
         # derived from ``inputs``, so that equality comparing it changes nothing
         self._boundary_of = dict(inputs)
-        if len(self._boundary_of) != len(inputs):
-            raise ValidationError("duplicate slot labels")
-        self.wires = tuple(sorted((w for w in wires if w.ports),
-                                  key=_least_port))
+        return self
 
     @property
     def slots(self) -> tuple[str, ...]:

@@ -64,21 +64,29 @@ class Distribution(Value):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[str, Fraction], ...]) -> None:
-        self.entries = entries
-        labels = [l for l, _ in entries]
-        if len(set(labels)) != len(labels):
+    def __new__(cls, entries: tuple[tuple[str, Fraction], ...]) -> Distribution:
+        if len({l for l, _ in entries}) != len(entries):
             raise ValidationError("distribution labels must be unique")
         for l, p in entries:
             if not isinstance(p, EXACT):
                 raise ValidationError(
                     f"probability {l}: {p!r} is not an int or Fraction")
+        return cls._new(entries)
+
+    @classmethod
+    def _new(cls, entries: tuple[tuple[str, Fraction], ...]) -> Distribution:
+        """A distribution whose labels are unique and whose probabilities
+        are exact: only their range and their sum are checked."""
+        for l, p in entries:
             if not 0 <= p.numerator <= p.denominator:
                 raise ValidationError(
                     f"probability {l}: {format_exact(p)} outside [0, 1]")
         n, d = exact_sum([p for _, p in entries])
         if n != d:
             raise ValidationError("distribution does not sum to 1")
+        self = object.__new__(cls)
+        self.entries = entries
+        return self
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -21,16 +21,26 @@ MeanTime = Fraction | float  # a positive Fraction, or math.inf
 Rate = Fraction              # finite and non-negative
 
 
+def _shown(x: object) -> str:
+    """``repr(x)``, or an exact value past the interpreter's integer string
+    limit as ``format_exact`` writes it."""
+    try:
+        return repr(x)
+    except ValueError:
+        return format_exact(x)
+
+
 def _check_meantime(t: MeanTime) -> None:
     if t == INF:
         return
     if not isinstance(t, Fraction) or t <= 0:
-        raise ValidationError(f"mean time must be positive, got {t!r}")
+        raise ValidationError(f"mean time must be positive, got {_shown(t)}")
 
 
 def _check_rate(r: Rate) -> None:
     if not isinstance(r, Fraction) or r < 0:
-        raise ValidationError(f"rate must be a finite non-negative value, got {r!r}")
+        raise ValidationError(
+            f"rate must be a finite non-negative value, got {_shown(r)}")
 
 
 def invert(x: MeanTime | Rate) -> Rate | MeanTime:

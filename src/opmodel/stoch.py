@@ -41,7 +41,7 @@ class Point(Value):
 
     __slots__ = ("modes", "probs")
 
-    def __init__(self, modes: ModeSet, probs: Mapping[str, Fraction]) -> None:
+    def __new__(cls, modes: ModeSet, probs: Mapping[str, Fraction]) -> Point:
         for m, p in probs.items():
             if m not in modes:
                 raise ValidationError(
@@ -50,6 +50,13 @@ class Point(Value):
                 raise ValidationError(
                     f"prior on {modes.boundary}: mass {p!r} on {m!r} is not "
                     f"an int or Fraction")
+        return cls._new(modes, probs)
+
+    @classmethod
+    def _new(cls, modes: ModeSet, probs: Mapping[str, Fraction]) -> Point:
+        """A prior whose masses are exact and on modes of ``modes``: only
+        their signs and their sum are checked."""
+        for m, p in probs.items():
             if p.numerator < 0:
                 raise ValidationError(
                     f"prior on {modes.boundary}: negative mass on {m!r}")
@@ -57,9 +64,11 @@ class Point(Value):
         if n != d:
             raise ValidationError(
                 f"prior on {modes.boundary} does not sum to 1")
+        self = object.__new__(cls)
         self.modes = modes
         # store only positive entries, so equal priors compare equal
         self.probs = {m: p for m, p in probs.items() if p}
+        return self
 
     def __getitem__(self, mode: str) -> Fraction:
         return self.probs.get(mode, ZERO)
@@ -74,17 +83,14 @@ class Kernel(Value):
 
     __slots__ = ("source", "slots", "entries")
 
-    def __init__(self, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
-                 entries: Mapping[Entry, Fraction]) -> None:
+    def __new__(cls, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
+                entries: Mapping[Entry, Fraction]) -> Kernel:
         slot_modes = dict(slots)
         if len(slot_modes) != len(slots):
             raise ValidationError("duplicate kernel slot labels")
-        # each row is summed over the lcm of its own denominators: one lcm
-        # for the whole kernel grows with the number of distinct ones
-        rows: dict[str, list[Fraction]] = {x: [] for x in source.modes}
+        source_modes = set(source.modes)
         for (x, i, y), p in entries.items():
-            row = rows.get(x)
-            if row is None:
+            if x not in source_modes:
                 raise ValidationError(
                     f"kernel: unknown source mode {x!r} on {source.boundary}")
             if i not in slot_modes:
@@ -96,18 +102,31 @@ class Kernel(Value):
                 raise ValidationError(
                     f"kernel entry ({x} -> {i}.{y}): {p!r} is not an int or "
                     f"Fraction")
+        return cls._new(source, slots, entries)
+
+    @classmethod
+    def _new(cls, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
+             entries: Mapping[Entry, Fraction]) -> Kernel:
+        """A kernel over distinct slots whose entries are exact and on modes
+        and slots it has: only their signs and row sums are checked."""
+        # each row is summed over the lcm of its own denominators: one lcm
+        # for the whole kernel grows with the number of distinct ones
+        rows: dict[str, list[Fraction]] = {x: [] for x in source.modes}
+        for (x, i, y), p in entries.items():
             if p.numerator < 0:
                 raise ValidationError(f"kernel entry ({x} -> {i}.{y}) negative")
-            row.append(p)
+            rows[x].append(p)
         for x, row in rows.items():
             n, d = exact_sum(row)
             if n != d:
                 raise ValidationError(
                     f"kernel row for {source.boundary}.{x} sums to "
                     f"{format_exact(Fraction(n, d))}")
+        self = object.__new__(cls)
         self.source, self.slots = source, slots
         # store only positive entries, so equal kernels compare equal
         self.entries = {k: p for k, p in entries.items() if p}
+        return self
 
     def __call__(self, x: str, slot: str, y: str) -> Fraction:
         return self.entries.get((x, slot, y), ZERO)

@@ -321,18 +321,20 @@ def kernel_check_oracle(source: ModeSet,
                         entries: Mapping[tuple[str, str, str], Fraction]
                         ) -> str:
     """The first message ``Kernel(source, slots, entries)`` raises, or
-    ``""`` if it accepts them, from plain ``Fraction`` row sums."""
+    ``""`` if it accepts them, from plain ``Fraction`` row sums: every
+    entry's modes and slot are checked before any entry's sign."""
     slot_modes = dict(slots)
     if len(slot_modes) != len(slots):
         return "duplicate kernel slot labels"
     rows = {x: Fraction(0) for x in source.modes}
-    for (x, i, y), p in entries.items():
+    for x, i, y in entries:
         if x not in rows:
             return f"kernel: unknown source mode {x!r} on {source.boundary}"
         if i not in slot_modes:
             return f"kernel: unknown slot {i!r}"
         if y not in slot_modes[i].modes:
             return f"kernel: unknown mode {y!r} on slot {i}"
+    for (x, i, y), p in entries.items():
         if p < 0:
             return f"kernel entry ({x} -> {i}.{y}) negative"
         rows[x] += p
@@ -373,10 +375,12 @@ def random_point(rng: random.Random, ms: ModeSet,
 
 def point_check_oracle(ms: ModeSet, probs: Mapping[str, Fraction]) -> str:
     """The first message ``Point(ms, probs)`` raises, or ``""`` if it
-    accepts them, from a plain ``Fraction`` sum."""
-    for m, p in probs.items():
+    accepts them, from a plain ``Fraction`` sum: every mode is checked
+    before any mass's sign."""
+    for m in probs:
         if m not in ms.modes:
             return f"prior on {ms.boundary}: unknown mode {m!r}"
+    for m, p in probs.items():
         if p < 0:
             return f"prior on {ms.boundary}: negative mass on {m!r}"
     if sum(probs.values(), Fraction(0)) != 1:

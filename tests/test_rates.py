@@ -1,5 +1,6 @@
 """Mean times, rates, failure histories and the rate-to-probability pipeline."""
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,24 @@ class TestCombining:
             combine_meantime([F(0)])
         with pytest.raises(ValidationError):
             combine_meantime([F(-3)])
+
+    @pytest.mark.parametrize("combine, message", [
+        (combine_rates, "rate must be a finite non-negative value, got {}"),
+        (combine_meantime, "mean time must be positive, got {}")],
+        ids=["rates", "meantime"])
+    def test_refused_value_is_named(self, combine, message):
+        """By ``repr``; past the interpreter's integer string limit, where
+        ``repr`` would raise ``ValueError``, in hexadecimal."""
+        with pytest.raises(ValidationError) as info:
+            combine([F(-1, 10)])
+        assert str(info.value) == message.format("Fraction(-1, 10)")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            value = F(-1, 10 ** (limit + 1))
+            with pytest.raises(ValidationError) as info:
+                combine([value])
+            assert str(info.value) == message.format(
+                f"{value.numerator:#x}/{value.denominator:#x}")
 
 
 class TestInversion:

@@ -46,6 +46,34 @@ class TestWholeModel:
             assert opmodel.parse(opmodel.serialize(model)) == model
 
 
+@pytest.mark.parametrize("source", ["lsi", "synth-64"])
+def test_parsed_values_equal_their_public_construction(source, lsi):
+    """The parser builds values through private constructors that skip the
+    checks it has already made; the public constructors, which make every
+    check, build equal values from the same fields, and put an
+    architecture's wires, given in any order, in the order parsed."""
+    model = lsi if source == "lsi" else opmodel.parse(synth_model(3, 1).text)
+    built = 0
+    for arch in model.presentation.generators.values():
+        wires = tuple(reversed(arch.wires))
+        assert opmodel.Architecture(arch.inputs, arch.output, wires) == arch
+        built += 1
+    for dist in model.prob_functors["P"].dists.values():
+        assert opmodel.Distribution(dist.entries) == dist
+        built += 1
+    S = model.stoch_functors["S"]
+    mode_sets = [*model.mode_functors["M"].mode_sets.values(),
+                 *(p.modes for p in S.priors.values())]
+    for ms in mode_sets:
+        assert opmodel.ModeSet(ms.boundary, ms.modes) == ms
+    for p in S.priors.values():
+        assert opmodel.Point(p.modes, p.probs) == p
+    for k in S.kernels.values():
+        assert opmodel.Kernel(k.source, k.slots, k.entries) == k
+    built += len(mode_sets) + len(S.priors) + len(S.kernels)
+    assert built > (50 if source == "lsi" else 100)
+
+
 def test_queries_match_references():
     """diagnose, leaf_probability and can_cause on the depth-0 and depth-1
     subterms of a 64-leaf model, on a seeded sample of leaves."""

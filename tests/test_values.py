@@ -4,7 +4,9 @@ Values (architectures, terms, distributions, mode sets, kernels, ...) equal
 only an instance of their own class with equal fields.  Records (rows,
 reports, functors) are NamedTuples, so they index and unpack like tuples.
 """
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -31,7 +33,7 @@ from opmodel import (
     check_prob_functor,
 )
 from opmodel.modes import ModeCheckRow, ModeFunctor
-from opmodel.portgraph import EqualityReport
+from opmodel.portgraph import EqualityReport, ValidationError
 from opmodel.presentation import (
     CheckReport,
     CoherenceEquation,
@@ -118,6 +120,41 @@ class TestValueEquality:
             # a mapping field makes the value unhashable, as before
             with pytest.raises(TypeError):
                 hash(a)
+
+    def test_copies_and_pickles_equal_the_original(self, cls):
+        a = VALUES[cls][0]()
+        for other in (copy.copy(a), copy.deepcopy(a),
+                      pickle.loads(pickle.dumps(a))):
+            assert type(other) is cls and other == a
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Kernel(OK_BAD, (("s", OK_BAD),), {("ok", "s", "hot"): F(1),
+                                                ("bad", "s", "ok"): F(1)}),
+     "kernel: unknown mode 'hot' on slot s"),
+    (lambda: Kernel(OK_BAD, (("s", OK_BAD),), {("ok", "s", "ok"): F(-1),
+                                                ("ok", "s", "hot"): F(2)}),
+     "kernel: unknown mode 'hot' on slot s"),
+    (lambda: Kernel(OK_BAD, (("s", OK_BAD),), {("hot", "s", "ok"): F(1)}),
+     "kernel: unknown source mode 'hot' on Bath"),
+    (lambda: Kernel(OK_BAD, (("s", OK_BAD),), {("ok", "t", "ok"): F(1)}),
+     "kernel: unknown slot 't'"),
+    (lambda: Kernel(OK_BAD, (("s", OK_BAD), ("s", OK_BAD)), {}),
+     "duplicate kernel slot labels"),
+    (lambda: Point(OK_BAD, {"hot": F(1)}), "prior on Bath: unknown mode 'hot'"),
+    (lambda: Distribution((("a", F(1, 2)), ("a", F(1, 2)))),
+     "distribution labels must be unique"),
+    (lambda: Architecture((("a", BATH), ("a", BATH)), BATH, ()),
+     "duplicate slot labels"),
+], ids=["kernel-mode", "kernel-mode-before-sign", "kernel-source-mode",
+        "kernel-slot", "kernel-duplicate-slot", "point-mode",
+        "distribution-labels", "architecture-duplicate-slot"])
+def test_public_constructors_make_the_checks_the_parser_makes(make, message):
+    """The parser builds values through private constructors that skip the
+    checks it has already made; built by hand, a value gets them all."""
+    with pytest.raises(ValidationError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_values_with_the_same_items_differ_across_classes():
