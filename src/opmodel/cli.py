@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .dsl import DslError, Model, parse, parse_rational
 from .modes import check_mode_functor
@@ -33,7 +32,8 @@ class CliError(Exception):
 
 def _load_model(path: str) -> Model:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except FileNotFoundError:
         raise CliError(f"model file not found: {path}") from None
     except OSError as exc:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from operator import itemgetter
 from typing import Callable, Container, Iterator, Mapping, TypeVar
 
@@ -56,6 +56,7 @@ from .prob import Distribution, ProbFunctor
 from .stoch import Kernel, Point, StochFunctor
 
 T = TypeVar("T")
+_Number = tuple[Fraction, tuple[int, int]]  # value, (numerator, denominator)
 
 
 class DslError(TermSyntaxError):
@@ -162,7 +163,7 @@ class _Parser:
         self.tokens += [""] * 8  # so that no entry's slice runs short
         self.pos = 0
         # each number spelling read so far, ``a`` or ``(a, b)`` for ``a/b``
-        self.numbers: dict[str | tuple[str, str], Fraction] = {}
+        self.numbers: dict[str | tuple[str, str], _Number] = {}
         self.type_table: dict[str, str] = {}
         self.boundaries: dict[str, Boundary] = {}
         self.generators: dict[str, Architecture] = {}
@@ -220,9 +221,10 @@ class _Parser:
                 self.pos += 1
         self.pos += 1
 
-    def rational(self) -> Fraction:
-        """A number, ``a`` or ``a/b``: each spelling is checked and built
-        once per parse, and its repeats share one ``Fraction``."""
+    def rational(self) -> _Number:
+        """A number, ``a`` or ``a/b``, and its ``(numerator, denominator)``:
+        each spelling is checked and built once per parse, and its repeats
+        share one ``Fraction``."""
         tokens, i = self.tokens, self.pos
         slash = tokens[i + 1] == "/"
         key = (tokens[i], tokens[i + 2]) if slash else tokens[i]
@@ -238,7 +240,8 @@ class _Parser:
                 denominator = self.number(tokens[i + 2])
                 if denominator == 0:
                     raise self.error("zero denominator")
-            value = self.numbers[key] = Fraction(value, denominator)
+            value = Fraction(value, denominator)
+            value = self.numbers[key] = value, value.as_integer_ratio()
         self.pos = i + 3 if slash else i + 1
         return value
 
@@ -279,6 +282,26 @@ class _Parser:
             self.expect(expected)
         return tok, value
 
+    def typed(self, close: str, what: str, table: Container[str],
+              kind: str) -> dict[str, str]:
+        """New ``what`` names up to ``close``, each typed ``: kind`` by a name
+        in ``table``: one token slice per entry, read token by token only to
+        raise the located error, named by the first word of what or kind."""
+        types: dict[str, str] = {}
+        for i in self.items(close):
+            name, colon, t = self.tokens[i:i + 3]
+            if not (colon == ":" and t in table and name.isidentifier()
+                    and name not in types):
+                name = self.ident(what)
+                self.expect(":")
+                if self.ident(kind) not in table:
+                    raise self.error(f"unknown {kind.split()[0]} {t!r}", i + 2)
+                if name in types:
+                    raise self.error(f"duplicate {what.split()[0]} {name!r}", i)
+            self.pos = i + 3
+            types[name] = t
+        return types
+
     def slot(self, gen: str, slots: Container[str] | None,
              seen: Container[str] = ()) -> str:
         """A slot label of generator ``gen``; ``slots=None`` skips the check."""
@@ -313,15 +336,9 @@ class _Parser:
     # top-level ----------------------------------------------------------
 
     def parse(self) -> Model:
-        handlers = {
-            "interface": self.parse_interface,
-            "boundary": self.parse_boundary,
-            "architecture": self.parse_architecture,
-            "equation": self.parse_equation,
-            "prob": self.parse_prob,
-            "modes": self.parse_modes,
-            "stoch": self.parse_stoch,
-        }
+        handlers = {kw: getattr(self, "parse_" + kw) for kw in (
+            "interface", "boundary", "architecture", "equation", "prob",
+            "modes", "stoch")}
         while tok := self.tokens[self.pos]:
             handler = handlers.get(tok)
             if handler is None:
@@ -347,45 +364,25 @@ class _Parser:
 
     def parse_boundary(self) -> None:
         name, _ = self.known(None, "boundary", self.boundaries, "{")
-        port_type: dict[str, str] = {}
-        for i in self.items("}"):
-            port, colon, ptype = self.tokens[i:i + 3]
-            if (colon == ":" and ptype in self.type_table
-                    and port.isidentifier() and port not in port_type):
-                self.pos += 3
-            else:  # read token by token, to raise the located error
-                port = self.ident("port name")
-                self.expect(":")
-                ptype = self.ident("interface type")
-                if ptype not in self.type_table:
-                    raise self.error(f"unknown interface {ptype!r}", i + 2)
-                if port in port_type:
-                    raise self.error(f"duplicate port {port!r}", i)
-            port_type[port] = ptype
+        port_type = self.typed("}", "port name", self.type_table,
+                               "interface type")
         self.boundaries[name] = Boundary(name, tuple(port_type), port_type)
 
     def parse_architecture(self) -> None:
         name, _ = self.known(None, "architecture", self.generators, ":", "(")
-        slots: dict[str, Boundary] = {}
-        for i in self.items(")"):
-            slot = self.ident("slot label")
-            self.expect(":")
-            _, b = self.known(self.boundaries, "boundary")
-            if slot in slots:
-                raise self.error(f"duplicate slot {slot!r}", i)
-            slots[slot] = b
+        slots = {s: self.boundaries[b] for s, b in self.typed(
+            ")", "slot label", self.boundaries, "boundary name").items()}
         self.expect("->")
         _, output = self.known(self.boundaries, "boundary", (), "{")
         types = {(s, p): t for s, b in slots.items()
                  for p, t in b.port_type.items()}
-        ref = PortRef._make  # a PortRef from a (slot, port) pair
 
-        # a wire: its least port as a plain ``(slot or "", port)``, its key in
-        # the normal order, then its ports, first-named slot port first
+        # a wire: its least port ``(slot or "", port)``, its key in the normal
+        # order, then its ports as ``(slot or None, port)``, a slot port first
         wires: list[list] = []
-        wire_of: dict[PortRef, list] = {}
+        wire_of: dict[tuple[str | None, str], list] = {}
 
-        def slot_ref(unwired: bool = False) -> PortRef:
+        def slot_ref(unwired: bool = False) -> tuple[str, str]:
             """A ``slot.port`` reference, on no wire yet when ``unwired``."""
             slot = self.ident("slot label")
             b = slots.get(slot)
@@ -399,18 +396,7 @@ class _Parser:
             if unwired and (slot, port) in wire_of:
                 raise self.error(f"port {slot}.{port} attached to two wires",
                                  self.pos - 1)
-            return ref((slot, port))
-
-        def join(refs: list[PortRef], least: tuple[str, str],
-                 w: list | None = None) -> None:
-            """Add ``refs``, whose least port is ``least``, to wire ``w``, or
-            to a new wire when it is None."""
-            if w is None:
-                w = [least]
-                wires.append(w)
-            w[0] = min(w[0], least)
-            w += refs
-            wire_of.update(dict.fromkeys(refs, w))
+            return slot, port
 
         for i in self.items("}", commas=False):
             # a two-port wire or an expose line, read as one slice
@@ -420,18 +406,22 @@ class _Parser:
                     and a in types and b in types and a not in wire_of
                     and b not in wire_of):
                 self.pos = i + 8
-                join([ref(a), ref(b)], min(a, b))
-            elif (kw == "expose" and dot == "." and sep == "->" and a in types
+                wires.append([a if a < b else b, a, b])
+                wire_of[a] = wire_of[b] = wires[-1]
+                continue
+            if (kw == "expose" and dot == "." and sep == "->" and a in types
                     and s2 in output.port_type and (None, s2) not in wire_of):
                 self.pos = i + 6
-                join([ref(a), ref((None, s2))], ("", s2), wire_of.get(a))
+                inner, port = a, s2
             elif self.keyword("wire", "expose") == "wire":
                 refs = [slot_ref(unwired=True)]
                 self.expect("=")
                 refs.append(slot_ref(unwired=True))
                 while self.accept("="):
                     refs.append(slot_ref(unwired=True))
-                join(refs, min(map(tuple, refs)))
+                wires.append([min(refs), *refs])
+                wire_of.update(dict.fromkeys(refs, wires[-1]))
+                continue
             else:
                 inner = slot_ref()
                 self.expect("->")
@@ -442,28 +432,36 @@ class _Parser:
                 if (None, port) in wire_of:
                     raise self.error(f"port {port} exposed twice",
                                      self.pos - 1)
-                join([inner, ref((None, port))], ("", port),
-                     wire_of.get(inner))
+            # an outer port joins the wire of ``inner``, or a new one
+            w = wire_of.get(inner)
+            if w is None:
+                wires.append([("", port), inner, (None, port)])
+                wire_of[inner] = wire_of[None, port] = wires[-1]
+            else:
+                w[0] = min(w[0], ("", port))
+                w.append((None, port))
+                wire_of[None, port] = w
 
         # unique-match auto-exposure of the remaining ports
         for port in output.ports:
             if (None, port) in wire_of:
                 continue
-            candidates = [ref((s, port)) for s, b in slots.items()
+            candidates = [(s, port) for s, b in slots.items()
                           if port in b.port_type and (s, port) not in wire_of]
             if len(candidates) > 1:
                 raise self.error(
-                    f"architecture {name}: ambiguous auto-exposure of "
-                    f"port {port} (candidates {', '.join(map(str, candidates))})",
+                    f"architecture {name}: ambiguous auto-exposure of port "
+                    f"{port} (candidates {', '.join(map('.'.join, candidates))})",
                     self.pos - 1)
             if candidates:
-                join([candidates[0], ref((None, port))], ("", port))
+                wires.append([("", port), candidates[0], (None, port)])
 
         # in normal order, each wire typed by its first port; an ill-typed
         # one is reported by compile, with more context
         self.generators[name] = Architecture._new(
-            tuple(slots.items()), output,
-            tuple(Wire(frozenset(w[1:]), types[w[1]]) for w in sorted(wires)))
+            tuple(slots.items()), output, tuple(
+                Wire(frozenset(map(tuple.__new__, repeat(PortRef), w[1:])),
+                     types[w[1]]) for w in sorted(wires)))
 
     # terms and equations --------------------------------------------------
 
@@ -515,16 +513,17 @@ class _Parser:
             gen, arch = self.known(self.generators, "generator", dists, "=", "(")
             slots = arch.slots
             values: dict[str, Fraction] = {}
+            pairs: list[tuple[int, int]] = []
             for i in self.items(")"):
                 slot, colon = self.tokens[i:i + 2]
-                if colon == ":" and slot in slots and slot not in values:
-                    self.pos += 2
-                else:
+                if not (colon == ":" and slot in slots and slot not in values):
                     slot = self.slot(gen, slots, values)
                     self.expect(":")
-                values[slot] = self.rational()
+                self.pos = i + 2
+                values[slot], pair = self.rational()
+                pairs.append(pair)
             dists[gen] = self.build(Distribution._new, tuple(
-                (s, values[s]) for s in slots if s in values))
+                (s, values[s]) for s in slots if s in values), pairs)
             if len(values) != len(slots):
                 raise self.error(
                     f"distribution for {gen} does not cover all slots",
@@ -552,15 +551,14 @@ class _Parser:
             for i in self.items("}"):
                 slot, dot, mode_in, arrow, mode_out = self.tokens[i:i + 5]
                 ms = in_modes.get(slot)
-                if (dot == "." and arrow == "->" and ms is not None
+                if not (dot == "." and arrow == "->" and ms is not None
                         and mode_in in ms.modes and mode_out in outs):
-                    self.pos += 5
-                else:
                     slot = self.slot(gen, slots)
                     self.expect(".")
                     mode_in = self.mode(in_modes[slot])
                     self.expect("->")
                     mode_out = self.mode(out_modes)
+                self.pos = i + 5
                 pairs[slot].add((mode_in, mode_out))
             relations[gen] = ModeRelation(
                 {s: frozenset(v) for s, v in pairs.items()})
@@ -574,17 +572,18 @@ class _Parser:
             if self.keyword("prior", "kernel") == "prior":
                 bname, _ = self.known(self.boundaries, "boundary", priors,
                                       "=", "(")
-                probs: list[tuple[str, Fraction]] = []
+                modes, probs, pairs = [], {}, []
                 for i in self.items(")"):
                     mode, colon = self.tokens[i:i + 2]
-                    if colon == ":" and mode.isidentifier():
-                        self.pos += 2
-                    else:
+                    if not (colon == ":" and mode.isidentifier()):
                         mode = self.mode(None)
                         self.expect(":")
-                    probs.append((mode, self.rational()))
+                    self.pos = i + 2
+                    modes.append(mode)
+                    probs[mode], pair = self.rational()
+                    pairs.append(pair)
                 priors[bname] = self.build(lambda: Point._new(
-                    ModeSet(bname, tuple(m for m, _ in probs)), dict(probs)))
+                    ModeSet(bname, tuple(modes)), probs, pairs))
                 continue
             gen, arch = self.known(self.generators, "generator", kernels)
             for b in (arch.output, *(b for _, b in arch.inputs)):
@@ -597,14 +596,12 @@ class _Parser:
             slot_modes = dict(slots)
             slot_names = {s: ms.modes for s, ms in slots}
             self.expect("{")
-            entries: dict[tuple[str, str, str], Fraction] = {}
+            entries, rows = {}, {x: [] for x in source.modes}
             for i in self.items("}"):
                 x, arrow, slot, dot, y, colon = self.tokens[i:i + 6]
-                if (arrow == "->" and dot == "." and colon == ":"
+                if not (arrow == "->" and dot == "." and colon == ":"
                         and x in source.modes and y in slot_names.get(slot, ())
                         and (x, slot, y) not in entries):
-                    self.pos += 6
-                else:
                     x = self.mode(source)
                     self.expect("->")
                     slot = self.slot(gen, slot_modes)
@@ -614,8 +611,10 @@ class _Parser:
                         raise self.error(
                             f"duplicate kernel entry {x} -> {slot}.{y}", i)
                     self.expect(":")
-                entries[(x, slot, y)] = self.rational()
-            kernels[gen] = self.build(Kernel._new, source, slots, entries)
+                self.pos = i + 6
+                entries[(x, slot, y)], pair = self.rational()
+                rows[x].append(pair)
+            kernels[gen] = self.build(Kernel._new, source, slots, entries, rows)
         self.stoch_functors[name] = StochFunctor(priors, kernels, name)
 
 
@@ -641,7 +640,7 @@ def parse_free_term(text: str) -> Term:
 def parse_rational(text: str) -> Fraction:
     """Parse a number on its own, as ``.opm`` writes one: an integer, a
     finite decimal, or either over an integer denominator (``a/b``)."""
-    return _parse_whole(text, _Parser.rational)
+    return _parse_whole(text, lambda parser: parser.rational()[0])
 
 
 def serialize(model: Model) -> str:

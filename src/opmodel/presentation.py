@@ -184,7 +184,7 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
     path, root first, in its generator's value, which ``labels_of`` maps by
     label.
 
-    ``t`` must pass :func:`leaf_paths` (or :func:`check_term`).  One
+    ``t`` must pass :func:`leaf_paths` (or :func:`check_term`).  An
     explicit-stack walk follows the term's slots, a slot filled twice its
     last filler, as a fold does.  It never splits a path, since a slot label
     built from Python may hold a dot; where leaves then share a path, the
@@ -194,37 +194,38 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
     slot filled there and contain no dot, and the path's last slot is a
     label.
     """
-    want = leaf.lower()
-    exact: list[tuple] = []
-    by_suffix: list[tuple] = []
-    by_boundary: list[tuple] = []
-    clean = values is not None  # the entries can still be read
-    # a node, the steps to it, and where the rest of ``leaf`` starts after
-    # the node's path, or -1 if that path does not begin ``leaf``
-    todo = [(t, (), 0)]
-    while todo:
-        node, steps, at = todo.pop()
-        g = node.generator
-        fills = dict(node.children) if node.children else {}
-        if clean:
-            own = labels_of(values[g]) if g in values else None
-            clean = own is not None and "." not in "".join(own) \
-                and fills.keys() <= own.keys()
-        for slot, b in pres.generators[g].inputs:
-            end = at + len(slot) if at >= 0 and leaf.startswith(slot, at) \
-                else -1
-            child = fills.get(slot)
-            if child is not None:
-                todo.append((child, steps + ((g, slot),),
-                             end + 1 if end >= 0 and leaf.startswith(".", end)
-                             else -1))
-            elif end == len(leaf):
-                exact.append(steps + ((g, slot),))
-            else:
-                if leaf in slot and slot.rpartition(".")[2] == leaf:
-                    by_suffix.append(steps + ((g, slot),))
-                if b.name.lower() == want:
-                    by_boundary.append(steps + ((g, slot),))
+    # a second walk applies the boundary rule, if the first leaves it open
+    for want in (None, leaf.lower()):
+        exact, by_suffix, by_boundary = [], [], []
+        clean = values is not None  # the entries can still be read
+        # a node, the steps to it, and where the rest of ``leaf`` starts
+        # after the node's path, or -1 if that path does not begin ``leaf``
+        todo = [(t, (), 0)]
+        while todo:
+            node, steps, at = todo.pop()
+            g = node.generator
+            fills = dict(node.children) if node.children else {}
+            if clean:
+                own = labels_of(values[g]) if g in values else None
+                clean = own is not None and "." not in "".join(own) \
+                    and fills.keys() <= own.keys()
+            for slot, b in pres.generators[g].inputs:
+                end = at + len(slot) \
+                    if at >= 0 and leaf.startswith(slot, at) else -1
+                child = fills.get(slot)
+                if child is not None:
+                    todo.append((child, steps + ((g, slot),), end + 1
+                                 if end >= 0 and leaf.startswith(".", end)
+                                 else -1))
+                elif end == len(leaf):
+                    exact.append(steps + ((g, slot),))
+                else:
+                    if leaf in slot and slot.rpartition(".")[2] == leaf:
+                        by_suffix.append(steps + ((g, slot),))
+                    if want is not None and b.name.lower() == want:
+                        by_boundary.append(steps + ((g, slot),))
+        if exact or len(by_suffix) == 1:
+            break
     if exact:
         route = max(exact, key=lambda route: [
             pres.generators[g].slots.index(slot) for g, slot in route])

@@ -50,13 +50,12 @@ def format_exact(q: Fraction) -> str:
 EXACT = (Fraction, int)  # the probability types whose sums are checked exactly
 
 
-def exact_sum(values: Collection[Fraction | int]) -> tuple[int, int]:
-    """``sum(values)`` as an unreduced ``(numerator, denominator)`` pair,
-    over the lcm of the values' denominators: integer sums, no gcd per
-    addition."""
-    dens = [v.denominator for v in values]
-    d = lcm(*dens)
-    return sum(v.numerator * (d // e) for v, e in zip(values, dens)), d
+def exact_sum(pairs: Collection[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the fractions ``n/d`` of ``(n, d)`` pairs as an unreduced
+    ``(numerator, denominator)`` pair, over the lcm of the denominators:
+    integer sums, no gcd per addition."""
+    d = lcm(*[e for _, e in pairs])
+    return sum([n * (d // e) for n, e in pairs]), d
 
 
 class Distribution(Value):
@@ -74,15 +73,17 @@ class Distribution(Value):
         return cls._new(entries)
 
     @classmethod
-    def _new(cls, entries: tuple[tuple[str, Fraction], ...]) -> Distribution:
-        """A distribution whose labels are unique and whose probabilities
-        are exact: only their range and their sum are checked."""
-        for l, p in entries:
-            if not 0 <= p.numerator <= p.denominator:
-                raise ValidationError(
-                    f"probability {l}: {format_exact(p)} outside [0, 1]")
-        n, d = exact_sum([p for _, p in entries])
-        if n != d:
+    def _new(cls, entries: tuple[tuple[str, Fraction], ...],
+             pairs: list[tuple[int, int]] | None = None) -> Distribution:
+        """Unique labels and exact probabilities assumed: range and sum are
+        checked on ``pairs``, the ``(numerator, denominator)`` of each."""
+        pairs = pairs or [p.as_integer_ratio() for _, p in entries]
+        n, d = exact_sum(pairs)
+        if n != d or min(pairs)[0] < 0:  # in range if none is negative
+            for l, p in entries:
+                if not 0 <= p.numerator <= p.denominator:
+                    raise ValidationError(
+                        f"probability {l}: {format_exact(p)} outside [0, 1]")
             raise ValidationError("distribution does not sum to 1")
         self = object.__new__(cls)
         self.entries = entries

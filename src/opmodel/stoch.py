@@ -53,21 +53,24 @@ class Point(Value):
         return cls._new(modes, probs)
 
     @classmethod
-    def _new(cls, modes: ModeSet, probs: Mapping[str, Fraction]) -> Point:
-        """A prior whose masses are exact and on modes of ``modes``: only
-        their signs and their sum are checked."""
-        for m, p in probs.items():
-            if p.numerator < 0:
-                raise ValidationError(
-                    f"prior on {modes.boundary}: negative mass on {m!r}")
-        n, d = exact_sum(probs.values())
-        if n != d:
+    def _new(cls, modes: ModeSet, probs: Mapping[str, Fraction],
+             pairs: list[tuple[int, int]] | None = None) -> Point:
+        """Exact masses on modes of ``modes`` assumed: signs and sum are
+        checked on ``pairs``, the ``(numerator, denominator)`` of each."""
+        pairs = pairs or [p.as_integer_ratio() for p in probs.values()]
+        n, d = exact_sum(pairs)
+        if n != d or min(pairs)[0] < 0:
+            for m, p in probs.items():
+                if p.numerator < 0:
+                    raise ValidationError(
+                        f"prior on {modes.boundary}: negative mass on {m!r}")
             raise ValidationError(
                 f"prior on {modes.boundary} does not sum to 1")
         self = object.__new__(cls)
         self.modes = modes
         # store only positive entries, so equal priors compare equal
-        self.probs = {m: p for m, p in probs.items() if p}
+        self.probs = ({m: p for m, p in probs.items() if p}
+                      if (0, 1) in pairs else dict(probs))
         return self
 
     def __getitem__(self, mode: str) -> Fraction:
@@ -106,16 +109,20 @@ class Kernel(Value):
 
     @classmethod
     def _new(cls, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
-             entries: Mapping[Entry, Fraction]) -> Kernel:
-        """A kernel over distinct slots whose entries are exact and on modes
-        and slots it has: only their signs and row sums are checked."""
+             entries: Mapping[Entry, Fraction],
+             rows: Mapping[str, list[tuple[int, int]]] | None = None) -> Kernel:
+        """Distinct slots and exact entries on its modes assumed: signs and
+        row sums are checked on ``rows``, each source mode's pairs."""
+        if rows is None:
+            rows = {x: [] for x in source.modes}
+            for (x, _, _), p in entries.items():
+                rows[x].append(p.as_integer_ratio())
+        if any(row and min(row)[0] < 0 for row in rows.values()):
+            for (x, i, y), p in entries.items():
+                if p.numerator < 0:
+                    raise ValidationError(f"kernel entry ({x} -> {i}.{y}) negative")
         # each row is summed over the lcm of its own denominators: one lcm
         # for the whole kernel grows with the number of distinct ones
-        rows: dict[str, list[Fraction]] = {x: [] for x in source.modes}
-        for (x, i, y), p in entries.items():
-            if p.numerator < 0:
-                raise ValidationError(f"kernel entry ({x} -> {i}.{y}) negative")
-            rows[x].append(p)
         for x, row in rows.items():
             n, d = exact_sum(row)
             if n != d:
@@ -125,7 +132,9 @@ class Kernel(Value):
         self = object.__new__(cls)
         self.source, self.slots = source, slots
         # store only positive entries, so equal kernels compare equal
-        self.entries = {k: p for k, p in entries.items() if p}
+        self.entries = ({k: p for k, p in entries.items() if p}
+                        if any((0, 1) in row for row in rows.values())
+                        else dict(entries))
         return self
 
     def __call__(self, x: str, slot: str, y: str) -> Fraction:

@@ -224,6 +224,18 @@ architecture f : (x: A, y: B) -> C {
          "duplicate failure modes on Bath", 11, 37),
         ("\nprob P {\n  warm = (ba: 3/2)\n}\n",
          "probability ba: 3/2 outside [0, 1]", 11, 18),
+        ("\narchitecture f : (a Bath) -> Room {\n}\n",
+         "expected ':', got 'Bath'", 10, 21),
+        ("\narchitecture f : (1: Bath) -> Room {\n}\n",
+         "expected slot label, got '1'", 10, 19),
+        ("\narchitecture f : (a: Bath, -> Room {\n}\n",
+         "expected slot label, got '->'", 10, 28),
+        ("\narchitecture f : (a: Bath,", "expected slot label, got ''",
+         10, 27),
+        ("\narchitecture f : (a: Bath, b: Nope) -> Room {\n}\n",
+         "unknown boundary 'Nope'", 10, 31),
+        ("\narchitecture f : (a: Bath, b: 3) -> Room {\n}\n",
+         "expected boundary name, got '3'", 10, 31),
     ], ids=["equation-generator", "equation-slot", "equation-arrow",
             "equation-duplicate-slot",
             "prob-slot", "prob-sum", "rel-slot", "rel-mode-in", "rel-mode-out",
@@ -243,12 +255,24 @@ architecture f : (x: A, y: B) -> C {
             "rel-dot", "rel-separator", "port-colon", "wire-dot",
             "wire-comma", "kernel-colon", "prob-colon", "duplicate-interface",
             "architecture-duplicate-slot", "prob-cover", "kernel-negative",
-            "prior-negative", "prior-duplicate-modes", "prob-range"])
+            "prior-negative", "prior-duplicate-modes", "prob-range",
+            "slots-colon", "slots-label", "slots-trailing-comma",
+            "slots-end-of-input", "slots-boundary", "slots-boundary-name"])
     def test_located_messages(self, tail, message, line, col):
         with pytest.raises(DslError) as err:
             parse(MINI + tail)
         assert str(err.value) == f"line {line}, column {col}: {message}"
         assert (err.value.line, err.value.col) == (line, col)
+
+    @pytest.mark.parametrize("slots, inputs", [
+        ("()", ()), ("(a: Bath,)", ("a",)), ("(a: Bath b: Room)", ("a", "b")),
+    ], ids=["empty", "trailing-comma", "no-comma"])
+    def test_slot_lists_that_parse(self, slots, inputs):
+        """A comma after a slot may be left out, or end the list."""
+        wires = "wire a.heat = b.heat\nwire a.temp = b.temp" * (len(inputs) > 1)
+        arch = parse(MINI + f"\narchitecture f : {slots} -> Room {{\n"
+                     f"{wires}\n}}\n").presentation.generators["f"]
+        assert arch.slots == inputs
 
     def test_truncated_model_fails_at_end_of_input(self):
         """LSI cut inside tau's block, after its first wire."""

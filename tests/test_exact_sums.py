@@ -12,6 +12,7 @@ from time import perf_counter
 
 import pytest
 
+from opmodel.dsl import DslError, parse
 from opmodel.modes import ModeSet
 from opmodel.portgraph import ValidationError
 from opmodel.presentation import parse_term
@@ -145,6 +146,90 @@ def test_kernel_agrees_with_fraction_sum_oracle():
                     key: p for key, p in entries.items() if p}
             checked.add(kind(want))
     assert checked == {"accepted", "negative", "sum"}
+
+
+class TestParsedSums:
+    """The parser checks the signs, ranges and sums of what it reads from
+    each number spelling's integers; every spelling of a value parses to the
+    value the public constructors take."""
+
+    MODEL = """\
+interface heat physical
+boundary Bath { heat: heat }
+boundary Room { heat: heat }
+architecture warm : (a: Bath, b: Bath, c: Bath) -> Room {
+  wire a.heat = b.heat = c.heat
+  expose a.heat -> heat
+}
+prob P { warm = (a: %s, b: %s, c: %s) }
+stoch S {
+  prior Bath = (cold: %s, hot: %s, frozen: %s)
+  prior Room = (bad: %s, good: %s)
+  kernel warm {
+    bad -> a.cold: %s
+    bad -> b.hot: %s
+    bad -> c.frozen: %s
+    bad -> c.cold: %s
+    good -> a.hot: %s
+  }
+}
+"""
+    # prob, Bath prior, Room prior, kernel row bad, kernel row good
+    REDUCED = ("1/2", "1/4", "1/4", "1/2", "1/2", "0", "1", "0",
+               "1/2", "1/4", "0", "1/4", "1")
+    SPELLED = ("2/4", "0.25", "1/4", "0.5", "2/4", "0/7", "1", "0",
+               "2/4", "25/100", "0.0", "0.25", "3/3")
+
+    def test_spellings_parse_to_the_reduced_values(self):
+        spelled, reduced = (parse(self.MODEL % v)
+                            for v in (self.SPELLED, self.REDUCED))
+        assert spelled == reduced
+        half, quarter = F(1, 2), F(1, 4)
+        bath = ModeSet("Bath", ("cold", "hot", "frozen"))
+        room = ModeSet("Room", ("bad", "good"))
+        slots = tuple((s, bath) for s in "abc")
+        S = spelled.stoch_functors["S"]
+        assert spelled.prob_functors["P"].dists["warm"] == Distribution(
+            (("a", half), ("b", quarter), ("c", quarter)))
+        assert S.priors == {"Bath": Point(bath, {"cold": half, "hot": half,
+                                                 "frozen": 0}),
+                            "Room": Point(room, {"bad": 1, "good": 0})}
+        assert S.kernels["warm"] == Kernel(room, slots, {
+            ("bad", "a", "cold"): half, ("bad", "b", "hot"): quarter,
+            ("bad", "c", "frozen"): F(0), ("bad", "c", "cold"): quarter,
+            ("good", "a", "hot"): 1})
+        # a zero entry is dropped, as the public constructors drop it
+        assert S.priors["Bath"].probs == {"cold": half, "hot": half}
+        assert ("bad", "c", "frozen") not in S.kernels["warm"].entries
+        # a repeated spelling is one value
+        assert S.priors["Bath"].probs["hot"] \
+            is S.kernels["warm"].entries[("bad", "a", "cold")]
+
+    @pytest.mark.parametrize("at, message", [
+        (0, "distribution does not sum to 1"),
+        (3, "prior on Bath does not sum to 1"),
+        (8, f"kernel row for Room.bad sums to {1 - F(1, 10 ** 30)}"),
+    ], ids=["distribution", "prior", "kernel-row"])
+    def test_a_sum_short_by_a_tiny_amount_fails(self, at, message):
+        values = list(self.REDUCED)
+        values[at] = f"{5 * 10 ** 29 - 1}/{10 ** 30}"
+        with pytest.raises(DslError) as err:
+            parse(self.MODEL % tuple(values))
+        assert str(err.value).endswith(f": {message}")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({1: "-1/4", 2: "3/4"}, "probability b: -1/4 outside [0, 1]"),
+        ({4: "4/7", 5: "-1/14"}, "prior on Bath: negative mass on 'frozen'"),
+        ({10: "-0.25", 11: "0.5"}, "kernel entry (bad -> c.frozen) negative"),
+        ({11: "1/8", 12: "-1"}, "kernel entry (good -> a.hot) negative"),
+    ], ids=["distribution", "prior", "kernel", "kernel-later-row"])
+    def test_a_negative_entry_fails_before_any_sum(self, changes, message):
+        """Each sum but the last case's first row is 1: the negative entry
+        is found all the same, and before a row sum that is not 1."""
+        values = [changes.get(i, v) for i, v in enumerate(self.SPELLED)]
+        with pytest.raises(DslError) as err:
+            parse(self.MODEL % tuple(values))
+        assert str(err.value).endswith(f": {message}")
 
 
 class TestInexactValues:

@@ -299,6 +299,44 @@ def test_shared_path_takes_last_leaf(own_first):
         == outcome(lambda: can_cause_oracle(pres, M, t, "a.b", "m1", "m0"))
 
 
+def test_boundary_rule_lowercases_non_ascii_names():
+    """Boundary names built from Python: ``İo`` lowercases to three
+    characters, ``i̇o``, and ``Io`` to ``io``.  The boundary rule decides only
+    where no exact path and no unique trailing segment does: ``x`` is a
+    path although ``y.x`` ends in it, and two leaves are on ``Io``."""
+    big_i, plain = boundary("İo", p="physical"), boundary("Io", p="physical")
+    def arch(output, *inputs):
+        return Architecture(inputs, output, (Wire(frozenset(
+            {PortRef(None, "p"), *(PortRef(s, "p") for s, _ in inputs)}),
+            "physical"),))
+    pres = OperadPresentation(
+        TypeTable({"physical": "physical"}), {"İo": big_i, "Io": plain},
+        {"f": arch(big_i, ("x", big_i), ("y", plain)),
+         "g": arch(plain, ("x", plain), ("z", plain))})
+    half = Fraction(1, 2)
+    F = ProbFunctor({g: Distribution(((s, half), (l, half)))
+                     for g, s, l in (("f", "x", "y"), ("g", "x", "z"))})
+    M = ModeFunctor({b: ModeSet(b, ("m0", "m1")) for b in ("İo", "Io")},
+                    {"f": ModeRelation({s: frozenset({("m0", "m0")})
+                                        for s in ("x", "y")}),
+                     "g": ModeRelation({s: frozenset({("m1", "m0")})
+                                        for s in ("x", "z")})})
+    t = Term("f", (("y", Term("g")),))
+    assert len("İo".lower()) == 3
+    for leaf, path in (("İo", "x"), ("i̇o", "x"), ("İO", "x"), ("x", "x"),
+                       ("z", "y.z"), ("y.x", "y.x")):
+        assert resolve_leaf(pres, t, leaf) == path, leaf
+    for leaf in ("io", "IO"):
+        with pytest.raises(ValidationError, match="ambiguous"):
+            resolve_leaf(pres, t, leaf)
+    with pytest.raises(ValidationError, match="^no leaf 'io2' in "):
+        resolve_leaf(pres, t, "io2")
+    for leaf in ("İo", "i̇o", "io", "x", "y.x", "io2", "ı", "I"):
+        assert outcome(lambda: resolve_leaf(pres, t, leaf)) \
+            == outcome(lambda: resolve_oracle(pres, t, leaf)), leaf
+    assert_queries_match(pres, F, M, t, random.Random("non-ASCII names"))
+
+
 def test_slot_filled_twice_keeps_last_filler():
     """A term built from Python may fill a slot twice; like the fold, the
     route follows the last filler, and the first must still be well formed."""
