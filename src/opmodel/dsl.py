@@ -21,6 +21,10 @@ interchangeable, ``#`` starts a comment):
     }
 
 Rationals are ``a/b``, integers, or finite decimals (converted exactly).
+In a comma list (boundary ports, an architecture's slot list, ``matching``,
+a distribution, a mode set, ``rel`` entries, a prior, ``kernel`` entries)
+each entry may be followed by one comma, the last entry too, or by none.
+A term's fills need a comma between them and take no trailing one.
 A free-standing ``<term>`` (as given on the command line) uses the same
 grammar, without resolving generator or slot names.
 Internal ports not mentioned by any wire or expose are automatically exposed
@@ -102,34 +106,30 @@ def _tokenize(text: str) -> list[str]:
     Tokens carry no position: ``_located`` recomputes positions when an
     error needs one.  Where no ``.`` precedes a digit (none is a decimal's),
     the code with its lone tokens spaced out splits into the tokens, if each
-    word is one such token, identifier or integer; else each distinct
-    chunk is scanned once.  Repeated tokens share strings either way, which
-    keeps the parsed model small.
+    word is one such token, identifier or integer; else one scan of the code
+    finds them.  Repeated tokens share strings either way, which keeps the
+    parsed model small.
     """
     code = _COMMENT_RE.sub("", text) if "#" in text else text
+    shared = None
     if not _DOT_DIGIT_RE.search(code):
         for tok, padded in _ALONE.items():
             code = code.replace(tok, padded)
         words = code.split()
         shared = {w: w for w in set(words)}  # one string per distinct token
-        if all(w in _ALONE or w.isascii() and (w.isidentifier() or w.isdecimal())
-               for w in shared):
-            shared[""] = ""  # the end of input
-            return list(itemgetter(*words, "")(shared)) if words else [""]
-    chunks: dict[str, list[str]] = {}
-    tokens: list[str] = []
-    for chunk in code.split():
-        found = chunks.get(chunk)
-        if found is None:
-            found = chunks[chunk] = _TOKEN_RE.findall(chunk)
-            # findall skips a character outside the grammar: the located scan
-            # raises at the first one (str.split and \s agree on whitespace)
-            if "".join(found) != chunk:
-                for _ in _located(text):
-                    pass
-        tokens += found
-    tokens.append("")
-    return tokens
+        if not all(w in _ALONE or w.isascii()
+                   and (w.isidentifier() or w.isdecimal()) for w in shared):
+            shared = None
+    if shared is None:
+        words = _TOKEN_RE.findall(code)
+        # findall skips a character outside the grammar: the located scan
+        # raises at the first one (str.split and \s agree on whitespace)
+        if "".join(words) != "".join(code.split()):
+            for _ in _located(text):
+                pass
+        shared = {w: w for w in words}
+    shared[""] = ""  # the end of input
+    return list(itemgetter(*words, "")(shared)) if words else [""]
 
 
 def _located(text: str) -> Iterator[tuple[str, int, int]]:
@@ -266,7 +266,7 @@ class _Parser:
               seen: Container[str] = (), *after: str) -> tuple[str, T]:
         """A name that ``table`` holds (any name, if it is None) and ``seen``
         lacks, with its value, then the tokens ``after``: one slice of the
-        token list, read token by token only to raise the located error."""
+        token list, else the located error of the first token that fails."""
         i, end = self.pos, self.pos + 1 + len(after)
         tok = self.tokens[i]
         value = tok.isidentifier() if table is None else table.get(tok)
@@ -278,9 +278,10 @@ class _Parser:
             raise self.error(f"unknown {what} {tok!r}", i)
         self.pos += 1
         self.fresh(tok, seen, what)
-        for expected in after:
-            self.expect(expected)
-        return tok, value
+        # a fresh name: the slice differs from ``after`` at some token
+        k = next(k for k, e in enumerate(after) if self.tokens[i + 1 + k] != e)
+        self.pos += k
+        raise self.error(f"expected {after[k]!r}, got {self.tokens[self.pos]!r}")
 
     def typed(self, close: str, what: str, table: Container[str],
               kind: str) -> dict[str, str]:

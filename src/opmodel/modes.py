@@ -7,7 +7,6 @@ by existential chaining, so functoriality is the transitivity of causation.
 """
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Mapping, NamedTuple
 
 from .portgraph import ValidationError, Value, graft, lookup
@@ -134,24 +133,21 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     boundary raises, and so, once the selector has resolved, does a leaf
     mode unknown on the leaf's boundary (the root's, for the empty
     selector).  After :func:`check_term`, one walk over ``t`` resolves the
-    leaf, and the modes that can cause ``root_mode`` are carried down the
-    path when the walk can read ``M``'s relations along it; otherwise the
-    pair is looked up in ``M.fold(t)``.  Every other answer and error is
-    the fold's.
+    leaf, and the modes that can cause ``root_mode`` are carried down its
+    path alone: a generator with no relation raises at the first step from
+    the root that reaches it, and a relation lacking the step's slot has no
+    pairs there.
     """
     root_modes = M.modes_of(check_term(pres, t).name)
     _check_mode(root_modes, root_mode)
     if leaf == "":
         _check_mode(root_modes, leaf_mode)
         return leaf_mode == root_mode
-    path, b, entries = _leaf_route(pres, t, leaf, M.relations,
-                                   attrgetter("pairs"))
+    _, b, route = _leaf_route(pres, t, leaf)
     _check_mode(M.modes_of(b.name), leaf_mode)
-    if entries is None:
-        return (leaf_mode, root_mode) in M.fold(t).slot(path)
     causes = {root_mode}
-    for pairs in entries:
-        causes = {y for y, x in pairs if x in causes}
+    for g, slot in route:
+        causes = {y for y, x in M.relation_of(g).slot(slot) if x in causes}
     return leaf_mode in causes
 
 

@@ -175,29 +175,20 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     return _leaf_route(pres, t, leaf)[0]
 
 
-def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
-                values: Mapping[str, V] | None = None,
-                labels_of: Callable[[V], Mapping[str, object]] | None = None
-                ) -> tuple[str, Boundary, list | None]:
+def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
+                ) -> tuple[str, Boundary, tuple[tuple[str, str], ...]]:
     """The dotted path :func:`resolve_leaf` gives, the boundary of its leaf
-    slot, and, given a functor's ``values``, the entry at each step of the
-    path, root first, in its generator's value, which ``labels_of`` maps by
-    label.
+    slot, and the ``(generator, slot)`` steps of the path, root first.
 
     ``t`` must pass :func:`leaf_paths` (or :func:`check_term`).  An
     explicit-stack walk follows the term's slots, a slot filled twice its
     last filler, as a fold does.  It never splits a path, since a slot label
     built from Python may hold a dot; where leaves then share a path, the
-    exact rule takes the last of them in slot order.  The entries are None
-    unless folding ``t`` through :func:`graft` gives the leaf this path
-    alone as its label: every generator has a value, whose labels hold each
-    slot filled there and contain no dot, and the path's last slot is a
-    label.
+    exact rule takes the last of them in slot order.
     """
     # a second walk applies the boundary rule, if the first leaves it open
     for want in (None, leaf.lower()):
         exact, by_suffix, by_boundary = [], [], []
-        clean = values is not None  # the entries can still be read
         # a node, the steps to it, and where the rest of ``leaf`` starts
         # after the node's path, or -1 if that path does not begin ``leaf``
         todo = [(t, (), 0)]
@@ -205,10 +196,6 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
             node, steps, at = todo.pop()
             g = node.generator
             fills = dict(node.children) if node.children else {}
-            if clean:
-                own = labels_of(values[g]) if g in values else None
-                clean = own is not None and "." not in "".join(own) \
-                    and fills.keys() <= own.keys()
             for slot, b in pres.generators[g].inputs:
                 end = at + len(slot) \
                     if at >= 0 and leaf.startswith(slot, at) else -1
@@ -239,10 +226,7 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str,
         raise ValidationError(f"no leaf {leaf!r} in {t}")
     g, slot = route[-1]
     path = ".".join(slot for _, slot in route)
-    b = pres.generators[g].slot_boundary(slot)
-    if not clean or slot not in labels_of(values[g]):
-        return path, b, None
-    return path, b, [labels_of(values[h])[s] for h, s in route]
+    return path, pres.generators[g].slot_boundary(slot), route
 
 
 class EquationReport(NamedTuple):

@@ -166,17 +166,15 @@ def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     one, and :func:`leaf_probability` there.
 
     After :func:`check_term`, one walk over ``t`` resolves the path, and
-    only the path is multiplied when the walk can read ``F``'s entries
-    along it; otherwise the value is read off ``F.fold(t)``.  Either way it
-    is the fold's.
+    ``F``'s entries are multiplied along it alone: a generator with no
+    value raises at the first step from the root that reaches it, and a
+    value lacking the step's slot raises its unknown label.
     """
     check_term(pres, t)
     if leaf == "":
         return "", ONE
-    path, _, entries = _leaf_route(pres, t, leaf, F.dists,
-                                   Distribution.as_dict)
-    if entries is None:
-        return path, F.fold(t)[path]
+    path, _, route = _leaf_route(pres, t, leaf)
+    entries = [F[g][slot] for g, slot in route]
     p = entries[-1]
     for q in reversed(entries[:-1]):
         p = q * p  # outer times inner, as folded

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, NamedTuple
 
-from .modes import ModeFunctor, ModeRelation, ModeSet, check_totality
+from .modes import ModeFunctor, ModeRelation, ModeSet, _check_mode, check_totality
 from .portgraph import ValidationError, Value, graft, lookup
 from .presentation import (
     CheckReport,
@@ -401,10 +401,7 @@ def diagnose(pres: OperadPresentation, S: StochFunctor, t: Term,
     """
     check_term(pres, t)
     k = S.fold(pres, t)
-    if observed_root_mode not in k.kernel.source:
-        raise ValidationError(
-            f"unknown mode {observed_root_mode!r} on "
-            f"{k.kernel.source.boundary}")
+    _check_mode(k.kernel.source, observed_root_mode)
     return Distribution(tuple(
         (f"{label}.{y}", k.kernel(observed_root_mode, label, y))
         for label, ms in k.kernel.slots for y in ms.modes))

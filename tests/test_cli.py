@@ -449,6 +449,25 @@ class TestQuery:
         assert captured.out == ""
         assert captured.err == "error: no probability functor named 'nope'\n"
 
+    def test_functor_read_along_the_path_only(self, tmp_path, capsys):
+        # P without lambda: a leaf under tau still has a value, one under
+        # lambda gets the functor's lookup error
+        text = lsi_text().replace("  lambda = (in: 1/10, op: 3/10, ch: 3/5)\n",
+                                  "")
+        assert text != lsi_text()
+        model = tmp_path / "no_lambda.opm"
+        model.write_text(text, encoding="utf-8")
+        term = "phi(ls->lambda, ts->tau)"
+        assert run(["query", str(model), "--functor", "P",
+                    "--term", term, "--leaf", "ba"]) == EXIT_OK
+        assert capsys.readouterr().out == "12/25 (48%)\n"
+        assert run(["query", str(model), "--functor", "P",
+                    "--term", term, "--leaf", "ls.in"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: probability functor has no value for 'lambda'\n"
+
     def test_ill_typed_term_exits_two(self, model_path, capsys):
         # beta outputs Bath, but slot rt of tau is a Lab
         assert run(["query", model_path, "--functor", "P",

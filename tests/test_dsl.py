@@ -10,7 +10,8 @@ import pytest
 from opmodel.dsl import (
     DslError, Model, _located, _tokenize, parse, serialize)
 from opmodel.corpus import load_lsi, lsi_text
-from opmodel.portgraph import TypeTable
+from opmodel.portgraph import (
+    Architecture, PortRef, TypeTable, ValidationError, Wire)
 from opmodel.presentation import OperadPresentation
 from opmodel.prob import ProbFunctor
 from randgen import (
@@ -425,6 +426,18 @@ class TestSerialization:
     def test_mini_round_trip(self):
         model = parse(MINI)
         assert parse(serialize(model)) == model
+
+    def test_wire_of_outer_ports_only_is_refused(self):
+        """No line of the format writes a wire without a slot port, so a
+        hand-built one does not serialize."""
+        pres = parse(MINI).presentation
+        warm = pres.generators["warm"]
+        f = Architecture(warm.inputs, warm.output,
+                         (Wire(frozenset({PortRef(None, "heat")}), "heat"),))
+        with pytest.raises(ValidationError) as err:
+            serialize(Model(pres._replace(generators={"f": f})))
+        assert str(err.value) == \
+            "architecture f: wire {heat}:heat has no slot ports"
 
 
 class TestCorpusFile:

@@ -1,7 +1,9 @@
 """Leaf queries walk one root-to-leaf path: ``leaf_probability`` and
-``can_cause`` against reading the folded term, on random presentations,
-on functors and presentations that the fold refuses or reads oddly, and on
-a 256-leaf model where the folds are not allowed to run."""
+``can_cause`` against reading the folded term wherever the fold answers,
+and against a path oracle where it refuses, on random presentations, on
+functors and presentations that the fold refuses or reads oddly, and on a
+256-leaf model where the folds are not allowed to run."""
+import math
 import random
 import sys
 from fractions import Fraction
@@ -51,17 +53,33 @@ def resolve_oracle(pres, t, leaf):
     return leaf_oracle(pres, t, leaf)[0]
 
 
+def leaves(pres, t, steps=(), path=""):
+    """Each leaf of a well-typed ``t``, in slot order, as its dotted path,
+    boundary name and ``(generator, slot)`` steps, root first, enumerated
+    recursively; a slot filled twice leads to its last filler."""
+    found = []
+    fills = dict(t.children)
+    for slot, b in pres.generators[t.generator].inputs:
+        route, at = steps + ((t.generator, slot),), path + slot
+        child = fills.get(slot)
+        found += [(at, b.name, route)] if child is None \
+            else leaves(pres, child, route, at + ".")
+    return found
+
+
 def leaf_oracle(pres, t, leaf):
-    """The (path, boundary name) the selector picks among the leaves of
-    ``t``; of leaves sharing the exact path, the last in slot order."""
-    paths = leaf_paths(pres, t)
-    exact = [(p, bn) for p, bn in paths if p == leaf]
+    """The (path, boundary name, steps) the selector picks among the leaves
+    of ``t``; of leaves sharing the exact path, the last in slot order."""
+    paths = leaf_paths(pres, t)  # raises for a term that does not fold
+    found = leaves(pres, t)
+    assert [(p, bn) for p, bn, _ in found] == list(paths)
+    exact = [x for x in found if x[0] == leaf]
     if exact:
         return exact[-1]
-    by_suffix = [(p, bn) for p, bn in paths if p.split(".")[-1] == leaf]
+    by_suffix = [x for x in found if x[0].split(".")[-1] == leaf]
     if len(by_suffix) == 1:
         return by_suffix[0]
-    by_boundary = [(p, bn) for p, bn in paths if bn.lower() == leaf.lower()]
+    by_boundary = [x for x in found if x[1].lower() == leaf.lower()]
     if len(by_boundary) == 1:
         return by_boundary[0]
     if by_suffix or by_boundary:
@@ -78,21 +96,38 @@ def leaf_probability_oracle(pres, F, t, leaf):
     return F.fold(t)[path]
 
 
-def can_cause_oracle(pres, M, t, leaf, leaf_mode, root_mode):
+def path_probability_oracle(pres, F, t, leaf):
+    """Multiply ``F``'s entries along the selected leaf's steps, each
+    looked up root first."""
+    check_term(pres, t)
+    if leaf == "":
+        return Fraction(1)
+    return math.prod(F[g][slot] for g, slot in leaf_oracle(pres, t, leaf)[2])
+
+
+def can_cause_oracle(pres, M, t, leaf, leaf_mode, root_mode, fold=True):
     """Check both modes, each against its boundary, then fold the whole
-    term and read one pair."""
+    term and read one pair, or, unless ``fold``, search for a chain of
+    modes down the selected leaf's steps, whose relations are each looked
+    up root first."""
     def check(modes, mode):
         if mode not in modes:
             raise ValidationError(f"unknown mode {mode!r} on {modes.boundary}")
+
+    def chain(rels, x):
+        return leaf_mode == x if not rels else any(
+            chain(rels[1:], y) for y, z in rels[0] if z == x)
 
     root_modes = M.modes_of(check_term(pres, t).name)
     check(root_modes, root_mode)
     if leaf == "":
         check(root_modes, leaf_mode)
         return leaf_mode == root_mode
-    path, bn = leaf_oracle(pres, t, leaf)
+    path, bn, steps = leaf_oracle(pres, t, leaf)
     check(M.modes_of(bn), leaf_mode)
-    return (leaf_mode, root_mode) in M.fold(t).slot(path)
+    if fold:
+        return (leaf_mode, root_mode) in M.fold(t).slot(path)
+    return chain([M.relation_of(g).slot(slot) for g, slot in steps], root_mode)
 
 
 def outcome(call):
@@ -102,6 +137,40 @@ def outcome(call):
     except Exception as exc:  # the comparison is the point
         return "raises", type(exc), str(exc)
     return "returns", type(value), value
+
+
+def judged(pres, t, leaf, labels, by_fold, by_path):
+    """The outcome of ``by_fold`` where it returns and its entry is the
+    selected leaf's own, else of ``by_path``: a leaf query answers as the
+    fold wherever the fold reads the leaf, and reads the functor along its
+    path alone elsewhere.
+
+    A fold that returns reads every filled slot under its own label, so its
+    entry at the path is the leaf's own when ``labels(g)``, the labels of
+    the leaf's generator's value, hold the leaf's slot.  Otherwise a fold
+    label built from dotted names may spell the path of another leaf."""
+    fold = outcome(by_fold)
+    if fold[0] == "returns":
+        if leaf == "":
+            return fold
+        g, slot = leaf_oracle(pres, t, leaf)[2][-1]
+        if slot in labels(g):
+            return fold
+    return outcome(by_path)
+
+
+def leaf_probability_judged(pres, F, t, leaf):
+    return judged(pres, t, leaf, lambda g: F[g].labels,
+                  lambda: leaf_probability_oracle(pres, F, t, leaf),
+                  lambda: path_probability_oracle(pres, F, t, leaf))
+
+
+def can_cause_judged(pres, M, t, leaf, leaf_mode, root_mode):
+    return judged(
+        pres, t, leaf, lambda g: M.relation_of(g).pairs,
+        lambda: can_cause_oracle(pres, M, t, leaf, leaf_mode, root_mode),
+        lambda: can_cause_oracle(pres, M, t, leaf, leaf_mode, root_mode,
+                                 fold=False))
 
 
 def selectors(pres, t):
@@ -133,12 +202,11 @@ def assert_queries_match(pres, F, M, t, rng):
         assert outcome(lambda: resolve_leaf(pres, t, leaf)) \
             == outcome(lambda: resolve_oracle(pres, t, leaf)), (str(t), leaf)
         assert outcome(lambda: leaf_probability(pres, F, t, leaf)) \
-            == outcome(lambda: leaf_probability_oracle(pres, F, t, leaf)), \
-            (str(t), leaf)
+            == leaf_probability_judged(pres, F, t, leaf), (str(t), leaf)
         x = rng.choice(("m0", "m1", "m2", "m3", "nope"))
         for y in ("m0", "m1", "m2", "m3"):
             assert outcome(lambda: can_cause(pres, M, t, leaf, y, x)) \
-                == outcome(lambda: can_cause_oracle(pres, M, t, leaf, y, x)), \
+                == can_cause_judged(pres, M, t, leaf, y, x), \
                 (str(t), leaf, y, x)
 
 
@@ -189,7 +257,9 @@ def mutated(rng, pres, F, M, t):
 def test_mutated_functors_match_fold_then_read():
     """A generator with no value, a distribution or relation relabelled away
     from its slots, a relation lacking a filled slot: each query gives the
-    fold's value, or its exception with the same message."""
+    fold's value where the fold reads the leaf, and elsewhere the path
+    oracle's value, or its exception with the same message, so a change off
+    the leaf's path changes nothing."""
     rng = random.Random("mutated functors")
     for _ in range(60):
         pres, F = random_presentation(rng)
@@ -229,7 +299,8 @@ def dotted(rng, pres, F, M):
 
 def test_dotted_labels_match_fold_then_read():
     """Slot labels holding dots: paths may coincide, which the probability
-    and mode folds refuse; the route still follows slots."""
+    and mode folds refuse; the route still follows slots, and the query
+    reads the functor along them."""
     rng = random.Random("dotted labels")
     for _ in range(60):
         pres, F = random_presentation(rng)
@@ -243,7 +314,7 @@ def test_dotted_slot_is_one_step():
     """``a.b`` is both a slot of ``f`` and the path through slot ``a`` of
     ``f`` to slot ``b`` of ``g``: the exact rule finds it, the trailing
     segment ``b`` is ambiguous, and the probability fold refuses the
-    doubled label."""
+    doubled label, while a query multiplies along its path alone."""
     b = boundary("B", p="physical")
     def arch(*slots):
         return Architecture(tuple((s, b) for s in slots), b, (Wire(
@@ -261,8 +332,19 @@ def test_dotted_slot_is_one_step():
         resolve_leaf(pres, t, "b")
     with pytest.raises(ValidationError,
                        match="^distribution labels must be unique$"):
-        leaf_probability(pres, F, t, "c")
-    assert leaf_probability(pres, F, Term("f"), "a.b") == half
+        F.fold(t)
+    assert leaf_probability(pres, F, t, "c") == half * half
+    for term in (t, Term("f")):  # the exact rule takes f's own slot
+        assert leaf_probability(pres, F, term, "a.b") == half
+    # without a value for that slot, the fold's entry at a.b is the leaf
+    # through g: the query reads its own leaf and raises
+    G = ProbFunctor({"f": Distribution((("a", Fraction(1)),)),
+                     "g": F.dists["g"]})
+    assert G.fold(t)["a.b"] == half
+    with pytest.raises(ValidationError, match="^unknown label 'a.b'$"):
+        leaf_probability(pres, G, t, "a.b")
+    assert outcome(lambda: leaf_probability(pres, G, t, "a.b")) \
+        == leaf_probability_judged(pres, G, t, "a.b")
 
 
 @pytest.mark.parametrize("own_first", [False, True])
@@ -270,7 +352,8 @@ def test_shared_path_takes_last_leaf(own_first):
     """``f(a->g)`` has two leaves ``a.b``: slot ``a.b`` of ``f``, on
     boundary B, and slot ``b`` of ``g``, on C.  The leaf mode is checked on
     the last of them in slot order, whichever the walk meets first; where
-    it passes, the mode fold refuses the doubled label."""
+    it passes, the mode fold refuses the doubled label, while the query
+    chains the relations along the path through ``g``."""
     B, C = boundary("B", p="physical"), boundary("C", p="physical")
     def arch(*inputs):
         return Architecture(inputs, B, (Wire(frozenset(
@@ -291,12 +374,13 @@ def test_shared_path_takes_last_leaf(own_first):
     if own_first:  # the leaf through g comes last, and m1 is on C
         with pytest.raises(ValidationError,
                            match="^relation labels must be unique$"):
-            can_cause(pres, M, t, "a.b", "m1", "m0")
+            M.fold(t)
+        assert can_cause(pres, M, t, "a.b", "m1", "m0") is True
     else:
         with pytest.raises(ValidationError, match="^unknown mode 'm1' on B$"):
             can_cause(pres, M, t, "a.b", "m1", "m0")
     assert outcome(lambda: can_cause(pres, M, t, "a.b", "m1", "m0")) \
-        == outcome(lambda: can_cause_oracle(pres, M, t, "a.b", "m1", "m0"))
+        == can_cause_judged(pres, M, t, "a.b", "m1", "m0")
 
 
 def test_boundary_rule_lowercases_non_ascii_names():
@@ -383,7 +467,8 @@ def synth256():
 def test_256_leaf_queries_walk_one_path(synth256, monkeypatch):
     """Every leaf of both roots, and a sample below them, against the
     generator's references, with the folds made to raise: the queries never
-    fold the term."""
+    fold the term.  A P and an M that lack one generator of the term off
+    the leaf's path give the same answers."""
     m, model = synth256
     pres, P, M = (model.presentation, model.prob_functors["P"],
                   model.mode_functors["M"])
@@ -391,9 +476,19 @@ def test_256_leaf_queries_walk_one_path(synth256, monkeypatch):
     def no_fold(self, t):
         raise AssertionError("folded the whole term")
 
+    def without_one_off(node, leaf):
+        """P and M without a generator of ``node``'s term off the path to
+        ``leaf``."""
+        on_path = {n.gen for n in node.walk() if leaf in n.leaves}
+        off = off_rng.choice([n.gen for n in node.walk()
+                              if n.gen not in on_path])
+        return (ProbFunctor({g: d for g, d in P.dists.items() if g != off}),
+                ModeFunctor(M.mode_sets, {g: r for g, r in M.relations.items()
+                                          if g != off}))
+
     monkeypatch.setattr(ProbFunctor, "fold", no_fold)
     monkeypatch.setattr(ModeFunctor, "fold", no_fold)
-    rng = random.Random(7)
+    rng, off_rng = random.Random(7), random.Random("off the path")
     nodes = list(m.roots.values())
     nodes += rng.sample([n for n in m.nodes.values() if n.depth in (1, 2)], 6)
     for node in nodes:
@@ -405,7 +500,12 @@ def test_256_leaf_queries_walk_one_path(synth256, monkeypatch):
             assert leaf_path_probability(pres, P, term, f"l{leaf}")[0] \
                 == node.paths[leaf]
         for leaf in rng.sample(node.leaves, 4):
+            P2, M2 = without_one_off(node, leaf)
+            assert leaf_probability(pres, P2, term, f"l{leaf}") \
+                == m.leaf_probability(node, leaf)
             for x in m.root_modes:
                 for y in m.leaf_modes:
                     assert can_cause(pres, M, term, f"l{leaf}", y, x) \
+                        is m.can_cause(leaf, y, x)
+                    assert can_cause(pres, M2, term, f"l{leaf}", y, x) \
                         is m.can_cause(leaf, y, x)

@@ -12,6 +12,7 @@ from opmodel.portgraph import (
     Architecture,
     ComponentCorrespondence,
     CompositionError,
+    EqualityReport,
     PortRef,
     TypeTable,
     ValidationError,
@@ -326,6 +327,9 @@ class TestEqual:
         arch = tau(pres)
         corr = ComponentCorrespondence({s: s for s in arch.slots})
         assert equal(arch, arch, corr).equal
+
+    def test_equal_report_reads_equal(self):
+        assert str(EqualityReport(True)) == "equal"
 
     def test_swapped_heat_wiring_gives_two_block_diff(self, pres):
         arch = tau(pres)
