@@ -7,6 +7,7 @@ along the shared intermediate ports; the result is again an architecture.
 """
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 PHYSICAL = "physical"
@@ -35,23 +36,28 @@ class Value:
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        # the fields a class names, or else its slots but those whose name
+        # starts with ``_``, which are derived from the others
+        cls._fields = vars(cls).get("_fields") or tuple(
+            s for s in cls.__slots__ if s[0] != "_")
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         return other is self or all(
-            getattr(self, s) == getattr(other, s) for s in self.__slots__)
+            getattr(self, s) == getattr(other, s) for s in self._fields)
 
     def __hash__(self) -> int:
-        return hash(tuple(getattr(self, s) for s in self.__slots__))
+        return hash(tuple(getattr(self, s) for s in self._fields))
 
     def __getnewargs__(self) -> tuple:
         # copy and pickle pass these to ``__new__``, which checks them in
-        # the classes that give their constructors a private path; a slot
-        # whose name starts with ``_`` is derived from the others
-        return tuple(getattr(self, s) for s in self.__slots__ if s[0] != "_")
+        # the classes that give their constructors a private path
+        return tuple(getattr(self, s) for s in self._fields)
 
     def __repr__(self) -> str:
-        fields = ", ".join(repr(getattr(self, s)) for s in self.__slots__)
+        fields = ", ".join(repr(getattr(self, s)) for s in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -159,28 +165,38 @@ class Architecture(Value):
     """A port-graph operation: input slots, output boundary, hyperwires.
 
     Built in normal form, empty wires dropped and the rest sorted by least
-    port reference, so equality ignores the order the wires were given in."""
+    port reference, so equality ignores the order the wires were given in.
+    ``_table`` holds them as a wire id per port in :meth:`port_types` order
+    (-1: unwired, ids numbered by first occurrence) and each id's type; each
+    of ``wires`` and ``_table`` is built from the other on first read."""
 
-    __slots__ = ("inputs", "output", "wires", "_boundary_of")
+    __slots__ = ("inputs", "output", "_wires", "_boundary_of", "_table")
+    _fields = ("inputs", "output", "wires")
 
     def __new__(cls, inputs: tuple[tuple[str, Boundary], ...],
                 output: Boundary, wires: tuple[Wire, ...]) -> Architecture:
-        self = cls._new(inputs, output, tuple(
+        return cls._new(inputs, output, tuple(
             sorted((w for w in wires if w.ports), key=_least_port)))
-        if len(self._boundary_of) != len(inputs):  # the dict ``_new`` built
-            raise ValidationError("duplicate slot labels")
-        return self
 
     @classmethod
     def _new(cls, inputs: tuple[tuple[str, Boundary], ...], output: Boundary,
-             wires: tuple[Wire, ...]) -> Architecture:
-        """An architecture over distinct slot labels whose wires are
-        already in normal form: nothing is checked."""
+             wires: tuple[Wire, ...] | None = None,
+             table: tuple | None = None) -> Architecture:
+        """From wires in normal form, or a table: checks only the labels."""
         self = object.__new__(cls)
-        self.inputs, self.output, self.wires = inputs, output, wires
+        self.inputs, self.output = inputs, output
+        self._wires, self._table = wires, table
         # derived from ``inputs``, so that equality comparing it changes nothing
         self._boundary_of = dict(inputs)
+        if len(self._boundary_of) != len(inputs):
+            raise ValidationError("duplicate slot labels")
         return self
+
+    @property
+    def wires(self) -> tuple[Wire, ...]:
+        if self._wires is None:
+            self._wires = _wires_of(self)
+        return self._wires
 
     @property
     def slots(self) -> tuple[str, ...]:
@@ -200,11 +216,8 @@ class Architecture(Value):
         """The type of every port: slot ports in slot order, then the outer
         ports, keyed by plain ``(slot, port)`` tuples, which a
         :class:`PortRef` hashes and equals."""
-        types = {(s, p): b.port_type[p]
-                 for s, b in self.inputs for p in b.ports}
-        types.update(((None, p), self.output.port_type[p])
-                     for p in self.output.ports)
-        return types
+        return {(s, p): b.port_type[p]
+                for s, b in (*self.inputs, (None, self.output)) for p in b.ports}
 
     def describe(self) -> str:
         """Deterministic textual rendering of the architecture."""
@@ -215,6 +228,36 @@ class Architecture(Value):
         return "\n".join(lines)
 
 
+def _table_of(arch: Architecture) -> tuple[list[int], list[str]]:
+    """The table of ``arch``, built from its wires on first need, which
+    refuses a port on two wires or an unknown port."""
+    if arch._table is None:
+        wire_of = {r: i for i, w in enumerate(arch.wires) for r in w.ports}
+        wired = len(wire_of)
+        ports = list(map(wire_of.pop, arch.port_types(), repeat(-1)))
+        if wire_of or wired != sum(len(w.ports) for w in arch.wires):
+            raise _wire_error(arch)
+        arch._table = _renumbered(ports, [w.type for w in arch.wires])
+    return arch._table
+
+
+def _renumbered(ports: list[int], types: list[str]) -> tuple:
+    """The table, ids renumbered by first occurrence and unused ids dropped."""
+    order = [*dict.fromkeys([-1, *ports])]  # -1 first, to stay -1
+    new = dict(zip(order, count(-1)))
+    return list(map(new.__getitem__, ports)), [types[i] for i in order[1:]]
+
+
+def _wires_of(arch: Architecture) -> tuple[Wire, ...]:
+    """The wires of an architecture's table, in normal form."""
+    ports, types = arch._table
+    members: list[list[tuple]] = [[] for _ in range(len(types) + 1)]
+    for ref, i in zip(arch.port_types(), ports):
+        members[i].append(ref)  # an unwired port to the last, left out
+    return tuple(sorted((Wire(frozenset(map(PortRef._make, m)), t)
+                         for m, t in zip(members, types)), key=_least_port))
+
+
 def canonicalize(arch: Architecture) -> Architecture:
     """Check that the wires form a typed partial partition, and return ``arch``.
 
@@ -222,57 +265,53 @@ def canonicalize(arch: Architecture) -> Architecture:
     port, or a wire mixes interface types.  Ports attached to no wire are
     permitted here; use :func:`validate` to insist on total wiring.
     """
-    # a wire pops its ports, so a port on an earlier wire is missing too
-    pop = arch.port_types().pop
-    for i, w in enumerate(arch.wires):
-        for ref in w.ports:
-            if pop(ref, None) != w.type:
-                raise _wire_error(w, arch.port_types(), {
-                    r for v in arch.wires[:i] for r in v.ports})
+    ports, types = _table_of(arch)  # which refuses the first two
+    want = list(arch.port_types().values())
+    # in C first, where an unwired port reads as ``None`` and differs too
+    if list(map([*types, None].__getitem__, ports)) != want and any(
+            i >= 0 and types[i] != t for i, t in zip(ports, want)):
+        raise _wire_error(arch)
     return arch
 
 
-def _wire_error(w: Wire, port_type: Mapping, seen: set) -> ValidationError:
-    """The error for an ill-formed wire, named by its least offending port
-    so that it does not depend on set iteration order."""
-    ref = min(r for r in w.ports if port_type.get(r) != w.type or r in seen)
-    t = port_type.get(ref)
-    if t is None:
-        return ValidationError(f"unknown port reference {ref}")
-    if ref in seen:
-        return ValidationError(f"port {ref} attached to two wires")
-    return ValidationError(f"wire {w} contains port {ref} of type {t!r}")
+def _wire_error(arch: Architecture) -> ValidationError:
+    """The error for the first ill-formed wire in normal order, named by its
+    least offending port so that it does not depend on set iteration order."""
+    port_type, seen = arch.port_types(), set()
+    for w in arch.wires:
+        bad = [r for r in w.ports if r in seen or port_type.get(r) != w.type]
+        if bad:
+            ref = min(bad)
+            t = port_type.get(ref)
+            return ValidationError(
+                f"unknown port reference {ref}" if t is None else
+                f"port {ref} attached to two wires" if ref in seen else
+                f"wire {w} contains port {ref} of type {t!r}")
+        seen.update(w.ports)
+    raise AssertionError("no ill-formed wire")
 
 
 def validate(arch: Architecture) -> Architecture:
-    """Canonicalize and additionally require every port to be wired: a count,
-    since canonical wires hold distinct known ports."""
-    canon = canonicalize(arch)
-    ports = len(canon.output.ports) + sum(len(b.ports) for _, b in canon.inputs)
-    if sum(len(w.ports) for w in canon.wires) != ports:
-        wired = {ref for w in canon.wires for ref in w.ports}
-        missing = [PortRef(*ref) for ref in canon.port_types()
-                   if ref not in wired]
-        names = ", ".join(str(r) for r in missing)
+    """Canonicalize and additionally require every port to be wired."""
+    ports = _table_of(canonicalize(arch))[0]
+    if -1 in ports:
+        names = ", ".join(str(PortRef(*ref)) for ref, i
+                          in zip(arch.port_types(), ports) if i < 0)
         raise ValidationError(f"unwired ports: {names}")
-    return canon
+    return arch
 
 
 def identity(b: Boundary) -> Architecture:
     """The identity architecture on a boundary: inner ports wired straight through."""
-    slot = b.name.lower()
-    wires = tuple(
-        Wire(frozenset({PortRef(slot, p), PortRef(None, p)}), b.port_type[p])
-        for p in b.ports)
-    return Architecture(((slot, b),), b, wires)
+    table = ([*range(len(b.ports))] * 2, [b.port_type[p] for p in b.ports])
+    return Architecture._new(((b.name.lower(), b),), b, table=table)
 
 
 def is_identity(arch: Architecture) -> bool:
     if len(arch.inputs) != 1 or arch.inputs[0][1] != arch.output:
         return False
-    slot, b = arch.inputs[0]
-    expected = {frozenset({PortRef(slot, p), PortRef(None, p)}) for p in b.ports}
-    return {w.ports for w in arch.wires} == expected
+    # slot port j and outer port j alone on wire j
+    return _table_of(arch)[0] == [*range(len(arch.output.ports))] * 2
 
 
 def graft(outer: Iterable[tuple[str, V]],
@@ -317,61 +356,50 @@ def compose(outer_arch: Architecture,
         if not is_identity(g):
             subst[slot] = g
 
-    # Only deleted ports, ``(slot, port)`` of a substituted slot, glue wires;
-    # other wires pass, relabeled.  A deleted port remembers the first wire
-    # carrying it, and a union-find over ``glued`` joins a later one to it.
-    # (Plain loops: on wires of two or three ports they beat comprehensions.)
-    wires: list[Wire] = []
-    glued: list[tuple[str, list[PortRef], list[tuple[str, str]]]] = []
-    for w in outer_arch.wires:
-        refs, mids = [], []
-        for r in w.ports:
-            (mids if r.slot in subst else refs).append(r)
-        if mids:
-            glued.append((w.type, refs, mids))
+    # One union-find over wire ids: the outer table's, then each filler's
+    # shifted past those and past an id standing for its -1.  Port j of a
+    # filled slot meets port j of its filler's output (``check_fill``).
+    ports, types = _table_of(outer_arch)
+    types, parent = [*types], [*range(len(types))]
+    joined, kept = [], []  # ids given a parent; a wire id per result port
+    start = 0
+    for slot, b in outer_arch.inputs:
+        end = start + len(b.ports)
+        g = subst.get(slot)
+        if g is None:
+            kept += ports[start:end]
         else:
-            wires.append(w)
-    for slot, g in subst.items():
-        prefix = slot + "."
-        for w in g.wires:
-            refs, mids = [], []
-            for s, p in w.ports:
-                if s is None:
-                    mids.append((slot, p))
-                else:
-                    refs.append(PortRef(prefix + s, p))
-            if mids:
-                glued.append((w.type, refs, mids))
-            else:
-                wires.append(Wire(frozenset(refs), w.type))
-
-    parent = list(range(len(glued)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]  # path halving
-            i = parent[i]
-        return i
-
-    first: dict[tuple[str, str], int] = {}
-    for i, (_, _, mids) in enumerate(glued):
-        for node in mids:
-            j = first.setdefault(node, i)
-            if j != i:
-                parent[root(i)] = root(j)
-
-    # every wire's type must be the type of its glued component
-    members: dict[int, tuple[str, list[PortRef]]] = {}
-    for i, (wtype, refs, _) in enumerate(glued):
-        t, component = members.setdefault(root(i), (wtype, []))
-        if t != wtype:
-            raise CompositionError(
-                f"type conflict among glued wires: {t!r} vs {wtype!r}")
-        component += refs
-    wires += [Wire(frozenset(refs), t) for t, refs in members.values() if refs]
+            inner_ports, inner_types = _table_of(g)
+            shift = len(types) + 1
+            types += ["", *inner_types]
+            parent += [-1, *range(shift, len(types))]
+            cut = len(inner_ports) - (end - start)
+            kept += map(shift.__add__, inner_ports[:cut])
+            for i, j in zip(ports[start:end], inner_ports[cut:]):
+                if i < 0 or j < 0:
+                    continue
+                j += shift
+                while parent[i] != i:
+                    parent[i] = i = parent[parent[i]]  # path halving
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                if i != j:
+                    if types[i] != types[j]:
+                        raise CompositionError(
+                            "type conflict among glued wires: "
+                            f"{types[i]!r} vs {types[j]!r}")
+                    parent[j] = i
+                    joined.append(j)
+        start = end
+    kept += ports[start:]
+    for i in reversed(joined):  # each root was joined after its children
+        parent[i] = parent[parent[i]]
+    parent.append(-1)  # the outer table's unwired ports
 
     inputs = graft(outer_arch.inputs, {s: g.inputs for s, g in subst.items()})
-    return canonicalize(Architecture(inputs, outer_arch.output, tuple(wires)))
+    return canonicalize(Architecture._new(
+        inputs, outer_arch.output,
+        table=_renumbered(list(map(parent.__getitem__, kept)), types)))
 
 
 class ComponentCorrespondence(Value):

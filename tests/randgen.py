@@ -8,7 +8,7 @@ marginalization, witness search).
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, deque
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -76,6 +76,32 @@ def random_architecture(rng: random.Random, output: Boundary,
     return validate(Architecture(inputs, output, tuple(wires)))
 
 
+def _components(blocks: list[list]) -> list[set]:
+    """The connected components of the nodes of ``blocks``, each block
+    joining its nodes, by breadth-first search."""
+    adjacency: dict = defaultdict(set)
+    for block in blocks:
+        adjacency[block[0]].update(block[1:])
+        for other in block[1:]:
+            adjacency[other].add(block[0])
+    seen: set = set()
+    components = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        queue, component = deque([start]), set()
+        seen.add(start)
+        while queue:
+            node = queue.popleft()
+            component.add(node)
+            for neighbor in adjacency[node]:
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    queue.append(neighbor)
+        components.append(component)
+    return components
+
+
 def compose_partition_oracle(
         outer: Architecture,
         inner: Mapping[str, Architecture]) -> set[frozenset[PortRef]]:
@@ -92,27 +118,8 @@ def compose_partition_oracle(
                 ("mid", slot, r.port) if r.slot is None
                 else ("ref", PortRef(f"{slot}.{r.slot}", r.port))
                 for r in w.ports])
-    adjacency: dict = defaultdict(set)
-    nodes = set()
-    for block in blocks:
-        nodes.update(block)
-        for other in block[1:]:
-            adjacency[block[0]].add(other)
-            adjacency[other].add(block[0])
-    seen: set = set()
     partition: set[frozenset[PortRef]] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        stack, component = [start], set()
-        seen.add(start)
-        while stack:
-            node = stack.pop()
-            component.add(node)
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
+    for component in _components(blocks):
         refs = frozenset(r for kind, *rest in component
                          for r in rest[-1:] if kind == "ref")
         if refs:
@@ -189,6 +196,68 @@ def leaf_paths_oracle(pres: OperadPresentation,
         else:
             out += [(f"{slot}.{p}", n) for p, n in leaf_paths_oracle(pres, sub)]
     return tuple(out)
+
+
+def _elaboration(pres: OperadPresentation, t: Term, path: tuple[str, ...]
+                 ) -> tuple[list[tuple[str, Boundary]], list[list]]:
+    """The leaves ``(label, boundary)`` and the wires of ``t`` placed at
+    ``path`` in a whole term.  A wire is a list of nodes: ``("ref",
+    PortRef(label, port))`` for a leaf port, ``("mid", path, port)`` for a
+    port of the node at ``path``, which is also a port of its parent's slot.
+    A slot keeps its label where its last filler elaborates to a straight
+    wiring of one leaf, an identity, which composition leaves alone."""
+    arch = pres.generators[t.generator]
+    fills = dict(t.children)
+    leaves: list[tuple[str, Boundary]] = []
+    blocks: list[list] = []
+    glued = set()
+    for slot, b in arch.inputs:
+        at = path + (slot,)
+        if slot in fills:
+            sub_leaves, sub_blocks = _elaboration(pres, fills[slot], at)
+            if not _straight(sub_leaves, sub_blocks, at, b):
+                leaves += sub_leaves
+                blocks += sub_blocks
+                glued.add(slot)
+                continue
+        leaves.append((".".join(at), b))
+
+    def node(r: PortRef) -> tuple:
+        if r.slot is None:
+            return ("mid", path, r.port)
+        if r.slot in glued:
+            return ("mid", path + (r.slot,), r.port)
+        return ("ref", PortRef(".".join(path + (r.slot,)), r.port))
+
+    blocks += [[node(r) for r in w.ports] for w in arch.wires]
+    return leaves, blocks
+
+
+def _straight(leaves: list, blocks: list[list], path: tuple[str, ...],
+              b: Boundary) -> bool:
+    """Whether the wires of a subterm at ``path`` join its one leaf, of
+    boundary ``b``, port by port to its own ports and nothing else."""
+    if len(leaves) != 1 or leaves[0][1] != b:
+        return False
+    ends = {frozenset(n for n in c if n[0] == "ref" or n[1] == path)
+            for c in _components(blocks)} - {frozenset()}
+    return ends == {frozenset({("ref", PortRef(leaves[0][0], p)),
+                               ("mid", path, p)}) for p in b.ports}
+
+
+def elaborate_partition_oracle(pres: OperadPresentation,
+                               t: Term) -> list[frozenset[PortRef]]:
+    """The port sets of ``elaborate(pres, t).wires``, sorted by least port:
+    the wires of every node of the term, labeled by its path and glued at
+    each filled slot's ports, split into connected components."""
+    _, blocks = _elaboration(pres, t, ())
+    wires = set()
+    for component in _components(blocks):
+        refs = frozenset(n[1] if n[0] == "ref" else PortRef(None, n[2])
+                         for n in component if n[0] == "ref" or n[1] == ())
+        if refs:
+            wires.add(refs)
+    return sorted(wires, key=min)
 
 
 # -------------------------------------------------------------- distributions

@@ -276,11 +276,27 @@ class TestCompose:
                            match=r"^port s\.x attached to two wires$"):
             compose(f, {"u": g})
 
+    def test_refuses_a_deleted_port_on_two_wires(self):
+        # u.x, which the composite deletes, is on two wires of f2: each
+        # input's own wiring is checked, so the two are not glued silently
+        m = boundary("M", x="physical")
+        f2 = Architecture(
+            (("s", m), ("u", m)), boundary("O", x="physical"),
+            (wire([at("s", "x"), outer("x")], "physical"),
+             wire([at("u", "x")], "physical"),
+             wire([at("u", "x")], "physical")))
+        g = Architecture((("t", boundary("B", a="physical")),), m,
+                         (wire([at("t", "a"), outer("x")], "physical"),))
+        for run in (lambda: canonicalize(f2), lambda: compose(f2, {"u": g})):
+            with pytest.raises(ValidationError,
+                               match=r"^port u\.x attached to two wires$"):
+                run()
+
     def test_passing_wires_are_kept_or_relabeled_alone(self, pres):
         tau, beta = pres.generators["tau"], pres.generators["beta"]
         composite = compose(tau, {"ba": beta})
         kept = [w for w in tau.wires if all(r.slot != "ba" for r in w.ports)]
-        assert kept and all(any(v is w for v in composite.wires) for w in kept)
+        assert kept and all(w in composite.wires for w in kept)
         inside = [w for w in beta.wires if all(r.slot for r in w.ports)]
         assert inside
         for w in inside:

@@ -30,7 +30,8 @@ from opmodel.presentation import (
 from opmodel.modes import compose_rel
 from opmodel.prob import compose_dist
 from opmodel.stoch import compose_kernel, compose_pt
-from randgen import FAULTS, leaf_paths_oracle, random_presentation, random_term
+from randgen import (FAULTS, elaborate_partition_oracle, leaf_paths_oracle,
+                     random_presentation, random_term)
 
 
 class TestParseTerm:
@@ -174,9 +175,11 @@ class TestCompile:
 
 class TestFoldedWalks:
     """``check_term`` and ``leaf_paths`` are folds; plain recursion and
-    ``elaborate`` are their oracles.  A fill of a missing slot has no leaf
-    paths: ``leaf_paths`` refuses it.  A slot filled twice is read through
-    its last filler, by the folds and by ``Term.child`` alike."""
+    ``elaborate`` are their oracles, and a brute-force partition of the
+    whole term's wires is the oracle of ``elaborate``.  A fill of a missing
+    slot has no leaf paths: ``leaf_paths`` refuses it.  A slot filled twice
+    is read through its last filler, by the folds and by ``Term.child``
+    alike."""
 
     def test_slot_filled_twice_reads_the_last_filler(self, lsi):
         pres = lsi.presentation
@@ -201,7 +204,7 @@ class TestFoldedWalks:
             elif fault != "generator":
                 assert leaf_paths(pres, t) == leaf_paths_oracle(pres, t)
             try:
-                want = elaborate(pres, t).output
+                arch = elaborate(pres, t)
             except PortGraphError as exc:
                 with pytest.raises(PortGraphError) as got:
                     check_term(pres, t)
@@ -210,7 +213,9 @@ class TestFoldedWalks:
                 seen[fault] += 1
                 continue
             assert fault in (None, "twice")
-            assert check_term(pres, t) == want
+            assert check_term(pres, t) == arch.output
+            assert [w.ports for w in arch.wires] \
+                == elaborate_partition_oracle(pres, t)
             assert P.fold(t).labels == tuple(p for p, _ in leaf_paths(pres, t))
             seen[fault or ("identity" if "->id" in str(t) else "typed")] += 1
         assert set(seen) == {"typed", "identity", *FAULTS[1:]}, seen

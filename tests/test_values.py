@@ -33,7 +33,7 @@ from opmodel import (
     check_prob_functor,
 )
 from opmodel.modes import ModeCheckRow, ModeFunctor
-from opmodel.portgraph import EqualityReport, ValidationError
+from opmodel.portgraph import EqualityReport, ValidationError, compose
 from opmodel.presentation import (
     CheckReport,
     CoherenceEquation,
@@ -126,6 +126,49 @@ class TestValueEquality:
         for other in (copy.copy(a), copy.deepcopy(a),
                       pickle.loads(pickle.dumps(a))):
             assert type(other) is cls and other == a
+
+
+def _composite() -> Architecture:
+    """``f(a->f)``: ``compose`` holds its wiring as a table until its
+    ``wires`` are first read."""
+    heat = Wire(frozenset({PortRef("a", "heat"), PortRef("b", "heat"),
+                           PortRef(None, "heat")}), "heat")
+    f = Architecture((("a", BATH), ("b", BATH)), BATH, (heat,))
+    return compose(f, {"a": f})
+
+
+def _wires_unread(arch: Architecture) -> bool:
+    return arch._wires is None
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_a_composite_copies_before_its_wires_are_read(copier):
+    c = _composite()
+    assert _wires_unread(c)
+    other = copier(c)
+    assert type(other) is Architecture and other == _composite()
+    assert other == Architecture(c.inputs, c.output, c.wires)
+    assert other.slots == ("a.a", "a.b", "b") and len(other.wires) == 1
+
+
+def test_a_composite_compares_and_hashes_alike_before_its_wires_are_read():
+    def hashed(a):
+        try:
+            return hash(a)
+        except TypeError as exc:  # a mapping field: unhashable, as before
+            return type(exc)
+
+    d = _composite()
+    built = Architecture(d.inputs, d.output, d.wires)
+    first, second, third = _composite(), _composite(), _composite()
+    assert _wires_unread(first) and _wires_unread(second)
+    before = (first == built, hashed(second), third == _composite())
+    for c in (first, second, third):
+        assert not _wires_unread(c)
+    after = (first == built, hashed(second), third == _composite())
+    assert before == after == (True, hashed(built), True)
 
 
 @pytest.mark.parametrize("make, message", [
