@@ -43,11 +43,10 @@ from .portgraph import (
     Architecture,
     Boundary,
     ComponentCorrespondence,
-    PortRef,
     TypeTable,
     ValidationError,
     Value,
-    Wire,
+    _renumbered,
     canonicalize,
 )
 from .presentation import (
@@ -378,10 +377,9 @@ class _Parser:
         types = {(s, p): t for s, b in slots.items()
                  for p, t in b.port_type.items()}
 
-        # a wire: its least port ``(slot or "", port)``, its key in the normal
-        # order, then its ports as ``(slot or None, port)``, a slot port first
-        wires: list[list] = []
-        wire_of: dict[tuple[str | None, str], list] = {}
+        # each port's wire id, and each id's type: that of its first port
+        wire_of: dict[tuple[str | None, str], int] = {}
+        wire_types: list[str] = []
 
         def slot_ref(unwired: bool = False) -> tuple[str, str]:
             """A ``slot.port`` reference, on no wire yet when ``unwired``."""
@@ -407,8 +405,8 @@ class _Parser:
                     and a in types and b in types and a not in wire_of
                     and b not in wire_of):
                 self.pos = i + 8
-                wires.append([a if a < b else b, a, b])
-                wire_of[a] = wire_of[b] = wires[-1]
+                wire_of[a] = wire_of[b] = len(wire_types)
+                wire_types.append(types[a])
                 continue
             if (kw == "expose" and dot == "." and sep == "->" and a in types
                     and s2 in output.port_type and (None, s2) not in wire_of):
@@ -420,8 +418,8 @@ class _Parser:
                 refs.append(slot_ref(unwired=True))
                 while self.accept("="):
                     refs.append(slot_ref(unwired=True))
-                wires.append([min(refs), *refs])
-                wire_of.update(dict.fromkeys(refs, wires[-1]))
+                wire_of.update(dict.fromkeys(refs, len(wire_types)))
+                wire_types.append(types[refs[0]])
                 continue
             else:
                 inner = slot_ref()
@@ -434,14 +432,10 @@ class _Parser:
                     raise self.error(f"port {port} exposed twice",
                                      self.pos - 1)
             # an outer port joins the wire of ``inner``, or a new one
-            w = wire_of.get(inner)
-            if w is None:
-                wires.append([("", port), inner, (None, port)])
-                wire_of[inner] = wire_of[None, port] = wires[-1]
-            else:
-                w[0] = min(w[0], ("", port))
-                w.append((None, port))
-                wire_of[None, port] = w
+            if inner not in wire_of:
+                wire_of[inner] = len(wire_types)
+                wire_types.append(types[inner])
+            wire_of[None, port] = wire_of[inner]
 
         # unique-match auto-exposure of the remaining ports
         for port in output.ports:
@@ -455,14 +449,14 @@ class _Parser:
                     f"{port} (candidates {', '.join(map('.'.join, candidates))})",
                     self.pos - 1)
             if candidates:
-                wires.append([("", port), candidates[0], (None, port)])
+                wire_of[candidates[0]] = wire_of[None, port] = len(wire_types)
+                wire_types.append(types[candidates[0]])
 
-        # in normal order, each wire typed by its first port; an ill-typed
-        # one is reported by compile, with more context
+        # the table, in ``port_types()`` order; compile reports bad types
+        ports = [*types, *zip(repeat(None), output.ports)]
         self.generators[name] = Architecture._new(
-            tuple(slots.items()), output, tuple(
-                Wire(frozenset(map(tuple.__new__, repeat(PortRef), w[1:])),
-                     types[w[1]]) for w in sorted(wires)))
+            tuple(slots.items()), output, table=_renumbered(
+                list(map(wire_of.get, ports, repeat(-1))), wire_types))
 
     # terms and equations --------------------------------------------------
 

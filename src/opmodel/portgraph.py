@@ -168,9 +168,11 @@ class Architecture(Value):
     port reference, so equality ignores the order the wires were given in.
     ``_table`` holds them as a wire id per port in :meth:`port_types` order
     (-1: unwired, ids numbered by first occurrence) and each id's type; each
-    of ``wires`` and ``_table`` is built from the other on first read."""
+    of ``wires`` and ``_table`` is built from the other on first read, and
+    ``_checked`` is set once the wiring is known canonical."""
 
-    __slots__ = ("inputs", "output", "_wires", "_boundary_of", "_table")
+    __slots__ = ("inputs", "output", "_wires", "_boundary_of", "_table",
+                 "_checked")
     _fields = ("inputs", "output", "wires")
 
     def __new__(cls, inputs: tuple[tuple[str, Boundary], ...],
@@ -180,12 +182,12 @@ class Architecture(Value):
 
     @classmethod
     def _new(cls, inputs: tuple[tuple[str, Boundary], ...], output: Boundary,
-             wires: tuple[Wire, ...] | None = None,
-             table: tuple | None = None) -> Architecture:
+             wires: tuple[Wire, ...] | None = None, table: tuple | None = None,
+             checked: bool = False) -> Architecture:
         """From wires in normal form, or a table: checks only the labels."""
         self = object.__new__(cls)
         self.inputs, self.output = inputs, output
-        self._wires, self._table = wires, table
+        self._wires, self._table, self._checked = wires, table, checked
         # derived from ``inputs``, so that equality comparing it changes nothing
         self._boundary_of = dict(inputs)
         if len(self._boundary_of) != len(inputs):
@@ -195,7 +197,7 @@ class Architecture(Value):
     @property
     def wires(self) -> tuple[Wire, ...]:
         if self._wires is None:
-            self._wires = _wires_of(self)
+            self._wires = _wires_of(self.port_types(), self._table)
         return self._wires
 
     @property
@@ -248,11 +250,11 @@ def _renumbered(ports: list[int], types: list[str]) -> tuple:
     return list(map(new.__getitem__, ports)), [types[i] for i in order[1:]]
 
 
-def _wires_of(arch: Architecture) -> tuple[Wire, ...]:
-    """The wires of an architecture's table, in normal form."""
-    ports, types = arch._table
+def _wires_of(refs: Iterable[tuple], table: tuple) -> tuple[Wire, ...]:
+    """The wires of a table over the ports ``refs``, in normal form."""
+    ports, types = table
     members: list[list[tuple]] = [[] for _ in range(len(types) + 1)]
-    for ref, i in zip(arch.port_types(), ports):
+    for ref, i in zip(refs, ports):
         members[i].append(ref)  # an unwired port to the last, left out
     return tuple(sorted((Wire(frozenset(map(PortRef._make, m)), t)
                          for m, t in zip(members, types)), key=_least_port))
@@ -263,14 +265,16 @@ def canonicalize(arch: Architecture) -> Architecture:
 
     Raises if a port is attached to two wires, a wire mentions an unknown
     port, or a wire mixes interface types.  Ports attached to no wire are
-    permitted here; use :func:`validate` to insist on total wiring.
-    """
-    ports, types = _table_of(arch)  # which refuses the first two
-    want = list(arch.port_types().values())
-    # in C first, where an unwired port reads as ``None`` and differs too
-    if list(map([*types, None].__getitem__, ports)) != want and any(
-            i >= 0 and types[i] != t for i, t in zip(ports, want)):
-        raise _wire_error(arch)
+    permitted here; use :func:`validate` to insist on total wiring.  A
+    success marks ``arch`` checked, and a checked one is not checked again."""
+    if not arch._checked:
+        ports, types = _table_of(arch)  # which refuses the first two
+        want = list(arch.port_types().values())
+        # in C first, where an unwired port reads as ``None`` and differs too
+        if list(map([*types, None].__getitem__, ports)) != want and any(
+                i >= 0 and types[i] != t for i, t in zip(ports, want)):
+            raise _wire_error(arch)
+        arch._checked = True
     return arch
 
 
@@ -292,12 +296,15 @@ def _wire_error(arch: Architecture) -> ValidationError:
 
 
 def validate(arch: Architecture) -> Architecture:
-    """Canonicalize and additionally require every port to be wired."""
-    ports = _table_of(canonicalize(arch))[0]
+    """Canonicalize; also require every port wired, every wire a slot port."""
+    ports, types = _table_of(canonicalize(arch))
     if -1 in ports:
         names = ", ".join(str(PortRef(*ref)) for ref, i
                           in zip(arch.port_types(), ports) if i < 0)
         raise ValidationError(f"unwired ports: {names}")
+    if len(set(ports[:len(ports) - len(arch.output.ports)])) < len(types):
+        w = next(w for w in arch.wires if {r.slot for r in w.ports} == {None})
+        raise ValidationError(f"wire {w} has no slot ports")
     return arch
 
 
@@ -349,7 +356,8 @@ def compose(outer_arch: Architecture,
     Wires of the result are the connected components of inner and outer
     wires glued along the shared intermediate ports, which are deleted.
     Composite slots are labeled ``outerslot.innerslot``.  A port that an
-    input puts on two wires is refused."""
+    input puts on two wires is refused.  Unless every input composed is
+    checked (glued wires then share a type), the result is canonicalized."""
     subst: dict[str, Architecture] = {}
     for slot, g in inner.items():
         outer_arch.check_fill(slot, g.output)
@@ -397,9 +405,10 @@ def compose(outer_arch: Architecture,
     parent.append(-1)  # the outer table's unwired ports
 
     inputs = graft(outer_arch.inputs, {s: g.inputs for s, g in subst.items()})
-    return canonicalize(Architecture._new(
-        inputs, outer_arch.output,
-        table=_renumbered(list(map(parent.__getitem__, kept)), types)))
+    checked = outer_arch._checked and all(g._checked for g in subst.values())
+    arch = Architecture._new(inputs, outer_arch.output, table=_renumbered(
+        list(map(parent.__getitem__, kept)), types), checked=checked)
+    return arch if checked else canonicalize(arch)
 
 
 class ComponentCorrespondence(Value):
@@ -450,33 +459,30 @@ def check_correspondence(left: Mapping[str, object],
 
 def equal(a: Architecture, b: Architecture,
           corr: ComponentCorrespondence) -> EqualityReport:
-    """Compare canonical architectures up to the given slot relabeling."""
+    """Compare canonical architectures up to the given slot relabeling: on
+    tables, ``a``'s permuted into ``b``'s port order; wires only for a diff."""
     check_correspondence(dict(a.inputs), dict(b.inputs), corr)
     if a.output != b.output:
         return EqualityReport(False, reason=(
             f"output boundaries differ: {a.output.name} vs {b.output.name}"))
-
-    def relabel(ref: PortRef) -> PortRef:
-        if ref.slot is None:
-            return ref
-        return PortRef(corr.mapping[ref.slot], ref.port)
-
-    left = {(frozenset(relabel(r) for r in w.ports), w.type) for w in a.wires}
-    right = {(w.ports, w.type) for w in b.wires}
+    ports, types = _table_of(a)
+    spans, start = {}, 0
+    for slot, bd in a.inputs:
+        spans[corr.mapping[slot]] = ports[start:start + len(bd.ports)]
+        start += len(bd.ports)
+    left, right = _renumbered([i for s, _ in b.inputs for i in spans[s]]
+                              + ports[start:], types), _table_of(b)
     if left == right:
         return EqualityReport(True)
-    only_l = tuple(sorted((Wire(p, t) for p, t in left - right),
-                          key=_least_port))
-    only_r = tuple(sorted((Wire(p, t) for p, t in right - left),
-                          key=_least_port))
-    return EqualityReport(False, only_l, only_r)
+    lw, rw = (set(_wires_of(b.port_types(), t)) for t in (left, right))
+    return EqualityReport(False, tuple(sorted(lw - rw, key=_least_port)),
+                          tuple(sorted(rw - lw, key=_least_port)))
 
 
 def derive_correspondence(a: Architecture,
                           b: Architecture) -> ComponentCorrespondence:
     """Match slots by boundary name, when each boundary occurs at most once per side."""
-    by_name_a: dict[str, list[str]] = {}
-    by_name_b: dict[str, list[str]] = {}
+    by_name_a, by_name_b = {}, {}  # boundary name -> slots
     for arch, by_name in ((a, by_name_a), (b, by_name_b)):
         for s, bd in arch.inputs:
             by_name.setdefault(bd.name, []).append(s)

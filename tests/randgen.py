@@ -16,12 +16,15 @@ from opmodel.modes import ModeRelation, ModeSet
 from opmodel.portgraph import (
     Architecture,
     Boundary,
+    ComponentCorrespondence,
+    EqualityReport,
     PortRef,
     TypeTable,
     Wire,
+    canonicalize,
+    check_correspondence,
     identity,
     is_identity,
-    validate,
 )
 from opmodel.presentation import OperadPresentation, Term
 from opmodel.prob import Distribution, ProbFunctor
@@ -52,9 +55,10 @@ def _random_partition(rng: random.Random, items: list) -> list[list]:
 def random_architecture(rng: random.Random, output: Boundary,
                         n_slots: int | None = None,
                         pool: Sequence[Boundary] = ()) -> Architecture:
-    """A random valid (totally wired, canonical) architecture into ``output``.
+    """A random totally wired, canonical architecture into ``output``.
 
     Slot boundaries are drawn from ``pool``, or made afresh when it is empty.
+    A wire may hold outer ports alone, which :func:`validate` refuses.
     """
     if n_slots is None:
         n_slots = rng.randint(1, 3)
@@ -73,7 +77,7 @@ def random_architecture(rng: random.Random, output: Boundary,
         rng.shuffle(refs)
         for block in _random_partition(rng, refs):
             wires.append(Wire(frozenset(block), t))
-    return validate(Architecture(inputs, output, tuple(wires)))
+    return canonicalize(Architecture(inputs, output, tuple(wires)))
 
 
 def _components(blocks: list[list]) -> list[set]:
@@ -125,6 +129,31 @@ def compose_partition_oracle(
         if refs:
             partition.add(refs)
     return partition
+
+
+def equal_oracle(a: Architecture, b: Architecture,
+                 corr: ComponentCorrespondence) -> EqualityReport:
+    """:func:`portgraph.equal` by comparing wire sets: ``a``'s wires with
+    their slots relabeled against ``b``'s, each diff sorted by least port."""
+    check_correspondence(dict(a.inputs), dict(b.inputs), corr)
+    if a.output != b.output:
+        return EqualityReport(False, reason=(
+            f"output boundaries differ: {a.output.name} vs {b.output.name}"))
+
+    def relabel(ref: PortRef) -> PortRef:
+        if ref.slot is None:
+            return ref
+        return PortRef(corr.mapping[ref.slot], ref.port)
+
+    left = {(frozenset(relabel(r) for r in w.ports), w.type) for w in a.wires}
+    right = {(w.ports, w.type) for w in b.wires}
+    if left == right:
+        return EqualityReport(True)
+    only_l = sorted((Wire(p, t) for p, t in left - right),
+                    key=lambda w: min(w.ports))
+    only_r = sorted((Wire(p, t) for p, t in right - left),
+                    key=lambda w: min(w.ports))
+    return EqualityReport(False, tuple(only_l), tuple(only_r))
 
 
 # ---------------------------------------------------------------------- terms

@@ -11,8 +11,8 @@ from opmodel.dsl import (
     DslError, Model, _located, _tokenize, parse, serialize)
 from opmodel.corpus import load_lsi, lsi_text
 from opmodel.portgraph import (
-    Architecture, PortRef, TypeTable, ValidationError, Wire)
-from opmodel.presentation import OperadPresentation
+    Architecture, PortRef, TypeTable, ValidationError, Wire, validate)
+from opmodel.presentation import OperadPresentation, compile_presentation
 from opmodel.prob import ProbFunctor
 from randgen import (
     TYPES, random_architecture, random_boundary, random_distribution)
@@ -438,6 +438,54 @@ class TestSerialization:
             serialize(Model(pres._replace(generators={"f": f})))
         assert str(err.value) == \
             "architecture f: wire {heat}:heat has no slot ports"
+
+    def test_compile_refuses_a_wire_of_outer_ports_only(self):
+        """Such a wire is invalid, so a model that compiles serializes."""
+        pres = parse(MINI).presentation
+        warm = pres.generators["warm"]
+        f = Architecture(warm.inputs, warm.output, (
+            Wire(frozenset({PortRef("ba", "temp"), PortRef(None, "temp")}),
+                 "temp"),
+            Wire(frozenset({PortRef("ba", "heat")}), "heat"),
+            Wire(frozenset({PortRef(None, "heat")}), "heat")))
+        with pytest.raises(ValidationError,
+                           match=r"^wire \{heat\}:heat has no slot ports$"):
+            validate(f)
+        report = compile_presentation(pres._replace(generators={"f": f}))
+        assert report.errors == (
+            "generator f: wire {heat}:heat has no slot ports",)
+
+    def test_every_model_that_compiles_round_trips(self):
+        """Up to a wire of one slot port, which has no line in the format
+        either: the parse leaves that port unwired."""
+        rng = random.Random(31)
+        refused = one_port = 0
+        for _ in range(200):
+            arch = random_architecture(rng, random_boundary(rng, "Out"))
+            boundaries = {b.name: b for b in (
+                arch.output, *(b for _, b in arch.inputs))}
+            model = Model(OperadPresentation(
+                TypeTable({t: t for t in TYPES}), boundaries, {"f": arch}))
+            errors = compile_presentation(model.presentation).errors
+            if errors:
+                refused += 1
+                w = next(w for w in arch.wires
+                         if all(r.slot is None for r in w.ports))
+                assert errors == (f"generator f: wire {w} has no slot ports",)
+                with pytest.raises(ValidationError) as err:
+                    serialize(model)
+                assert str(err.value) == \
+                    f"architecture f: wire {w} has no slot ports"
+                continue
+            back = parse(serialize(model))
+            alone = [w for w in arch.wires if len(w.ports) == 1]
+            if alone:
+                one_port += 1
+                assert back.presentation.generators["f"].wires == tuple(
+                    w for w in arch.wires if w not in alone)
+            else:
+                assert back == model
+        assert 0 < refused and 0 < one_port < 200 - refused
 
 
 class TestCorpusFile:

@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from opmodel.corpus import lsi_text
-from opmodel.dsl import parse, parse_free_term, serialize
+from opmodel.dsl import DslError, parse, parse_free_term, serialize
+from opmodel.portgraph import Architecture, _table_of
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from synth import Shape, SynthModel  # noqa: E402
@@ -126,6 +127,29 @@ def test_every_case_keeps_its_outcome():
             f"case {label}:\n  fixture: {want}\n  now:     {have}")
     assert {"DslError:", "serialize", "term"} <= {
         have.split()[0] for _, _, have in got}
+
+
+def test_parser_tables_equal_tables_built_from_wires():
+    """The parser writes each generator's wiring table and no wires; the
+    table equals the one the wires it stands for give (same ids, numbered
+    by first occurrence, each wire typed by its first port)."""
+    texts = [lsi_text()] + [
+        model.text for depth in (2, 3) for seed in (1, 2, 3)  # 16, 64 leaves
+        for model in (SynthModel(Shape(depth=depth), seed),)]
+    texts += [text for _, kind, text in cases() if kind == "model"]
+    accepted = 0
+    for text in texts:
+        try:
+            generators = parse(text).presentation.generators.values()
+        except DslError:
+            continue
+        accepted += 1
+        for arch in generators:
+            assert arch._wires is None
+            table = arch._table
+            built = Architecture(arch.inputs, arch.output, arch.wires)
+            assert table == _table_of(built)
+    assert accepted > 100
 
 
 if __name__ == "__main__":

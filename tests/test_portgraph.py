@@ -30,9 +30,10 @@ from opmodel.portgraph import (
     wire,
 )
 from opmodel.corpus import lsi_text
-from opmodel.presentation import elaborate
-from randgen import (compose_partition_oracle, random_architecture,
-                     random_boundary, random_presentation, random_term)
+from opmodel.presentation import compile_presentation, elaborate, parse_term
+from randgen import (compose_partition_oracle, equal_oracle,
+                     random_architecture, random_boundary,
+                     random_presentation, random_term)
 
 # f wires s.x to x as physical; the raw inner g wires t.a to x as digital
 ILL_TYPED_GLUE = """
@@ -415,6 +416,105 @@ class TestEqual:
         with pytest.raises(ValidationError, match="ambiguous"):
             derive_correspondence(two, two)
 
+    def test_tables_agree_with_the_wire_set_oracle(self):
+        """``equal`` compares tables; the oracle, sets of relabeled wires.
+        Both judge random well-typed terms against a relabeled copy under a
+        random boundary-preserving bijection: the same verdict, the same
+        diff, whether the sides are equal or not."""
+        rng = random.Random(109)
+        verdicts = []
+        for _ in range(200):
+            pres, _ = random_presentation(rng)
+            x = elaborate(pres, random_term(rng, pres))
+            labels = [f"r{i}" for i in range(len(x.inputs))]
+            rng.shuffle(labels)
+            mapping = dict(zip(x.slots, labels))
+            inputs = [(mapping[s], b) for s, b in x.inputs]
+            rng.shuffle(inputs)
+            wires = [Wire(frozenset(
+                r if r.slot is None else at(mapping[r.slot], r.port)
+                for r in w.ports), w.type) for w in x.wires]
+            change = rng.choice(("none", "split", "move", "drop"))
+            w = rng.choice(wires)
+            if change == "drop":  # its ports left unwired
+                wires.remove(w)
+            elif change != "none" and len(w.ports) > 1:
+                r = rng.choice(sorted(w.ports))
+                wires[wires.index(w)] = Wire(w.ports - {r}, w.type)
+                others = [v for v in wires
+                          if v.type == w.type and r not in v.ports]
+                if change == "move" and others:
+                    v = rng.choice(others)
+                    wires[wires.index(v)] = Wire(v.ports | {r}, v.type)
+                else:
+                    wires.append(Wire(frozenset({r}), w.type))
+            y = Architecture(tuple(inputs), x.output, tuple(wires))
+            # swap the partners of two slots of one boundary, at times
+            same = [s for s, b in x.inputs if s != x.slots[0]
+                    and b == x.inputs[0][1]]
+            if same and rng.random() < 0.3:
+                s = rng.choice(same)
+                first = x.slots[0]
+                mapping[first], mapping[s] = mapping[s], mapping[first]
+            corr = ComponentCorrespondence(mapping)
+            report = equal(x, y, corr)
+            assert report == equal_oracle(x, y, corr)
+            verdicts.append(report.equal)
+        assert 40 < sum(verdicts) < 160
+
+
+class TestChecked:
+    """A successful ``canonicalize`` marks an architecture checked, and
+    ``compose`` of checked parts gives a checked result without checking
+    it again; anything unchecked is checked as before."""
+
+    MIXED = ("wire bt.heat1 = ba.heat", "wire bt.heat1 = ba.heat = rt.temp")
+
+    def test_composites_of_compiled_generators_are_checked(
+            self, monkeypatch):
+        pres = opmodel.parse(lsi_text()).presentation
+        term = parse_term("phi(ls->lambda, ts->tau(ba->beta))")
+        assert not any(g._checked for g in pres.generators.values())
+        first = elaborate(pres, term)  # canonicalized at each compose
+        assert first._checked
+        assert compile_presentation(pres).success
+        assert all(g._checked for g in pres.generators.values())
+
+        def refuse(arch):
+            raise AssertionError("a checked part was checked again")
+
+        monkeypatch.setattr(opmodel.portgraph, "canonicalize", refuse)
+        again = elaborate(pres, term)
+        assert again._checked and again == first
+
+    def test_an_ill_typed_outer_architecture_is_refused(self):
+        pres = opmodel.parse(lsi_text().replace(*self.MIXED)).presentation
+        assert compile_presentation(pres).errors  # tau's wire
+        tau, beta = pres.generators["tau"], pres.generators["beta"]
+        assert beta._checked and not tau._checked
+        hand = Architecture(tau.inputs, tau.output, tau.wires)
+        for outer_arch in (tau, hand):
+            with pytest.raises(ValidationError) as err:
+                compose(outer_arch, {"ba": beta})
+            assert str(err.value) == (
+                "wire {temp1, ba.rs.heat1, bt.heat1, rt.temp}:heat "
+                "contains port temp1 of type 'temp'")
+
+    def test_an_ill_typed_filler_is_refused(self):
+        m = boundary("M", x="physical")
+        f = validate(Architecture(
+            (("s", m),), m, (wire([at("s", "x"), outer("x")], "physical"),)))
+        b = boundary("B", a="physical", c="physical", d="digital")
+        # the mixed wire keeps clear of the glued port
+        g = Architecture((("t", b),), m, (
+            wire([at("t", "c"), outer("x")], "physical"),
+            wire([at("t", "a"), at("t", "d")], "physical")))
+        assert f._checked and not g._checked
+        with pytest.raises(ValidationError) as err:
+            compose(f, {"s": g})
+        assert str(err.value) == ("wire {s.t.a, s.t.d}:physical contains "
+                                  "port s.t.d of type 'digital'")
+
 
 class TestOperadLaws:
     """Randomized law checks; the acceptance suite runs them at full volume."""
@@ -489,7 +589,16 @@ class TestOperadLaws:
             expected += sum(len(b.ports) for _, b in g.inputs)
             expected += len(f.output.ports)
             assert len(wired) == len(composed.port_types()) == expected
-            assert validate(composed) == composed
+            # random inputs may hold a wire of outer ports alone, and so
+            # may their composite, which validate then refuses
+            alone = [w for w in composed.wires
+                     if all(r.slot is None for r in w.ports)]
+            if alone:
+                with pytest.raises(ValidationError) as err:
+                    validate(composed)
+                assert str(err.value) == f"wire {alone[0]} has no slot ports"
+            else:
+                assert validate(composed) == composed
 
 
 def test_portref_rendering():

@@ -151,6 +151,10 @@ def test_a_composite_copies_before_its_wires_are_read(copier):
     assert type(other) is Architecture and other == _composite()
     assert other == Architecture(c.inputs, c.output, c.wires)
     assert other.slots == ("a.a", "a.b", "b") and len(other.wires) == 1
+    # the checked bit is copied: ``c`` was canonicalized, since ``f`` was
+    # built by hand, and a new hand-built one is not checked
+    raw = Architecture(c.inputs, c.output, c.wires)
+    assert c._checked and other._checked and not copier(raw)._checked
 
 
 def test_a_composite_compares_and_hashes_alike_before_its_wires_are_read():
