@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Container, Iterator, Mapping, TypeVar
 
@@ -46,8 +46,8 @@ from .portgraph import (
     TypeTable,
     ValidationError,
     Value,
-    _renumbered,
     canonicalize,
+    set_table,
 )
 from .presentation import (
     CoherenceEquation,
@@ -180,26 +180,19 @@ class _Parser:
         _, line, col = next(islice(_located(self.text), index, None))
         return DslError(message, line, col)
 
-    def expect(self, value: str) -> None:
-        """Consume ``value``."""
-        tok = self.tokens[self.pos]
-        if tok != value:
-            raise self.error(f"expected {value!r}, got {tok!r}")
-        self.pos += 1
-
-    def ident(self, what: str = "identifier") -> str:
-        tok = self.tokens[self.pos]
-        if not tok.isidentifier():
-            raise self.error(f"expected {what}, got {tok!r}")
-        self.pos += 1
-        return tok
-
-    def keyword(self, *words: str) -> str:
+    def expect(self, *words: str) -> str:
         """Consume the next token, which must be one of ``words``."""
         tok = self.tokens[self.pos]
         if tok not in words:
             raise self.error(
                 f"expected {' or '.join(map(repr, words))}, got {tok!r}")
+        self.pos += 1
+        return tok
+
+    def ident(self, what: str = "identifier") -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            raise self.error(f"expected {what}, got {tok!r}")
         self.pos += 1
         return tok
 
@@ -269,18 +262,16 @@ class _Parser:
         i, end = self.pos, self.pos + 1 + len(after)
         tok = self.tokens[i]
         value = tok.isidentifier() if table is None else table.get(tok)
-        if value and tok not in seen and self.tokens[i + 1:end] == [*after]:
-            self.pos = end
-            return tok, value
-        if not value:
-            self.ident(f"{what} name")  # raises unless ``tok`` is a name
-            raise self.error(f"unknown {what} {tok!r}", i)
-        self.pos += 1
-        self.fresh(tok, seen, what)
-        # a fresh name: the slice differs from ``after`` at some token
-        k = next(k for k, e in enumerate(after) if self.tokens[i + 1 + k] != e)
-        self.pos += k
-        raise self.error(f"expected {after[k]!r}, got {self.tokens[self.pos]!r}")
+        if not value or tok in seen or self.tokens[i + 1:end] != [*after]:
+            if not value:
+                self.ident(f"{what} name")  # raises unless ``tok`` is a name
+                raise self.error(f"unknown {what} {tok!r}", i)
+            self.pos += 1
+            self.fresh(tok, seen, what)
+            for word in after:  # a fresh name: one of these raises
+                self.expect(word)
+        self.pos = end
+        return tok, value
 
     def typed(self, close: str, what: str, table: Container[str],
               kind: str) -> dict[str, str]:
@@ -374,8 +365,8 @@ class _Parser:
             ")", "slot label", self.boundaries, "boundary name").items()}
         self.expect("->")
         _, output = self.known(self.boundaries, "boundary", (), "{")
-        types = {(s, p): t for s, b in slots.items()
-                 for p, t in b.port_type.items()}
+        arch = Architecture._new(tuple(slots.items()), output)
+        types = arch.port_types()
 
         # each port's wire id, and each id's type: that of its first port
         wire_of: dict[tuple[str | None, str], int] = {}
@@ -412,7 +403,7 @@ class _Parser:
                     and s2 in output.port_type and (None, s2) not in wire_of):
                 self.pos = i + 6
                 inner, port = a, s2
-            elif self.keyword("wire", "expose") == "wire":
+            elif self.expect("wire", "expose") == "wire":
                 refs = [slot_ref(unwired=True)]
                 self.expect("=")
                 refs.append(slot_ref(unwired=True))
@@ -452,11 +443,8 @@ class _Parser:
                 wire_of[candidates[0]] = wire_of[None, port] = len(wire_types)
                 wire_types.append(types[candidates[0]])
 
-        # the table, in ``port_types()`` order; compile reports bad types
-        ports = [*types, *zip(repeat(None), output.ports)]
-        self.generators[name] = Architecture._new(
-            tuple(slots.items()), output, table=_renumbered(
-                list(map(wire_of.get, ports, repeat(-1))), wire_types))
+        # compile reports a wire of mixed types
+        self.generators[name] = set_table(arch, wire_of, wire_types)
 
     # terms and equations --------------------------------------------------
 
@@ -530,7 +518,7 @@ class _Parser:
         mode_sets: dict[str, ModeSet] = {}
         relations: dict[str, ModeRelation] = {}
         for _ in self.items("}", commas=False):
-            if self.keyword("modes", "rel") == "modes":
+            if self.expect("modes", "rel") == "modes":
                 bname, _ = self.known(self.boundaries, "boundary", mode_sets,
                                       "=", "{")
                 modes = [self.ident("mode name") for _ in self.items("}")]
@@ -564,7 +552,7 @@ class _Parser:
         priors: dict[str, Point] = {}
         kernels: dict[str, Kernel] = {}
         for index in self.items("}", commas=False):
-            if self.keyword("prior", "kernel") == "prior":
+            if self.expect("prior", "kernel") == "prior":
                 bname, _ = self.known(self.boundaries, "boundary", priors,
                                       "=", "(")
                 modes, probs, pairs = [], {}, []

@@ -7,6 +7,7 @@ along the shared intermediate ports; the result is again an architecture.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import count, repeat
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
@@ -130,6 +131,10 @@ class Wire(Value):
     def __init__(self, ports: frozenset[PortRef], type: str) -> None:
         self.ports, self.type = ports, type
 
+    def least(self) -> PortRef:
+        """The least port, by which wires sort."""
+        return min(self.ports)
+
     def sorted_ports(self) -> tuple[PortRef, ...]:
         return tuple(sorted(self.ports))
 
@@ -143,13 +148,6 @@ class Wire(Value):
 
 def wire(refs: Iterable[PortRef], type: str) -> Wire:
     return Wire(frozenset(refs), type)
-
-
-def _least_port(w: Wire) -> tuple[str, str]:
-    """A wire's least port as a plain ``(slot or "", port)`` tuple: the
-    sort key of wires, ordering them as ``min(w.ports)`` does, but compared
-    in C rather than by :meth:`PortRef.__lt__`."""
-    return min([(slot or "", port) for slot, port in w.ports])
 
 
 def lookup(table: Mapping[K, V], key: K, message: str) -> V:
@@ -172,13 +170,13 @@ class Architecture(Value):
     ``_checked`` is set once the wiring is known canonical."""
 
     __slots__ = ("inputs", "output", "_wires", "_boundary_of", "_table",
-                 "_checked")
+                 "_checked", "_port_types")
     _fields = ("inputs", "output", "wires")
 
     def __new__(cls, inputs: tuple[tuple[str, Boundary], ...],
                 output: Boundary, wires: tuple[Wire, ...]) -> Architecture:
         return cls._new(inputs, output, tuple(
-            sorted((w for w in wires if w.ports), key=_least_port)))
+            sorted((w for w in wires if w.ports), key=Wire.least)))
 
     @classmethod
     def _new(cls, inputs: tuple[tuple[str, Boundary], ...], output: Boundary,
@@ -188,8 +186,8 @@ class Architecture(Value):
         self = object.__new__(cls)
         self.inputs, self.output = inputs, output
         self._wires, self._table, self._checked = wires, table, checked
-        # derived from ``inputs``, so that equality comparing it changes nothing
-        self._boundary_of = dict(inputs)
+        # derived from the labels, which equality compares already
+        self._boundary_of, self._port_types = dict(inputs), None
         if len(self._boundary_of) != len(inputs):
             raise ValidationError("duplicate slot labels")
         return self
@@ -217,9 +215,11 @@ class Architecture(Value):
     def port_types(self) -> dict[tuple[str | None, str], str]:
         """The type of every port: slot ports in slot order, then the outer
         ports, keyed by plain ``(slot, port)`` tuples, which a
-        :class:`PortRef` hashes and equals."""
-        return {(s, p): b.port_type[p]
-                for s, b in (*self.inputs, (None, self.output)) for p in b.ports}
+        :class:`PortRef` hashes and equals; built once, and not to be changed."""
+        if self._port_types is None:
+            self._port_types = {(s, p): b.port_type[p] for s, b in (
+                *self.inputs, (None, self.output)) for p in b.ports}
+        return self._port_types
 
     def describe(self) -> str:
         """Deterministic textual rendering of the architecture."""
@@ -235,12 +235,20 @@ def _table_of(arch: Architecture) -> tuple[list[int], list[str]]:
     refuses a port on two wires or an unknown port."""
     if arch._table is None:
         wire_of = {r: i for i, w in enumerate(arch.wires) for r in w.ports}
-        wired = len(wire_of)
-        ports = list(map(wire_of.pop, arch.port_types(), repeat(-1)))
-        if wire_of or wired != sum(len(w.ports) for w in arch.wires):
-            raise _wire_error(arch)
-        arch._table = _renumbered(ports, [w.type for w in arch.wires])
+        if len(wire_of) < sum(len(w.ports) for w in arch.wires):
+            raise _wire_error(arch)  # a port on two wires
+        set_table(arch, wire_of, [w.type for w in arch.wires])
     return arch._table
+
+
+def set_table(arch: Architecture, wire_of: dict, types: list) -> Architecture:
+    """Give ``arch`` the table of ``wire_of``, each wired port's wire id (it
+    is emptied), and ``types``, each id's type; an unknown port raises."""
+    ports = list(map(wire_of.pop, arch.port_types(), repeat(-1)))
+    if wire_of:
+        raise _wire_error(arch)
+    arch._table = _renumbered(ports, types)
+    return arch
 
 
 def _renumbered(ports: list[int], types: list[str]) -> tuple:
@@ -257,7 +265,7 @@ def _wires_of(refs: Iterable[tuple], table: tuple) -> tuple[Wire, ...]:
     for ref, i in zip(refs, ports):
         members[i].append(ref)  # an unwired port to the last, left out
     return tuple(sorted((Wire(frozenset(map(PortRef._make, m)), t)
-                         for m, t in zip(members, types)), key=_least_port))
+                         for m, t in zip(members, types)), key=Wire.least))
 
 
 def canonicalize(arch: Architecture) -> Architecture:
@@ -296,12 +304,15 @@ def _wire_error(arch: Architecture) -> ValidationError:
 
 
 def validate(arch: Architecture) -> Architecture:
-    """Canonicalize; also require every port wired, every wire a slot port."""
+    """Canonicalize; also require every port wired, a slot port alone on its
+    wire counting as unwired, and every wire to hold a slot port."""
     ports, types = _table_of(canonicalize(arch))
-    if -1 in ports:
-        names = ", ".join(str(PortRef(*ref)) for ref, i
-                          in zip(arch.port_types(), ports) if i < 0)
-        raise ValidationError(f"unwired ports: {names}")
+    size = Counter(ports)  # each wire id's number of ports
+    if -1 in size or 1 in size.values():
+        names = ", ".join(str(PortRef(*r)) for r, i in zip(arch.port_types(),
+                          ports) if i < 0 or size[i] == 1 and r[0] is not None)
+        if names:
+            raise ValidationError(f"unwired ports: {names}")
     if len(set(ports[:len(ports) - len(arch.output.ports)])) < len(types):
         w = next(w for w in arch.wires if {r.slot for r in w.ports} == {None})
         raise ValidationError(f"wire {w} has no slot ports")
@@ -475,8 +486,8 @@ def equal(a: Architecture, b: Architecture,
     if left == right:
         return EqualityReport(True)
     lw, rw = (set(_wires_of(b.port_types(), t)) for t in (left, right))
-    return EqualityReport(False, tuple(sorted(lw - rw, key=_least_port)),
-                          tuple(sorted(rw - lw, key=_least_port)))
+    return EqualityReport(False, tuple(sorted(lw - rw, key=Wire.least)),
+                          tuple(sorted(rw - lw, key=Wire.least)))
 
 
 def derive_correspondence(a: Architecture,

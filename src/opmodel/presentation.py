@@ -168,10 +168,11 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     """Resolve a leaf selector to a full dotted path.
 
     Accepts an exact path, a unique trailing segment of one, or a unique
-    boundary name (case-insensitive).  A term that :func:`leaf_paths`
-    refuses gets its error.
+    boundary name (case-insensitive).  A term that :func:`leaf_paths`, or
+    then :func:`check_term`, refuses gets its error.
     """
     leaf_paths(pres, t)
+    check_term(pres, t)
     return _leaf_route(pres, t, leaf)[0]
 
 

@@ -8,7 +8,7 @@ architectures induces equations between products of probabilities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Collection, Mapping, NamedTuple
 
@@ -174,11 +174,7 @@ def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     if leaf == "":
         return "", ONE
     path, _, route = _leaf_route(pres, t, leaf)
-    entries = [F[g][slot] for g, slot in route]
-    p = entries[-1]
-    for q in reversed(entries[:-1]):
-        p = q * p  # outer times inner, as folded
-    return path, p
+    return path, prod(F[g][slot] for g, slot in route)
 
 
 class ProbCheckRow(NamedTuple):

@@ -58,7 +58,8 @@ def random_architecture(rng: random.Random, output: Boundary,
     """A random totally wired, canonical architecture into ``output``.
 
     Slot boundaries are drawn from ``pool``, or made afresh when it is empty.
-    A wire may hold outer ports alone, which :func:`validate` refuses.
+    A wire may hold one slot port alone, or outer ports alone, which
+    :func:`validate` refuses.
     """
     if n_slots is None:
         n_slots = rng.randint(1, 3)
@@ -154,6 +155,19 @@ def equal_oracle(a: Architecture, b: Architecture,
     only_r = sorted((Wire(p, t) for p, t in right - left),
                     key=lambda w: min(w.ports))
     return EqualityReport(False, tuple(only_l), tuple(only_r))
+
+
+def validate_oracle(arch: Architecture) -> str | None:
+    """What :func:`portgraph.validate` refuses a canonical ``arch`` for, or
+    None: its ports on no wire, or a slot port alone on its wire, in
+    ``port_types()`` order; else its first wire of outer ports alone."""
+    wire_of = {r: w for w in arch.wires for r in w.ports}
+    unwired = [str(PortRef(*r)) for r in arch.port_types() if r not in wire_of
+               or r[0] is not None and len(wire_of[r].ports) == 1]
+    if unwired:
+        return f"unwired ports: {', '.join(unwired)}"
+    outer_only = [w for w in arch.wires if {r.slot for r in w.ports} == {None}]
+    return f"wire {outer_only[0]} has no slot ports" if outer_only else None
 
 
 # ---------------------------------------------------------------------- terms

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ from opmodel.portgraph import (
 from opmodel.presentation import OperadPresentation, compile_presentation
 from opmodel.prob import ProbFunctor
 from randgen import (
-    TYPES, random_architecture, random_boundary, random_distribution)
+    TYPES, random_architecture, random_boundary, random_distribution,
+    validate_oracle)
 
 F = Fraction
 
@@ -442,11 +444,12 @@ class TestSerialization:
     def test_compile_refuses_a_wire_of_outer_ports_only(self):
         """Such a wire is invalid, so a model that compiles serializes."""
         pres = parse(MINI).presentation
-        warm = pres.generators["warm"]
-        f = Architecture(warm.inputs, warm.output, (
-            Wire(frozenset({PortRef("ba", "temp"), PortRef(None, "temp")}),
-                 "temp"),
-            Wire(frozenset({PortRef("ba", "heat")}), "heat"),
+        bath = pres.boundaries["Bath"]
+        f = Architecture((("ba", bath), ("bb", bath)), pres.boundaries["Room"], (
+            Wire(frozenset({PortRef("ba", "temp"), PortRef("bb", "temp"),
+                            PortRef(None, "temp")}), "temp"),
+            Wire(frozenset({PortRef("ba", "heat"), PortRef("bb", "heat")}),
+                 "heat"),
             Wire(frozenset({PortRef(None, "heat")}), "heat")))
         with pytest.raises(ValidationError,
                            match=r"^wire \{heat\}:heat has no slot ports$"):
@@ -456,10 +459,10 @@ class TestSerialization:
             "generator f: wire {heat}:heat has no slot ports",)
 
     def test_every_model_that_compiles_round_trips(self):
-        """Up to a wire of one slot port, which has no line in the format
-        either: the parse leaves that port unwired."""
+        """Compile refuses a wire of one slot port, which has no line in the
+        format, as it refuses a wire of outer ports alone."""
         rng = random.Random(31)
-        refused = one_port = 0
+        refused = Counter()
         for _ in range(200):
             arch = random_architecture(rng, random_boundary(rng, "Out"))
             boundaries = {b.name: b for b in (
@@ -467,25 +470,23 @@ class TestSerialization:
             model = Model(OperadPresentation(
                 TypeTable({t: t for t in TYPES}), boundaries, {"f": arch}))
             errors = compile_presentation(model.presentation).errors
-            if errors:
-                refused += 1
-                w = next(w for w in arch.wires
-                         if all(r.slot is None for r in w.ports))
-                assert errors == (f"generator f: wire {w} has no slot ports",)
-                with pytest.raises(ValidationError) as err:
-                    serialize(model)
-                assert str(err.value) == \
-                    f"architecture f: wire {w} has no slot ports"
+            refusal = validate_oracle(arch)
+            refused[refusal and refusal.split()[0]] += 1
+            if refusal:
+                assert errors == (f"generator f: {refusal}",)
+                if refusal.startswith("wire"):
+                    with pytest.raises(ValidationError, match=refusal):
+                        serialize(model)
                 continue
-            back = parse(serialize(model))
-            alone = [w for w in arch.wires if len(w.ports) == 1]
-            if alone:
-                one_port += 1
-                assert back.presentation.generators["f"].wires == tuple(
-                    w for w in arch.wires if w not in alone)
-            else:
-                assert back == model
-        assert 0 < refused and 0 < one_port < 200 - refused
+            assert errors == ()
+            assert parse(serialize(model)) == model
+        assert min(refused[k] for k in (None, "unwired", "wire")) > 0
+
+    def test_compile_refuses_a_slot_port_alone_on_its_wire(self):
+        model = parse("interface t physical\nboundary B { x: t }\n"
+                      "architecture f : (a: B) -> B { wire a.x = a.x }\n")
+        assert compile_presentation(model.presentation).errors == (
+            "generator f: unwired ports: a.x, x",)
 
 
 class TestCorpusFile:

@@ -15,6 +15,7 @@ import opmodel
 from opmodel.modes import ModeFunctor, ModeRelation, ModeSet, can_cause
 from opmodel.portgraph import (
     Architecture,
+    CompositionError,
     PortRef,
     TypeTable,
     ValidationError,
@@ -49,7 +50,10 @@ from synth import Shape, SynthModel  # noqa: E402
 # ------------------------------------------------------------------- oracles
 
 def resolve_oracle(pres, t, leaf):
-    """The selector rules over every leaf path string of ``t``."""
+    """The selector rules over every leaf path string of ``t``, once
+    :func:`leaf_paths` and then :func:`check_term` accept it."""
+    leaf_paths(pres, t)
+    check_term(pres, t)
     return leaf_oracle(pres, t, leaf)[0]
 
 
@@ -454,6 +458,17 @@ def test_first_error_is_the_folds(lsi):
                        match="^unknown slot 'zz' in composition$"):
         resolve_leaf(pres, opmodel.parse_term(
             "phi(ls->lambda(zz->beta), ts->nosuch)"), "ba")
+
+
+def test_resolve_leaf_checks_term_types(lsi):
+    """As the other leaf queries do: tau's slot rt takes a Lab, not a Bath."""
+    pres, P = lsi.presentation, lsi.prob_functors["P"]
+    t = opmodel.parse_term("tau(rt->beta)")
+    for query in (lambda: resolve_leaf(pres, t, "rt.ht"),
+                  lambda: leaf_probability(pres, P, t, "rt.ht")):
+        with pytest.raises(CompositionError,
+                           match="^slot 'rt' expects boundary Lab, got Bath$"):
+            query()
 
 
 # --------------------------------------------------------------- at scale
