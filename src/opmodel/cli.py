@@ -17,7 +17,7 @@ from .dsl import DslError, Model, parse, parse_rational
 from .modes import check_mode_functor
 from .portgraph import PortGraphError, lookup
 from .presentation import TermSyntaxError, compile_presentation, elaborate, parse_term
-from .prob import (check_prob_functor, format_probability,
+from .prob import (check_prob_functor, format_exact, format_probability,
                    leaf_path_probability, percent)
 from .stoch import check_lifting, diagnose, format_posterior
 
@@ -140,7 +140,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             {"name": name, "kind": kind, **report.to_dict()})
     return _emit(args, "\n".join(text_parts), {
         "passed": passed,
-        "tolerance": str(tolerance),
+        "tolerance": format_exact(tolerance),
         "architecture": arch_report.to_dict(),
         "functors": payload_functors,
     }, EXIT_OK if passed else EXIT_CHECK_FAILED)
@@ -157,7 +157,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         "term": str(term),
         "leaf": args.leaf,
         "path": path,
-        "value": str(value),
+        "value": format_exact(value),
         "percent": percent(value),
     })
 
@@ -172,7 +172,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         "term": str(term),
         "mode": args.mode,
         "posterior": [
-            {"leaf": label, "value": str(p), "percent": percent(p)}
+            {"leaf": label, "value": format_exact(p), "percent": percent(p)}
             for label, p in posterior.entries],
     })
 
@@ -245,15 +245,6 @@ def _run(argv: list[str] | None) -> int:
         return EXIT_ERROR
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
-        # CPython refuses ``str`` of an integer over its digit limit, which
-        # a reported value can reach; messages use ``prob.format_exact``
-        if "integer string conversion" not in str(exc):
-            raise
-        print("error: a result has more digits than the interpreter's limit "
-              f"of {sys.get_int_max_str_digits()} for integer string "
-              "conversion", file=sys.stderr)
         return EXIT_ERROR
 
 

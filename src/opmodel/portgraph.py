@@ -27,7 +27,7 @@ class ValidationError(PortGraphError):
 
 
 class CompositionError(PortGraphError):
-    """Raised when a substitution is ill-typed."""
+    """Raised when a filler's output is not its slot's boundary."""
 
 
 class Value:
@@ -366,18 +366,22 @@ def compose(outer_arch: Architecture,
     Slots absent from ``inner`` (or filled with an identity) are left alone.
     Wires of the result are the connected components of inner and outer
     wires glued along the shared intermediate ports, which are deleted.
-    Composite slots are labeled ``outerslot.innerslot``.  A port that an
-    input puts on two wires is refused.  Unless every input composed is
-    checked (glued wires then share a type), the result is canonicalized."""
+    Composite slots are labeled ``outerslot.innerslot``.  The outer
+    architecture and each filler composed are canonicalized first, unless
+    checked already, so an ill-formed wire is named in its own input's
+    labels; the result, whose glued wires then share a type, is checked."""
     subst: dict[str, Architecture] = {}
     for slot, g in inner.items():
         outer_arch.check_fill(slot, g.output)
         if not is_identity(g):
             subst[slot] = g
+    for arch in (outer_arch, *subst.values()):
+        if not arch._checked:
+            canonicalize(arch)
 
     # One union-find over wire ids: the outer table's, then each filler's
     # shifted past those and past an id standing for its -1.  Port j of a
-    # filled slot meets port j of its filler's output (``check_fill``).
+    # filled slot meets port j of its filler's output, of its type (``check_fill``).
     ports, types = _table_of(outer_arch)
     types, parent = [*types], [*range(len(types))]
     joined, kept = [], []  # ids given a parent; a wire id per result port
@@ -403,10 +407,6 @@ def compose(outer_arch: Architecture,
                 while parent[j] != j:
                     parent[j] = j = parent[parent[j]]
                 if i != j:
-                    if types[i] != types[j]:
-                        raise CompositionError(
-                            "type conflict among glued wires: "
-                            f"{types[i]!r} vs {types[j]!r}")
                     parent[j] = i
                     joined.append(j)
         start = end
@@ -416,10 +416,8 @@ def compose(outer_arch: Architecture,
     parent.append(-1)  # the outer table's unwired ports
 
     inputs = graft(outer_arch.inputs, {s: g.inputs for s, g in subst.items()})
-    checked = outer_arch._checked and all(g._checked for g in subst.values())
-    arch = Architecture._new(inputs, outer_arch.output, table=_renumbered(
-        list(map(parent.__getitem__, kept)), types), checked=checked)
-    return arch if checked else canonicalize(arch)
+    return Architecture._new(inputs, outer_arch.output, table=_renumbered(
+        list(map(parent.__getitem__, kept)), types), checked=True)
 
 
 class ComponentCorrespondence(Value):

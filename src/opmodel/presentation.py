@@ -168,10 +168,9 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     """Resolve a leaf selector to a full dotted path.
 
     Accepts an exact path, a unique trailing segment of one, or a unique
-    boundary name (case-insensitive).  A term that :func:`leaf_paths`, or
-    then :func:`check_term`, refuses gets its error.
+    boundary name (case-insensitive).  A term that :func:`check_term`
+    refuses gets its error.
     """
-    leaf_paths(pres, t)
     check_term(pres, t)
     return _leaf_route(pres, t, leaf)[0]
 
@@ -181,7 +180,7 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
     """The dotted path :func:`resolve_leaf` gives, the boundary of its leaf
     slot, and the ``(generator, slot)`` steps of the path, root first.
 
-    ``t`` must pass :func:`leaf_paths` (or :func:`check_term`).  An
+    ``t`` must pass :func:`check_term`.  An
     explicit-stack walk follows the term's slots, a slot filled twice its
     last filler, as a fold does.  It never splits a path, since a slot label
     built from Python may hold a dot; where leaves then share a path, the

@@ -36,7 +36,7 @@ def percent(p: Fraction) -> float:
 
 def format_probability(p: Fraction) -> str:
     """Render as an exact fraction with a one-decimal percentage, e.g. ``12/25 (48%)``."""
-    return f"{p} ({percent(p):g}%)"
+    return f"{format_exact(p)} ({percent(p):g}%)"
 
 
 def format_exact(q: Fraction) -> str:
@@ -193,8 +193,8 @@ class ProbCheckRow(NamedTuple):
 
     def to_dict(self) -> dict:
         return {"lhs": self.lhs_path, "rhs": self.rhs_path,
-                "lhs_value": str(self.lhs_value),
-                "rhs_value": str(self.rhs_value), "passed": self.passed}
+                "lhs_value": format_exact(self.lhs_value),
+                "rhs_value": format_exact(self.rhs_value), "passed": self.passed}
 
 
 def check_prob_functor(pres: OperadPresentation, F: ProbFunctor,

@@ -88,7 +88,7 @@ class Kernel(Value):
 
     def __new__(cls, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
                 entries: Mapping[Entry, Fraction]) -> Kernel:
-        slot_modes = dict(slots)
+        slot_modes = {i: ms.modes for i, ms in slots}
         if len(slot_modes) != len(slots):
             raise ValidationError("duplicate kernel slot labels")
         source_modes = set(source.modes)

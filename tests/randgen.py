@@ -54,31 +54,55 @@ def _random_partition(rng: random.Random, items: list) -> list[list]:
 
 def random_architecture(rng: random.Random, output: Boundary,
                         n_slots: int | None = None,
-                        pool: Sequence[Boundary] = ()) -> Architecture:
+                        pool: Sequence[Boundary] = (),
+                        refusable: bool = False) -> Architecture:
     """A random totally wired, canonical architecture into ``output``.
 
-    Slot boundaries are drawn from ``pool``, or made afresh when it is empty.
-    A wire may hold one slot port alone, or outer ports alone, which
-    :func:`validate` refuses.
+    Slot boundaries are drawn from ``pool``, or made afresh when it is empty,
+    and drawn once more if a type's ports, all on one wire, would make a
+    wire that :func:`validate` refuses: outer ports alone, or one slot port
+    alone.  A block of the random partition that is such a wire is merged
+    into the next block of its type, or else into the one before; so such
+    a wire is left only where both draws leave a type with no other wiring.
+    ``refusable`` keeps the first draw and the plain partition, as the
+    models that the parser's judge recorded were drawn.
     """
     if n_slots is None:
         n_slots = rng.randint(1, 3)
-    inputs = tuple(
-        (f"s{i}", rng.choice(pool) if pool
-         else random_boundary(rng, f"B{rng.randrange(10 ** 6)}"))
-        for i in range(n_slots))
-    refs_by_type: dict[str, list[PortRef]] = defaultdict(list)
-    for slot, b in inputs:
-        for p in b.ports:
-            refs_by_type[b.port_type[p]].append(PortRef(slot, p))
-    for p in output.ports:
-        refs_by_type[output.port_type[p]].append(PortRef(None, p))
+    fine = (lambda block: True) if refusable else _validates
+    for _ in range(2):
+        inputs = tuple(
+            (f"s{i}", rng.choice(pool) if pool
+             else random_boundary(rng, f"B{rng.randrange(10 ** 6)}"))
+            for i in range(n_slots))
+        refs_by_type: dict[str, list[PortRef]] = defaultdict(list)
+        for slot, b in inputs:
+            for p in b.ports:
+                refs_by_type[b.port_type[p]].append(PortRef(slot, p))
+        for p in output.ports:
+            refs_by_type[output.port_type[p]].append(PortRef(None, p))
+        if all(map(fine, refs_by_type.values())):
+            break
     wires = []
     for t, refs in refs_by_type.items():
         rng.shuffle(refs)
+        blocks: list[list[PortRef]] = []
         for block in _random_partition(rng, refs):
-            wires.append(Wire(frozenset(block), t))
+            if blocks and not fine(blocks[-1]):
+                blocks[-1] += block
+            else:
+                blocks.append(block)
+        if len(blocks) > 1 and not fine(blocks[-1]):
+            last = blocks.pop()
+            blocks[-1] += last
+        wires += [Wire(frozenset(block), t) for block in blocks]
     return canonicalize(Architecture(inputs, output, tuple(wires)))
+
+
+def _validates(block: list[PortRef]) -> bool:
+    """Whether :func:`validate` accepts a wire of ``block``: it holds a slot
+    port and at least one other port."""
+    return len(block) > 1 and any(r.slot is not None for r in block)
 
 
 def _components(blocks: list[list]) -> list[set]:

@@ -304,7 +304,8 @@ class TestTokenizer:
         boundaries, generators, dists = {}, {}, {}
         while len(generators) < 6:
             name = f"g{len(generators)}"
-            arch = random_architecture(rng, random_boundary(rng, f"Out{name}"))
+            arch = random_architecture(
+                rng, random_boundary(rng, f"Out{name}"), refusable=True)
             if any(all(r.slot is None for r in w.ports) for w in arch.wires):
                 continue  # a wire of outer ports alone has no text form
             generators[name] = arch
@@ -481,6 +482,7 @@ class TestSerialization:
             assert errors == ()
             assert parse(serialize(model)) == model
         assert min(refused[k] for k in (None, "unwired", "wire")) > 0
+        assert refused[None] >= 150
 
     def test_compile_refuses_a_slot_port_alone_on_its_wire(self):
         model = parse("interface t physical\nboundary B { x: t }\n"

@@ -14,6 +14,7 @@ from opmodel.portgraph import (
     ComponentCorrespondence,
     CompositionError,
     EqualityReport,
+    PortGraphError,
     PortRef,
     TypeTable,
     ValidationError,
@@ -36,7 +37,8 @@ from randgen import (compose_partition_oracle, equal_oracle,
                      random_architecture, random_boundary,
                      random_presentation, random_term, validate_oracle)
 
-# f wires s.x to x as physical; the raw inner g wires t.a to x as digital
+# f wires s.x to x as physical; the raw inner g wires t.a to x as digital,
+# and compose refuses g's wire in g's own labels
 ILL_TYPED_GLUE = """
 from opmodel.portgraph import (Architecture, PortGraphError, at, boundary,
                                canonicalize, compose, outer, wire)
@@ -48,7 +50,7 @@ g = Architecture((("t", boundary("B", a="digital")),), m,
 try:
     compose(f, {"s": g})
 except PortGraphError as exc:
-    print(type(exc).__name__)
+    print(f"{type(exc).__name__}: {exc}")
 """
 
 
@@ -256,13 +258,16 @@ class TestCompose:
             (("s", mid),), out,
             (wire([at("s", "x"), outer("x")], "physical"),
              wire([at("s", "y"), outer("y")], "digital"))))
-        # ill-typed raw inner bridging the physical and digital wires of f
+        # ill-typed raw inner bridging the physical and digital wires of f:
+        # compose checks it before gluing, and names its wire in its labels
         g = Architecture(
             (("t", b),), mid,
             (wire([at("t", "a"), outer("x"), outer("y")], "physical"),
              wire([at("t", "d")], "digital")))
-        with pytest.raises(CompositionError, match="type conflict"):
+        with pytest.raises(ValidationError) as err:
             compose(f, {"s": g})
+        assert str(err.value) == (
+            "wire {x, y, t.a}:physical contains port y of type 'digital'")
 
     def test_refuses_an_outer_port_on_two_wires(self):
         # s.x is on a wire that passes through and on one glued at u, so it
@@ -305,7 +310,7 @@ class TestCompose:
             assert wire([at(f"ba.{r.slot}", r.port) for r in w.ports],
                         w.type) in composite.wires
 
-    def test_type_conflict_is_independent_of_hash_seed(self):
+    def test_ill_typed_filler_error_is_independent_of_hash_seed(self):
         src = str(Path(opmodel.__file__).resolve().parent.parent)
         for seed in range(8):
             env = {**os.environ, "PYTHONHASHSEED": str(seed),
@@ -314,8 +319,8 @@ class TestCompose:
                 [sys.executable, "-c", ILL_TYPED_GLUE], env=env,
                 capture_output=True, text=True, check=True,
                 timeout=60).stdout
-            assert out == "CompositionError\n", f"PYTHONHASHSEED={seed}"
-
+            assert out == ("ValidationError: wire {x, t.a}:digital contains "
+                           "port x of type 'physical'\n"), f"PYTHONHASHSEED={seed}"
 
     def test_ill_typed_wire_message_is_independent_of_hash_seed(
             self, tmp_path):
@@ -465,9 +470,9 @@ class TestEqual:
 
 
 class TestChecked:
-    """A successful ``canonicalize`` marks an architecture checked, and
-    ``compose`` of checked parts gives a checked result without checking
-    it again; anything unchecked is checked as before."""
+    """A successful ``canonicalize`` marks an architecture checked.
+    ``compose`` checks each input that is not, so an ill-formed wire is
+    named in its own input's labels, and marks its result checked."""
 
     MIXED = ("wire bt.heat1 = ba.heat", "wire bt.heat1 = ba.heat = rt.temp")
 
@@ -498,7 +503,7 @@ class TestChecked:
             with pytest.raises(ValidationError) as err:
                 compose(outer_arch, {"ba": beta})
             assert str(err.value) == (
-                "wire {temp1, ba.rs.heat1, bt.heat1, rt.temp}:heat "
+                "wire {temp1, ba.heat, bt.heat1, rt.temp}:heat "
                 "contains port temp1 of type 'temp'")
 
     def test_an_ill_typed_filler_is_refused(self):
@@ -513,8 +518,8 @@ class TestChecked:
         assert f._checked and not g._checked
         with pytest.raises(ValidationError) as err:
             compose(f, {"s": g})
-        assert str(err.value) == ("wire {s.t.a, s.t.d}:physical contains "
-                                  "port s.t.d of type 'digital'")
+        assert str(err.value) == ("wire {t.a, t.d}:physical contains "
+                                  "port t.d of type 'digital'")
 
 
 class TestOperadLaws:
@@ -603,6 +608,45 @@ class TestOperadLaws:
             else:
                 assert validate(composed) == composed
         assert min(refused[k] for k in (None, "unwired", "wire")) > 0
+        assert refused[None] >= self.CASES * 3 // 4
+
+    def test_compose_checks_its_inputs_not_its_result(self):
+        """A composite of canonical inputs is canonical: rebuilt unchecked,
+        it passes ``canonicalize``, with the oracle's wires.  An input with
+        one wire's type changed is refused as ``canonicalize`` refuses it."""
+        rng = random.Random(106)
+
+        def retyped(arch, i):
+            w = arch.wires[i]
+            t = "digital" if w.type == "physical" else "physical"
+            return Architecture(arch.inputs, arch.output, (
+                *arch.wires[:i], Wire(w.ports, t), *arch.wires[i + 1:]))
+
+        for _ in range(self.CASES):
+            out = random_boundary(rng, "Out")
+            f = random_architecture(rng, out)
+            s = f.slots[rng.randrange(len(f.slots))]
+            g = random_architecture(rng, f.slot_boundary(s), n_slots=2)
+            composed = compose(f, {s: g})
+            rebuilt = Architecture(composed.inputs, composed.output,
+                                   composed.wires)
+            assert not rebuilt._checked
+            assert canonicalize(rebuilt) == composed
+            assert {w.ports for w in rebuilt.wires} == \
+                compose_partition_oracle(f, {s: g})
+
+            bad_outer = rng.random() < 0.5
+            arch = f if bad_outer else g
+            i = rng.randrange(len(arch.wires))
+            with pytest.raises(ValidationError) as want:
+                canonicalize(retyped(arch, i))
+            with pytest.raises(PortGraphError) as got:
+                if bad_outer:
+                    compose(retyped(f, i), {s: g})
+                else:
+                    compose(f, {s: retyped(g, i)})
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 def test_portref_rendering():
