@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .dsl import DslError, Model, parse, parse_rational
 from .modes import check_mode_functor
@@ -57,14 +58,15 @@ def _tolerance(args: argparse.Namespace) -> Fraction:
     raise CliError(f"bad tolerance {args.tolerance!r}")
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict,
-          code: int = EXIT_OK) -> int:
-    """Print ``text``, or ``payload`` as JSON under the command's name, and
-    return ``code``, the command's exit status."""
+def _emit(args: argparse.Namespace, text: Callable[[], str],
+          payload: Callable[[], dict], code: int = EXIT_OK) -> int:
+    """Print ``text()``, or ``payload()`` as JSON under the command's name,
+    building only the one printed, and return ``code``, the command's exit
+    status."""
     try:
-        print(json.dumps({"command": args.command, **payload}, indent=2,
+        print(json.dumps({"command": args.command, **payload()}, indent=2,
                          sort_keys=True)
-              if args.format == "json" else text, flush=True)
+              if args.format == "json" else text(), flush=True)
     except BrokenPipeError:
         # the reader has gone: drop the output, and point stdout at devnull
         # so that the flush at interpreter exit does not fail again
@@ -77,7 +79,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict,
 def cmd_validate(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     report = compile_presentation(model.presentation)
-    return _emit(args, str(report), report.to_dict(),
+    return _emit(args, report.__str__, report.to_dict,
                  EXIT_OK if report.success else EXIT_CHECK_FAILED)
 
 
@@ -85,7 +87,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     term = parse_term(args.term)
     arch = elaborate(model.presentation, term)
-    return _emit(args, arch.describe(), {
+    return _emit(args, arch.describe, lambda: {
         "term": str(term),
         "inputs": [{"slot": s, "boundary": b.name} for s, b in arch.inputs],
         "output": arch.output.name,
@@ -131,19 +133,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     functor_reports = _functor_checks(model, args.functor or [], tolerance)
 
     passed = arch_report.success and all(r.passed for _, _, r in functor_reports)
-    text_parts = [str(arch_report)]
-    payload_functors = []
-    for name, kind, report in functor_reports:
-        text_parts.append(f"[{kind} {name}]")
-        text_parts.append(str(report))
-        payload_functors.append(
-            {"name": name, "kind": kind, **report.to_dict()})
-    return _emit(args, "\n".join(text_parts), {
-        "passed": passed,
-        "tolerance": format_exact(tolerance),
-        "architecture": arch_report.to_dict(),
-        "functors": payload_functors,
-    }, EXIT_OK if passed else EXIT_CHECK_FAILED)
+
+    def text() -> str:
+        return "\n".join([str(arch_report), *(
+            f"[{kind} {name}]\n{report}"
+            for name, kind, report in functor_reports)])
+
+    def payload() -> dict:
+        return {
+            "passed": passed,
+            "tolerance": format_exact(tolerance),
+            "architecture": arch_report.to_dict(),
+            "functors": [{"name": name, "kind": kind, **report.to_dict()}
+                         for name, kind, report in functor_reports],
+        }
+    return _emit(args, text, payload,
+                 EXIT_OK if passed else EXIT_CHECK_FAILED)
 
 
 def cmd_query(args: argparse.Namespace) -> int:
@@ -153,7 +158,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     term = parse_term(args.term)
     path, value = leaf_path_probability(model.presentation, F, term,
                                         args.leaf)
-    return _emit(args, format_probability(value), {
+    return _emit(args, lambda: format_probability(value), lambda: {
         "term": str(term),
         "leaf": args.leaf,
         "path": path,
@@ -168,7 +173,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
                "no stochastic functor named {!r}")
     term = parse_term(args.term)
     posterior = diagnose(model.presentation, S, term, args.mode)
-    return _emit(args, format_posterior(posterior), {
+    return _emit(args, lambda: format_posterior(posterior), lambda: {
         "term": str(term),
         "mode": args.mode,
         "posterior": [

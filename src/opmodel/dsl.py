@@ -94,41 +94,58 @@ _TOKEN_RE = re.compile(_TOKEN)
 _COMMENT_RE = re.compile(r"#[^\n]*")
 _LOCATED_RE = re.compile(
     rf"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<token>{_TOKEN})|(?P<bad>.)")
-# the lone tokens, in no longer token (but a decimal's ``.``), spaced out
-_ALONE = {tok: f" {tok} " for tok in ("->", *"{}()[]:,=~./")}
+# the lone tokens, in no longer token (but a decimal's ``.``), spaced out:
+# ``-`` before, ``>`` after, so a ``-`` or ``>`` off ``->`` stays in a word
+_ALONE = frozenset(("->", *"{}()[]:,=~./"))
+_PAD = {"-": " -", ">": "> ", **{c: f" {c} " for c in "{}()[]:,=~./"}}
 _DOT_DIGIT_RE = re.compile(r"\.\d")  # a literal first, so a fast search
+_CHUNK = 1 << 15  # characters of code tokenized at a time, to a newline
 
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of ``text`` as plain strings, then ``""`` for end of input.
 
     Tokens carry no position: ``_located`` recomputes positions when an
-    error needs one.  Where no ``.`` precedes a digit (none is a decimal's),
-    the code with its lone tokens spaced out splits into the tokens, if each
-    word is one such token, identifier or integer; else one scan of the code
-    finds them.  Repeated tokens share strings either way, which keeps the
-    parsed model small.
+    error needs one.  The code is read in chunks of about ``_CHUNK``
+    characters, each ending at a newline, which no token spans; a chunk's
+    words give way to shared strings, one per distinct token, before the
+    next chunk is read, so one chunk's words at most are alive at once.
     """
     code = _COMMENT_RE.sub("", text) if "#" in text else text
-    shared = None
-    if not _DOT_DIGIT_RE.search(code):
-        for tok, padded in _ALONE.items():
-            code = code.replace(tok, padded)
+    shared, tokens, start = {"": ""}, [""], 0
+    while start < len(code):
+        end = code.find("\n", start + _CHUNK) + 1 or len(code)
+        tokens[-1:] = _chunk_tokens(code[start:end], shared, text)
+        start = end
+    return tokens
+
+
+def _chunk_tokens(code: str, shared: dict[str, str],
+                  text: str) -> tuple[str, ...]:
+    """The tokens of chunk ``code`` of ``text``, then ``""``, as strings of
+    ``shared``, which gains the new ones.  Where the code is ASCII and no
+    ``.`` precedes a digit (none is a decimal's), the code with its lone
+    tokens spaced out splits into the tokens, if each word is one such
+    token, identifier or integer; else one scan of the code finds them."""
+    new = None
+    if code.isascii() and not _DOT_DIGIT_RE.search(code):
+        for char, padded in _PAD.items():
+            code = code.replace(char, padded)
         words = code.split()
-        shared = {w: w for w in set(words)}  # one string per distinct token
-        if not all(w in _ALONE or w.isascii()
-                   and (w.isidentifier() or w.isdecimal()) for w in shared):
-            shared = None
-    if shared is None:
+        new = set(words).difference(shared)
+        if not all(w.isidentifier() or w in _ALONE or w.isdecimal()
+                   for w in new):
+            new = None
+    if new is None:
         words = _TOKEN_RE.findall(code)
         # findall skips a character outside the grammar: the located scan
         # raises at the first one (str.split and \s agree on whitespace)
         if "".join(words) != "".join(code.split()):
             for _ in _located(text):
                 pass
-        shared = {w: w for w in words}
-    shared[""] = ""  # the end of input
-    return list(itemgetter(*words, "")(shared)) if words else [""]
+        new = set(words).difference(shared)
+    shared.update(zip(new, new))
+    return itemgetter(*words, "")(shared) if words else ("",)
 
 
 def _located(text: str) -> Iterator[tuple[str, int, int]]:

@@ -215,11 +215,16 @@ class Architecture(Value):
     def port_types(self) -> dict[tuple[str | None, str], str]:
         """The type of every port: slot ports in slot order, then the outer
         ports, keyed by plain ``(slot, port)`` tuples, which a
-        :class:`PortRef` hashes and equals; built once, and not to be changed."""
-        if self._port_types is None:
-            self._port_types = {(s, p): b.port_type[p] for s, b in (
+        :class:`PortRef` hashes and equals; not to be changed.  Kept until
+        the architecture is checked, so that building and checking its
+        wiring read one dict; built anew on each read after that."""
+        types = self._port_types
+        if types is None:
+            types = {(s, p): b.port_type[p] for s, b in (
                 *self.inputs, (None, self.output)) for p in b.ports}
-        return self._port_types
+            if not self._checked:
+                self._port_types = types
+        return types
 
     def describe(self) -> str:
         """Deterministic textual rendering of the architecture."""
@@ -282,7 +287,7 @@ def canonicalize(arch: Architecture) -> Architecture:
         if list(map([*types, None].__getitem__, ports)) != want and any(
                 i >= 0 and types[i] != t for i, t in zip(ports, want)):
             raise _wire_error(arch)
-        arch._checked = True
+        arch._checked, arch._port_types = True, None
     return arch
 
 

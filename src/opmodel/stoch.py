@@ -230,6 +230,7 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
     aggregate: list[tuple[str, Fraction]] = []
     violations: list[str] = []
     max_res = ZERO
+    zero_fails = tolerance < 0  # a zero residual exceeds only such a one
     for label, ms in k.kernel.slots:
         masses = marginals[label]
         w = sum(masses.values())
@@ -247,10 +248,13 @@ def pt_condition(k: PtKernel, tolerance: Fraction = ZERO) -> PtConditionReport:
             lhs = masses.get(y, 0)
             # |lhs/c - (w/c) sy| over the denominator c * sy.denominator
             diff = abs(lhs * sy.denominator - w * sy.numerator)
-            res = Fraction(diff, c * sy.denominator) if diff else ZERO
-            if res > max_res:
-                max_res = res
-            if res > tolerance:
+            failed = zero_fails
+            if diff:
+                res = Fraction(diff, c * sy.denominator)
+                if res > max_res:
+                    max_res = res
+                failed = res > tolerance
+            if failed:
                 violations.append(
                     f"slot {label}, mode {y}: marginal "
                     f"{format_exact(Fraction(lhs, c))} != "

@@ -1,23 +1,31 @@
 """The model text format: parsing, errors with locations, serialization."""
+import functools
 import random
 import re
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from opmodel import dsl
 from opmodel.dsl import (
     DslError, Model, _located, _tokenize, parse, serialize)
 from opmodel.corpus import load_lsi, lsi_text
 from opmodel.portgraph import (
-    Architecture, PortRef, TypeTable, ValidationError, Wire, validate)
+    Architecture, PortRef, TypeTable, ValidationError, Wire, canonicalize,
+    validate)
 from opmodel.presentation import OperadPresentation, compile_presentation
 from opmodel.prob import ProbFunctor
 from randgen import (
     TYPES, random_architecture, random_boundary, random_distribution,
     validate_oracle)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+from synth import Shape, SynthModel  # noqa: E402
 
 F = Fraction
 
@@ -328,14 +336,33 @@ class TestTokenizer:
                 end = start  # insert
             yield text[:start] + new + text[end:]
 
-    def test_located_scan_agrees_with_tokenize(self):
+    @staticmethod
+    def chunked(text, chunk, monkeypatch):
+        """``_tokenize(text)`` read in chunks of ``chunk`` characters (None:
+        the module's size), or the message of its ``DslError``."""
+        with monkeypatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(dsl, "_CHUNK", chunk)
+            try:
+                return _tokenize(text)
+            except DslError as exc:
+                return str(exc)
+
+    def test_located_scan_agrees_with_tokenize(self, monkeypatch):
+        """At the module's chunk size, where each text is one chunk, and at
+        sizes that put many chunk seams into every text."""
         rng = random.Random(7)
         texts = [lsi_text(), lsi_text().replace("\n", "\r\n"),
                  self.random_model_text(11)]
         texts += list(self.mutants(texts[0], rng, 200))
         texts += list(self.mutants(texts[2], rng, 100))
+        # the only decimal, or character outside the grammar, in the last chunk
+        texts += [texts[2] + "\nx = 0.25\n", texts[2] + "\nx = @\n"]
         rejected = 0
         for text in texts:
+            whole = self.chunked(text, None, monkeypatch)
+            for chunk in (1, 7, 64):
+                assert self.chunked(text, chunk, monkeypatch) == whole
             try:
                 tokens = _tokenize(text)
             except DslError as exc:
@@ -350,6 +377,9 @@ class TestTokenizer:
             for tok, line, col in located:
                 assert lines[line - 1][col - 1:].startswith(tok)
         assert 0 < rejected < len(texts)
+        assert _tokenize(texts[-2])[-2] == "0.25"
+        assert str(self.chunked(texts[-1], 7, monkeypatch)).endswith(
+            "unexpected character '@'")
 
     @pytest.mark.parametrize("text, message", [
         (" " * 200_000 + "@", "line 1, column 200001: unexpected character '@'"),
@@ -367,6 +397,54 @@ class TestTokenizer:
                 parse(text)
             assert str(err.value) == message
         assert time.perf_counter() - start < 2.0
+
+
+class TestBoundedMemory:
+    """A parse holds one chunk of words at a time, and a checked generator
+    keeps no dict of its port types."""
+
+    @staticmethod
+    @functools.cache
+    def synth_text():
+        return SynthModel(Shape(), 37).text  # 256 leaves, 380 KB
+
+    def test_tokenize_holds_one_chunk_of_words(self):
+        text = self.synth_text()
+        tracemalloc.start()
+        try:
+            tokens = _tokenize(text)
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tokens) > 100_000
+        # read in one piece, its 115k words took about 6 MB over the result
+        assert peak - returned <= 1_500_000
+
+    @pytest.mark.parametrize("which", ["lsi", "synth"])
+    def test_checked_generators_drop_their_port_types(self, which):
+        text = lsi_text() if which == "lsi" else self.synth_text()
+        fresh, model = parse(text), parse(text)
+        assert compile_presentation(model.presentation).success
+        gens = model.presentation.generators
+        assert all(g._checked and g._port_types is None for g in gens.values())
+        for name, g in fresh.presentation.generators.items():
+            assert not g._checked and g._port_types is not None
+            assert gens[name].describe() == g.describe()
+            assert gens[name]._port_types is None  # built anew, not kept
+        assert serialize(model) == serialize(fresh)
+
+    def test_unwired_message_of_a_checked_generator(self):
+        text = ("interface t physical\nboundary B { x: t, y: t }\n"
+                "boundary C { x: t, z: t }\n"
+                "architecture f : (a: B) -> C { expose a.x -> x }\n")
+        fresh, model = parse(text), parse(text)
+        f = canonicalize(model.presentation.generators["f"])
+        assert f._checked and f._port_types is None
+        for g in (fresh.presentation.generators["f"], f):
+            with pytest.raises(ValidationError,
+                               match=r"^unwired ports: a\.y, z$"):
+                validate(g)
+        assert f._port_types is None
 
 
 class TestSerialization:

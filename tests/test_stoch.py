@@ -237,6 +237,19 @@ class TestMarginalOracle:
         assert {(True, True), (False, True), (False, False), "zero prior",
                 *self.KINDS} <= seen
 
+    def test_a_negative_tolerance_fails_zero_residuals(self):
+        """Only a library caller can pass one; the CLI refuses it."""
+        rng = random.Random(409)
+        zero = 0
+        for _ in range(100):
+            src = random_modeset(rng, "S", max_modes=3)
+            k = random_ptkernel(rng, src, (("a", random_modeset(rng, "A", 3)),))
+            report = pt_condition(k, F(-1, 100))
+            assert (report.holds, report.max_residual,
+                    list(report.violations)) == pt_condition_oracle(k, F(-1, 100))
+            zero += pt_condition(k).holds and not report.holds
+        assert zero > 0
+
 
 class TestKernelsAgree:
     """``_kernels_agree`` compares the relabeled stored entries first; the
