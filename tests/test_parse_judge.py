@@ -20,7 +20,7 @@ from pathlib import Path
 
 from opmodel.corpus import lsi_text
 from opmodel.dsl import DslError, parse, parse_free_term, serialize
-from opmodel.portgraph import Architecture, _table_of
+from opmodel.portgraph import Architecture
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from synth import Shape, SynthModel  # noqa: E402
@@ -148,7 +148,7 @@ def test_parser_tables_equal_tables_built_from_wires():
             assert arch._wires is None
             table = arch._table
             built = Architecture(arch.inputs, arch.output, arch.wires)
-            assert table == _table_of(built)
+            assert table == built._table
     assert accepted > 100
 
 

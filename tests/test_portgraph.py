@@ -1,5 +1,7 @@
 """Port-graph architectures: canonical forms, composition, equality."""
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -38,19 +40,44 @@ from randgen import (compose_partition_oracle, equal_oracle,
                      random_presentation, random_term, validate_oracle)
 
 # f wires s.x to x as physical; the raw inner g wires t.a to x as digital,
-# and compose refuses g's wire in g's own labels
-ILL_TYPED_GLUE = """
+# and compose refuses g's wire in g's own labels.  Then the constructor's
+# refusals, each wiring given in 20 orders of its wires and their ports: a
+# port on two wires, and unknown ports; each prints its set of messages
+ILL_FORMED = """
+import random
 from opmodel.portgraph import (Architecture, PortGraphError, at, boundary,
                                canonicalize, compose, outer, wire)
+
+def refusal(run):
+    try:
+        run()
+    except PortGraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
 m = boundary("M", x="physical")
 f = canonicalize(Architecture(
     (("s", m),), m, (wire([at("s", "x"), outer("x")], "physical"),)))
 g = Architecture((("t", boundary("B", a="digital")),), m,
                  (wire([at("t", "a"), outer("x")], "digital"),))
-try:
-    compose(f, {"s": g})
-except PortGraphError as exc:
-    print(f"{type(exc).__name__}: {exc}")
+print(refusal(lambda: compose(f, {"s": g})))
+b = boundary("B", a="physical", b="physical", c="physical")
+out = boundary("O", x="physical", y="physical")
+for wiring in (
+        # s.b and t.a are on both wires, the first in normal order being x's
+        [[at("s", "b"), at("t", "a"), outer("x")],
+         [at("s", "c"), at("t", "a"), at("s", "b"), outer("y")]],
+        # x's wire comes first and names s.zz and t.yy; y's names zz
+        [[outer("x"), at("t", "yy"), at("s", "zz"), at("t", "a")],
+         [outer("y"), outer("zz"), at("s", "a")]]):
+    messages = set()
+    for k in range(20):
+        rng = random.Random(k)
+        shuffled = [rng.sample(ports, len(ports)) for ports in wiring]
+        rng.shuffle(shuffled)
+        messages.add(refusal(lambda: Architecture(
+            (("s", b), ("t", b)), out,
+            tuple(wire(ports, "physical") for ports in shuffled))))
+    print(sorted(messages))
 """
 
 
@@ -80,19 +107,17 @@ class TestCanonicalize:
     def test_rejects_port_on_two_wires(self):
         b = boundary("B", a="physical")
         out = boundary("O", x="physical", y="physical")
-        arch = Architecture(
-            (("s", b),), out,
-            (wire([at("s", "a"), outer("x")], "physical"),
-             wire([at("s", "a"), outer("y")], "physical")))
         with pytest.raises(ValidationError, match="two wires"):
-            canonicalize(arch)
+            Architecture(
+                (("s", b),), out,
+                (wire([at("s", "a"), outer("x")], "physical"),
+                 wire([at("s", "a"), outer("y")], "physical")))
 
     def test_rejects_unknown_port(self):
         out = boundary("O", x="physical")
-        arch = Architecture(
-            (), out, (wire([outer("x"), outer("zz")], "physical"),))
         with pytest.raises(ValidationError, match="unknown port"):
-            canonicalize(arch)
+            Architecture(
+                (), out, (wire([outer("x"), outer("zz")], "physical"),))
 
     def test_rejects_mixed_type_wire(self):
         b = boundary("B", a="digital")
@@ -157,6 +182,20 @@ class TestNormalForm:
             x = elaborate(pres, random_term(rng, pres))
             assert canonicalize(x) is x
             assert self.reversed_wires(x) == x
+
+    def test_every_path_builds_the_table(self):
+        """An architecture holds its wiring table when built, whichever way
+        it was built, and builds its port types' dict anew on each read."""
+        gens = opmodel.parse(lsi_text()).presentation.generators
+        tau = gens["tau"]
+        built = Architecture(tau.inputs, tau.output, tau.wires)
+        made = [tau, built, identity(tau.output),
+                compose(tau, {"ba": gens["beta"]}), copy.copy(built),
+                copy.deepcopy(built), pickle.loads(pickle.dumps(built))]
+        for arch in made:
+            assert arch._table is not None
+            assert arch.port_types() is not arch.port_types()
+        assert built._table == tau._table
 
     def test_wire_order_is_least_port_order(self):
         """Wires sort by plain ``(slot or "", port)`` tuples in the order
@@ -271,33 +310,32 @@ class TestCompose:
 
     def test_refuses_an_outer_port_on_two_wires(self):
         # s.x is on a wire that passes through and on one glued at u, so it
-        # ends on two wires of the composite
+        # would end on two wires of the composite: f is refused when built
         m = boundary("M", x="physical")
-        f = Architecture(
-            (("s", m), ("u", m)), boundary("O", x="physical"),
-            (wire([at("s", "x"), outer("x")], "physical"),
-             wire([at("s", "x"), at("u", "x")], "physical")))
         g = Architecture((("t", boundary("B", a="physical")),), m,
                          (wire([at("t", "a"), outer("x")], "physical"),))
         with pytest.raises(ValidationError,
                            match=r"^port s\.x attached to two wires$"):
+            f = Architecture(
+                (("s", m), ("u", m)), boundary("O", x="physical"),
+                (wire([at("s", "x"), outer("x")], "physical"),
+                 wire([at("s", "x"), at("u", "x")], "physical")))
             compose(f, {"u": g})
 
     def test_refuses_a_deleted_port_on_two_wires(self):
-        # u.x, which the composite deletes, is on two wires of f2: each
-        # input's own wiring is checked, so the two are not glued silently
+        # u.x, which the composite deletes, is on two wires of f2: f2 is
+        # refused when built, so the two are not glued silently
         m = boundary("M", x="physical")
-        f2 = Architecture(
-            (("s", m), ("u", m)), boundary("O", x="physical"),
-            (wire([at("s", "x"), outer("x")], "physical"),
-             wire([at("u", "x")], "physical"),
-             wire([at("u", "x")], "physical")))
         g = Architecture((("t", boundary("B", a="physical")),), m,
                          (wire([at("t", "a"), outer("x")], "physical"),))
-        for run in (lambda: canonicalize(f2), lambda: compose(f2, {"u": g})):
-            with pytest.raises(ValidationError,
-                               match=r"^port u\.x attached to two wires$"):
-                run()
+        with pytest.raises(ValidationError,
+                           match=r"^port u\.x attached to two wires$"):
+            f2 = Architecture(
+                (("s", m), ("u", m)), boundary("O", x="physical"),
+                (wire([at("s", "x"), outer("x")], "physical"),
+                 wire([at("u", "x")], "physical"),
+                 wire([at("u", "x")], "physical")))
+            compose(f2, {"u": g})
 
     def test_passing_wires_are_kept_or_relabeled_alone(self, pres):
         tau, beta = pres.generators["tau"], pres.generators["beta"]
@@ -311,16 +349,22 @@ class TestCompose:
                         w.type) in composite.wires
 
     def test_ill_typed_filler_error_is_independent_of_hash_seed(self):
+        """And so are the constructor's refusals, whatever the order of the
+        wires and of their ports."""
         src = str(Path(opmodel.__file__).resolve().parent.parent)
         for seed in range(8):
             env = {**os.environ, "PYTHONHASHSEED": str(seed),
                    "PYTHONPATH": src}
             out = subprocess.run(
-                [sys.executable, "-c", ILL_TYPED_GLUE], env=env,
+                [sys.executable, "-c", ILL_FORMED], env=env,
                 capture_output=True, text=True, check=True,
                 timeout=60).stdout
-            assert out == ("ValidationError: wire {x, t.a}:digital contains "
-                           "port x of type 'physical'\n"), f"PYTHONHASHSEED={seed}"
+            assert out == (
+                "ValidationError: wire {x, t.a}:digital contains "
+                "port x of type 'physical'\n"
+                "['ValidationError: port s.b attached to two wires']\n"
+                "['ValidationError: unknown port reference s.zz']\n"
+            ), f"PYTHONHASHSEED={seed}"
 
     def test_ill_typed_wire_message_is_independent_of_hash_seed(
             self, tmp_path):

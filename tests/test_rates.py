@@ -60,6 +60,25 @@ class TestCombining:
             assert str(info.value) == message.format(
                 f"{value.numerator:#x}/{value.denominator:#x}")
 
+    def test_ints_are_exact_values(self):
+        assert combine_meantime([2, 2]) == F(1)
+        assert combine_rates([1, F(1, 2)]) == F(3, 2)
+        assert normalize({"a": 1, "b": 3}) == normalize({"a": F(1), "b": F(3)})
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: normalize({"a": 1, "b": 0.5}), "rate 0.5"),
+        (lambda: combine_rates([F(1), "1"]), "rate '1'"),
+        (lambda: combine_meantime([0.5]), "mean time 0.5"),
+        (lambda: combine_meantime([-INF]), "mean time -inf"),
+        (lambda: FailureHistory(0, 10.0, ()), "history bound 10.0"),
+        (lambda: FailureHistory(F(0), F(10), (F(1), 2.5)), "timestamp 2.5")],
+        ids=["normalize", "combine-rates", "meantime", "meantime-minus-inf",
+             "history-bound", "timestamp"])
+    def test_inexact_value_is_refused_by_type(self, make, message):
+        with pytest.raises(ValidationError) as info:
+            make()
+        assert str(info.value) == message + " is not an int or Fraction"
+
 
 class TestInversion:
     def test_swaps_zero_and_infinity(self):
@@ -151,6 +170,19 @@ class TestPipeline:
         assert result.functor["beta"].as_dict() == {
             "ht": F(30, 43), "mx": F(10, 43), "rs": F(3, 43)}
         assert "independent" in result.note
+
+    def test_int_and_fraction_histories_agree(self, lsi):
+        ints = {"ba": FailureHistory(0, 10, (1, 2, 3)),
+                "bt": FailureHistory(0, 12, (4,)),
+                "rt": FailureHistory(0, 20, (2, 8))}
+        fractions = {k: FailureHistory(F(h.t0), F(h.t1), tuple(map(F, h.times)))
+                     for k, h in ints.items()}
+        got, want = (pipeline_check(lsi.presentation, [(parse_term("tau"), h)])
+                     for h in (ints, fractions))
+        assert history_stats(ints["ba"]) == F(10, 3)
+        assert got.functor == want.functor and got.rates == want.rates
+        assert got.functor["tau"]["ba"] == F(18, 29)
+        assert all(type(r) is F for r in got.rates.values())
 
     def test_conflicting_terms_detected(self, lsi):
         doubled = {k: FailureHistory(h.t0, h.t1, h.times + h.times)
