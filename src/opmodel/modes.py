@@ -132,15 +132,21 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     mode trivially causes itself.  A root mode unknown on the root's
     boundary raises, and so, once the selector has resolved, does a leaf
     mode unknown on the leaf's boundary (the root's, for the empty
-    selector).  After :func:`check_term`, one walk over ``t`` resolves the
-    leaf, and the modes that can cause ``root_mode`` are carried down its
-    path alone: a generator with no relation raises at the first step from
-    the root that reaches it, and a relation lacking the step's slot has no
-    pairs there.
+    selector).  A term that :func:`check_term` refuses raises its error
+    before any of these.  One walk over ``t`` types it and resolves the
+    leaf (the empty selector runs :func:`check_term` instead), and the
+    modes that can cause ``root_mode`` are carried down its path alone: a
+    generator with no relation raises at the first step from the root that
+    reaches it, and a relation lacking the step's slot has no pairs there.
     """
-    root_modes = M.modes_of(check_term(pres, t).name)
-    _check_mode(root_modes, root_mode)
+    try:
+        root_modes = M.modes_of(pres.generator(t.generator).output.name)
+        _check_mode(root_modes, root_mode)
+    except ValidationError:
+        check_term(pres, t)  # the term's own fault comes first
+        raise
     if leaf == "":
+        check_term(pres, t)
         _check_mode(root_modes, leaf_mode)
         return leaf_mode == root_mode
     _, b, route = _leaf_route(pres, t, leaf)

@@ -176,7 +176,10 @@ class Architecture(Value):
 
     def __new__(cls, inputs: tuple[tuple[str, Boundary], ...],
                 output: Boundary, wires: tuple[Wire, ...]) -> Architecture:
-        wires = tuple(sorted((w for w in wires if w.ports), key=Wire.least))
+        # least port first, then the rest, then the type: a total order, so
+        # wires sharing their least port do not keep the order given
+        wires = tuple(sorted((w for w in wires if w.ports),
+                             key=lambda w: (w.sorted_ports(), w.type)))
         self = cls._new(inputs, output, wires)
         wire_of = {r: i for i, w in enumerate(wires) for r in w.ports}
         if len(wire_of) < sum(len(w.ports) for w in wires):

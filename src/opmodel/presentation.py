@@ -169,9 +169,9 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
 
     Accepts an exact path, a unique trailing segment of one, or a unique
     boundary name (case-insensitive).  A term that :func:`check_term`
-    refuses gets its error.
+    refuses gets its error, although the walk that resolves the selector
+    types the term itself and so folds nothing when the term is well typed.
     """
-    check_term(pres, t)
     return _leaf_route(pres, t, leaf)[0]
 
 
@@ -180,53 +180,98 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
     """The dotted path :func:`resolve_leaf` gives, the boundary of its leaf
     slot, and the ``(generator, slot)`` steps of the path, root first.
 
-    ``t`` must pass :func:`check_term`.  An
-    explicit-stack walk follows the term's slots, a slot filled twice its
-    last filler, as a fold does.  It never splits a path, since a slot label
-    built from Python may hold a dot; where leaves then share a path, the
-    exact rule takes the last of them in slot order.
+    An iterative walk follows the term's slots, a slot filled twice its
+    last filler, as a fold does.  It types every node it reaches, as
+    :func:`check_term` does: the generator is known, every filled slot
+    exists, and every filler's output is its slot's boundary.  Where one is
+    not, or a slot is filled twice (the fold also types the filler it
+    overwrites), :func:`check_term` runs, so a refused term raises the
+    error the fold meets first.  The walk never splits a path, since a slot
+    label built from Python may hold a dot; where leaves then share a path,
+    the exact rule takes the last of them in slot order.  Each node reached
+    records its parent's index and its slot there, so the walk is linear in
+    the term's size, and only the routes of the leaves that match are
+    rebuilt.
     """
+    gens = pres.generators
+    typed = False  # whether check_term has accepted t
     # a second walk applies the boundary rule, if the first leaves it open
     for want in (None, leaf.lower()):
-        exact, by_suffix, by_boundary = [], [], []
-        # a node, the steps to it, and where the rest of ``leaf`` starts
-        # after the node's path, or -1 if that path does not begin ``leaf``
-        todo = [(t, (), 0)]
-        while todo:
-            node, steps, at = todo.pop()
-            g = node.generator
-            fills = dict(node.children) if node.children else {}
-            for slot, b in pres.generators[g].inputs:
-                end = at + len(slot) \
-                    if at >= 0 and leaf.startswith(slot, at) else -1
-                child = fills.get(slot)
-                if child is not None:
-                    todo.append((child, steps + ((g, slot),), end + 1
-                                 if end >= 0 and leaf.startswith(".", end)
-                                 else -1))
-                elif end == len(leaf):
-                    exact.append(steps + ((g, slot),))
-                else:
-                    if leaf in slot and slot.rpartition(".")[2] == leaf:
-                        by_suffix.append(steps + ((g, slot),))
-                    if want is not None and b.name.lower() == want:
-                        by_boundary.append(steps + ((g, slot),))
+        exact, by_suffix, by_boundary = [], [], []  # (node index, leaf slot)
+        # each node reached, the boundary its output must be (None at the
+        # root), its parent's index and its slot there, and where the rest of
+        # ``leaf`` starts after its path, or -1 if that path does not begin
+        # ``leaf``
+        nodes, outs, ups, ats = [t], [None], [None], [0]
+        for i, node in enumerate(nodes):  # nodes grows as the walk goes
+            arch, out, at = gens.get(node.generator), outs[i], ats[i]
+            if arch is None or out is not None \
+                    and arch.output is not out and arch.output != out:
+                _refuse(pres, t)
+            unfilled = arch.inputs
+            if node.children:
+                fills = dict(node.children)
+                if len(fills) < len(node.children) and not typed:
+                    check_term(pres, t)
+                    typed = True
+                unfilled = []
+                for slot, b in arch.inputs:
+                    child = fills.pop(slot, None)
+                    if child is None:
+                        unfilled.append((slot, b))
+                        continue
+                    end = at + len(slot)
+                    nodes.append(child)
+                    outs.append(b)
+                    ups.append((i, slot))
+                    ats.append(end + 1 if at >= 0 and leaf.startswith(slot, at)
+                               and leaf.startswith(".", end) else -1)
+                if fills:  # a fill of a missing slot
+                    _refuse(pres, t)
+            for slot, b in unfilled:
+                if at >= 0 and leaf.startswith(slot, at) \
+                        and at + len(slot) == len(leaf):
+                    exact.append((i, slot))
+                    continue
+                if leaf in slot and slot.rpartition(".")[2] == leaf:
+                    by_suffix.append((i, slot))
+                if want is not None and b.name.lower() == want:
+                    by_boundary.append((i, slot))
         if exact or len(by_suffix) == 1:
             break
     if exact:
-        route = max(exact, key=lambda route: [
-            pres.generators[g].slots.index(slot) for g, slot in route])
+        route = max((_route(nodes, ups, *m) for m in exact),
+                    key=lambda route: [gens[g].slots.index(slot)
+                                       for g, slot in route])
     elif len(by_suffix) == 1:
-        route = by_suffix[0]
+        route = _route(nodes, ups, *by_suffix[0])
     elif len(by_boundary) == 1:
-        route = by_boundary[0]
+        route = _route(nodes, ups, *by_boundary[0])
     elif by_suffix or by_boundary:
         raise ValidationError(f"leaf selector {leaf!r} is ambiguous in {t}")
     else:
         raise ValidationError(f"no leaf {leaf!r} in {t}")
     g, slot = route[-1]
     path = ".".join(slot for _, slot in route)
-    return path, pres.generators[g].slot_boundary(slot), route
+    return path, gens[g].slot_boundary(slot), route
+
+
+def _refuse(pres: OperadPresentation, t: Term) -> None:
+    """Raise the error :func:`check_term` gives a term the walk found ill
+    typed."""
+    check_term(pres, t)
+    raise AssertionError(f"check_term accepts {t}")
+
+
+def _route(nodes: list[Term], ups: list, i: int, slot: str
+           ) -> tuple[tuple[str, str], ...]:
+    """The ``(generator, slot)`` steps from the root to ``slot`` of
+    ``nodes[i]``, ``ups`` holding each node's parent index and slot there."""
+    route = [(nodes[i].generator, slot)]
+    while i:
+        i, slot = ups[i]
+        route.append((nodes[i].generator, slot))
+    return tuple(reversed(route))
 
 
 class EquationReport(NamedTuple):

@@ -165,13 +165,15 @@ def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     """The dotted path a leaf selector resolves to, ``""`` for the empty
     one, and :func:`leaf_probability` there.
 
-    After :func:`check_term`, one walk over ``t`` resolves the path, and
-    ``F``'s entries are multiplied along it alone: a generator with no
-    value raises at the first step from the root that reaches it, and a
-    value lacking the step's slot raises its unknown label.
+    One walk over ``t`` types it and resolves the path (a term that
+    :func:`check_term` refuses gets its error; the empty selector runs
+    :func:`check_term` itself), and ``F``'s entries are multiplied along
+    the path alone: a generator with no value raises at the first step
+    from the root that reaches it, and a value lacking the step's slot
+    raises its unknown label.
     """
-    check_term(pres, t)
     if leaf == "":
+        check_term(pres, t)
         return "", ONE
     path, _, route = _leaf_route(pres, t, leaf)
     return path, prod(F[g][slot] for g, slot in route)

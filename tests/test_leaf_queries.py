@@ -3,15 +3,18 @@
 and against a path oracle where it refuses, on random presentations, on
 functors and presentations that the fold refuses or reads oddly, and on a
 256-leaf model where the folds are not allowed to run."""
+import gc
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import opmodel
+from opmodel import presentation
 from opmodel.modes import ModeFunctor, ModeRelation, ModeSet, can_cause
 from opmodel.portgraph import (
     Architecture,
@@ -42,6 +45,7 @@ from randgen import (
     random_relation,
     random_term,
 )
+from test_cli import identity_model_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 from synth import Shape, SynthModel  # noqa: E402
@@ -523,3 +527,61 @@ def test_256_leaf_queries_walk_one_path(synth256, monkeypatch):
                         is m.can_cause(leaf, y, x)
                     assert can_cause(pres, M2, term, f"l{leaf}", y, x) \
                         is m.can_cause(leaf, y, x)
+
+
+def test_successful_queries_fold_nothing(synth256, monkeypatch):
+    """On a well-typed root term the route walk types the term itself:
+    ``check_term``'s fold never runs, so ``fold_term`` is not called."""
+    m, model = synth256
+    pres, P, M = (model.presentation, model.prob_functors["P"],
+                  model.mode_functors["M"])
+    calls = []
+    fold_term = presentation.fold_term
+
+    def counted(*args):
+        calls.append(args[0])
+        return fold_term(*args)
+
+    monkeypatch.setattr(presentation, "fold_term", counted)
+    node = next(iter(m.roots.values()))
+    term = opmodel.parse_term(node.term())
+    for leaf in random.Random(3).sample(node.leaves, 4):
+        assert leaf_probability(pres, P, term, f"l{leaf}") \
+            == m.leaf_probability(node, leaf)
+        assert can_cause(pres, M, term, f"l{leaf}", m.leaf_modes[0],
+                         m.root_modes[0]) \
+            is m.can_cause(leaf, m.leaf_modes[0], m.root_modes[0])
+        assert resolve_leaf(pres, term, f"l{leaf}").endswith(f".l{leaf}")
+    assert calls == []
+    check_term(pres, term)  # the fold, which calls itself once per node
+    assert len(calls) == sum(1 for _ in node.walk())
+
+
+def test_deep_chain_queries_are_linear():
+    """``tau(ba->idb(x->...idb(x->beta)...))`` at 20,000 and 40,000 levels of
+    the identity generator, built from Python: each query answers without a
+    recursion limit, and doubling the depth at most about doubles its time."""
+    model = opmodel.parse(identity_model_text())
+    pres, P, M = (model.presentation, model.prob_functors["P"],
+                  model.mode_functors["M"])
+    seconds = {}
+    for depth in (20_000, 40_000):
+        t = Term("beta")
+        for _ in range(depth):
+            t = Term("idb", (("x", t),))
+        t = Term("tau", (("ba", t),))
+        best = math.inf
+        gc.disable()  # a collection's cost grows with the heap, not the walk
+        try:
+            for _ in range(3):
+                start = time.perf_counter()
+                assert leaf_probability(pres, P, t, "ht") == Fraction(2, 5)
+                assert can_cause(pres, M, t, "ht", "malfunction",
+                                 "laser_low") is True
+                assert resolve_leaf(pres, t, "ht") \
+                    == "ba" + ".x" * depth + ".ht"
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        seconds[depth] = best
+    assert seconds[40_000] <= 2.5 * seconds[20_000], seconds

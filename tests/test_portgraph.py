@@ -61,6 +61,7 @@ g = Architecture((("t", boundary("B", a="digital")),), m,
                  (wire([at("t", "a"), outer("x")], "digital"),))
 print(refusal(lambda: compose(f, {"s": g})))
 b = boundary("B", a="physical", b="physical", c="physical")
+tb = boundary("T", a="physical", b="physical", c="digital")
 out = boundary("O", x="physical", y="physical")
 for wiring in (
         # s.b and t.a are on both wires, the first in normal order being x's
@@ -68,14 +69,17 @@ for wiring in (
          [at("s", "c"), at("t", "a"), at("s", "b"), outer("y")]],
         # x's wire comes first and names s.zz and t.yy; y's names zz
         [[outer("x"), at("t", "yy"), at("s", "zz"), at("t", "a")],
-         [outer("y"), outer("zz"), at("s", "a")]]):
+         [outer("y"), outer("zz"), at("s", "a")]],
+        # both wires' least port is s.a; t.b's wire comes first, so s.a is
+        # on two wires before the digital t.c is on a physical one
+        [[at("s", "a"), at("t", "b")], [at("s", "a"), at("t", "c")]]):
     messages = set()
     for k in range(20):
         rng = random.Random(k)
         shuffled = [rng.sample(ports, len(ports)) for ports in wiring]
         rng.shuffle(shuffled)
         messages.add(refusal(lambda: Architecture(
-            (("s", b), ("t", b)), out,
+            (("s", b), ("t", tb)), out,
             tuple(wire(ports, "physical") for ports in shuffled))))
     print(sorted(messages))
 """
@@ -364,6 +368,7 @@ class TestCompose:
                 "port x of type 'physical'\n"
                 "['ValidationError: port s.b attached to two wires']\n"
                 "['ValidationError: unknown port reference s.zz']\n"
+                "['ValidationError: port s.a attached to two wires']\n"
             ), f"PYTHONHASHSEED={seed}"
 
     def test_ill_typed_wire_message_is_independent_of_hash_seed(
