@@ -59,7 +59,6 @@ from .prob import Distribution, ProbFunctor
 from .stoch import Kernel, Point, StochFunctor
 
 T = TypeVar("T")
-_Number = tuple[Fraction, tuple[int, int]]  # value, (numerator, denominator)
 
 
 class DslError(TermSyntaxError):
@@ -179,7 +178,7 @@ class _Parser:
         self.tokens += [""] * 8  # so that no entry's slice runs short
         self.pos = 0
         # each number spelling read so far, ``a`` or ``(a, b)`` for ``a/b``
-        self.numbers: dict[str | tuple[str, str], _Number] = {}
+        self.numbers: dict[str | tuple[str, str], Fraction] = {}
         self.type_table: dict[str, str] = {}
         self.boundaries: dict[str, Boundary] = {}
         self.generators: dict[str, Architecture] = {}
@@ -230,10 +229,9 @@ class _Parser:
                 self.pos += 1
         self.pos += 1
 
-    def rational(self) -> _Number:
-        """A number, ``a`` or ``a/b``, and its ``(numerator, denominator)``:
-        each spelling is checked and built once per parse, and its repeats
-        share one ``Fraction``."""
+    def rational(self) -> Fraction:
+        """A number, ``a`` or ``a/b``: each spelling is checked and built
+        once per parse, and its repeats share one ``Fraction``."""
         tokens, i = self.tokens, self.pos
         slash = tokens[i + 1] == "/"
         key = (tokens[i], tokens[i + 2]) if slash else tokens[i]
@@ -249,8 +247,7 @@ class _Parser:
                 denominator = self.number(tokens[i + 2])
                 if denominator == 0:
                     raise self.error("zero denominator")
-            value = Fraction(value, denominator)
-            value = self.numbers[key] = value, value.as_integer_ratio()
+            value = self.numbers[key] = Fraction(value, denominator)
         self.pos = i + 3 if slash else i + 1
         return value
 
@@ -513,17 +510,15 @@ class _Parser:
             gen, arch = self.known(self.generators, "generator", dists, "=", "(")
             slots = arch.slots
             values: dict[str, Fraction] = {}
-            pairs: list[tuple[int, int]] = []
             for i in self.items(")"):
                 slot, colon = self.tokens[i:i + 2]
                 if not (colon == ":" and slot in slots and slot not in values):
                     slot = self.slot(gen, slots, values)
                     self.expect(":")
                 self.pos = i + 2
-                values[slot], pair = self.rational()
-                pairs.append(pair)
+                values[slot] = self.rational()
             dists[gen] = self.build(Distribution._new, tuple(
-                (s, values[s]) for s in slots if s in values), pairs)
+                (s, values[s]) for s in slots if s in values))
             if len(values) != len(slots):
                 raise self.error(
                     f"distribution for {gen} does not cover all slots",
@@ -572,7 +567,7 @@ class _Parser:
             if self.expect("prior", "kernel") == "prior":
                 bname, _ = self.known(self.boundaries, "boundary", priors,
                                       "=", "(")
-                modes, probs, pairs = [], {}, []
+                modes, probs = [], {}
                 for i in self.items(")"):
                     mode, colon = self.tokens[i:i + 2]
                     if not (colon == ":" and mode.isidentifier()):
@@ -580,10 +575,9 @@ class _Parser:
                         self.expect(":")
                     self.pos = i + 2
                     modes.append(mode)
-                    probs[mode], pair = self.rational()
-                    pairs.append(pair)
+                    probs[mode] = self.rational()
                 priors[bname] = self.build(lambda: Point._new(
-                    ModeSet(bname, tuple(modes)), probs, pairs))
+                    ModeSet(bname, tuple(modes)), probs))
                 continue
             gen, arch = self.known(self.generators, "generator", kernels)
             for b in (arch.output, *(b for _, b in arch.inputs)):
@@ -596,7 +590,7 @@ class _Parser:
             slot_modes = dict(slots)
             slot_names = {s: ms.modes for s, ms in slots}
             self.expect("{")
-            entries, rows = {}, {x: [] for x in source.modes}
+            entries = {}
             for i in self.items("}"):
                 x, arrow, slot, dot, y, colon = self.tokens[i:i + 6]
                 if not (arrow == "->" and dot == "." and colon == ":"
@@ -612,9 +606,8 @@ class _Parser:
                             f"duplicate kernel entry {x} -> {slot}.{y}", i)
                     self.expect(":")
                 self.pos = i + 6
-                entries[(x, slot, y)], pair = self.rational()
-                rows[x].append(pair)
-            kernels[gen] = self.build(Kernel._new, source, slots, entries, rows)
+                entries[(x, slot, y)] = self.rational()
+            kernels[gen] = self.build(Kernel._new, source, slots, entries)
         self.stoch_functors[name] = StochFunctor(priors, kernels, name)
 
 
@@ -640,7 +633,7 @@ def parse_free_term(text: str) -> Term:
 def parse_rational(text: str) -> Fraction:
     """Parse a number on its own, as ``.opm`` writes one: an integer, a
     finite decimal, or either over an integer denominator (``a/b``)."""
-    return _parse_whole(text, lambda parser: parser.rational()[0])
+    return _parse_whole(text, _Parser.rational)
 
 
 def serialize(model: Model) -> str:

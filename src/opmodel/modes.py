@@ -134,10 +134,10 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     mode unknown on the leaf's boundary (the root's, for the empty
     selector).  A term that :func:`check_term` refuses raises its error
     before any of these.  One walk over ``t`` types it and resolves the
-    leaf (the empty selector runs :func:`check_term` instead), and the
-    modes that can cause ``root_mode`` are carried down its path alone: a
-    generator with no relation raises at the first step from the root that
-    reaches it, and a relation lacking the step's slot has no pairs there.
+    leaf, and the modes that can cause ``root_mode`` are carried down its
+    path alone: a generator with no relation raises at the first step from
+    the root that reaches it, and a relation lacking the step's slot has no
+    pairs there.
     """
     try:
         root_modes = M.modes_of(pres.generator(t.generator).output.name)
@@ -145,10 +145,6 @@ def can_cause(pres: OperadPresentation, M: ModeFunctor, t: Term,
     except ValidationError:
         check_term(pres, t)  # the term's own fault comes first
         raise
-    if leaf == "":
-        check_term(pres, t)
-        _check_mode(root_modes, leaf_mode)
-        return leaf_mode == root_mode
     _, b, route = _leaf_route(pres, t, leaf)
     _check_mode(M.modes_of(b.name), leaf_mode)
     causes = {root_mode}

@@ -32,7 +32,7 @@ V = TypeVar("V")
 class Term(Value):
     """A composite of generators: children substitute into the parent's slots.
 
-    Unfilled slots are the leaves of the term.
+    Unfilled slots are the leaves of the term; a slot is filled at most once.
     """
 
     __slots__ = ("generator", "children")
@@ -40,9 +40,14 @@ class Term(Value):
     def __init__(self, generator: str,
                  children: tuple[tuple[str, Term], ...] = ()) -> None:
         self.generator, self.children = generator, children
+        seen = set()
+        for slot, _ in children:
+            if slot in seen:
+                raise ValidationError(f"duplicate slot {slot!r}")
+            seen.add(slot)
 
     def child(self, slot: str) -> "Term | None":
-        """The last filler of ``slot``, the one every fold reads, or None."""
+        """The filler of ``slot``, or None."""
         return dict(self.children).get(slot)
 
     def __str__(self) -> str:
@@ -168,9 +173,10 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
     """Resolve a leaf selector to a full dotted path.
 
     Accepts an exact path, a unique trailing segment of one, or a unique
-    boundary name (case-insensitive).  A term that :func:`check_term`
-    refuses gets its error, although the walk that resolves the selector
-    types the term itself and so folds nothing when the term is well typed.
+    boundary name (case-insensitive); the empty selector names the root,
+    whose path is ``""``.  A term that :func:`check_term` refuses gets its
+    error, although the walk that resolves the selector types the term
+    itself and so folds nothing when the term is well typed.
     """
     return _leaf_route(pres, t, leaf)[0]
 
@@ -178,14 +184,13 @@ def resolve_leaf(pres: OperadPresentation, t: Term, leaf: str) -> str:
 def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
                 ) -> tuple[str, Boundary, tuple[tuple[str, str], ...]]:
     """The dotted path :func:`resolve_leaf` gives, the boundary of its leaf
-    slot, and the ``(generator, slot)`` steps of the path, root first.
+    slot, and the ``(generator, slot)`` steps of the path, root first: for
+    the empty selector, ``""``, the root's output and no steps.
 
-    An iterative walk follows the term's slots, a slot filled twice its
-    last filler, as a fold does.  It types every node it reaches, as
-    :func:`check_term` does: the generator is known, every filled slot
-    exists, and every filler's output is its slot's boundary.  Where one is
-    not, or a slot is filled twice (the fold also types the filler it
-    overwrites), :func:`check_term` runs, so a refused term raises the
+    An iterative walk follows the term's slots.  It types every node it
+    reaches, as :func:`check_term` does: the generator is known, every
+    filled slot exists, and every filler's output is its slot's boundary.
+    Where one is not, :func:`check_term` runs, so a refused term raises the
     error the fold meets first.  The walk never splits a path, since a slot
     label built from Python may hold a dot; where leaves then share a path,
     the exact rule takes the last of them in slot order.  Each node reached
@@ -194,7 +199,6 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
     rebuilt.
     """
     gens = pres.generators
-    typed = False  # whether check_term has accepted t
     # a second walk applies the boundary rule, if the first leaves it open
     for want in (None, leaf.lower()):
         exact, by_suffix, by_boundary = [], [], []  # (node index, leaf slot)
@@ -211,9 +215,6 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
             unfilled = arch.inputs
             if node.children:
                 fills = dict(node.children)
-                if len(fills) < len(node.children) and not typed:
-                    check_term(pres, t)
-                    typed = True
                 unfilled = []
                 for slot, b in arch.inputs:
                     child = fills.pop(slot, None)
@@ -237,8 +238,10 @@ def _leaf_route(pres: OperadPresentation, t: Term, leaf: str
                     by_suffix.append((i, slot))
                 if want is not None and b.name.lower() == want:
                     by_boundary.append((i, slot))
-        if exact or len(by_suffix) == 1:
+        if exact or len(by_suffix) == 1 or not leaf:
             break
+    if not leaf:
+        return "", gens[t.generator].output, ()
     if exact:
         route = max((_route(nodes, ups, *m) for m in exact),
                     key=lambda route: [gens[g].slots.index(slot)

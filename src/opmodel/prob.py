@@ -20,7 +20,6 @@ from .presentation import (
     Term,
     _leaf_route,
     aligned_equations,
-    check_term,
     equation_correspondence,
     fold_term,
 )
@@ -73,11 +72,10 @@ class Distribution(Value):
         return cls._new(entries)
 
     @classmethod
-    def _new(cls, entries: tuple[tuple[str, Fraction], ...],
-             pairs: list[tuple[int, int]] | None = None) -> Distribution:
+    def _new(cls, entries: tuple[tuple[str, Fraction], ...]) -> Distribution:
         """Unique labels and exact probabilities assumed: range and sum are
-        checked on ``pairs``, the ``(numerator, denominator)`` of each."""
-        pairs = pairs or [p.as_integer_ratio() for _, p in entries]
+        checked on the ``(numerator, denominator)`` of each."""
+        pairs = [p.as_integer_ratio() for _, p in entries]
         n, d = exact_sum(pairs)
         if n != d or min(pairs)[0] < 0:  # in range if none is negative
             for l, p in entries:
@@ -166,17 +164,13 @@ def leaf_path_probability(pres: OperadPresentation, F: ProbFunctor, t: Term,
     one, and :func:`leaf_probability` there.
 
     One walk over ``t`` types it and resolves the path (a term that
-    :func:`check_term` refuses gets its error; the empty selector runs
-    :func:`check_term` itself), and ``F``'s entries are multiplied along
-    the path alone: a generator with no value raises at the first step
-    from the root that reaches it, and a value lacking the step's slot
-    raises its unknown label.
+    :func:`check_term` refuses gets its error), and ``F``'s entries are
+    multiplied along the path alone: a generator with no value raises at
+    the first step from the root that reaches it, and a value lacking the
+    step's slot raises its unknown label.
     """
-    if leaf == "":
-        check_term(pres, t)
-        return "", ONE
     path, _, route = _leaf_route(pres, t, leaf)
-    return path, prod(F[g][slot] for g, slot in route)
+    return path, prod((F[g][slot] for g, slot in route), start=ONE)
 
 
 class ProbCheckRow(NamedTuple):

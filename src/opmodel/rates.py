@@ -171,6 +171,9 @@ def pipeline_check(pres: OperadPresentation,
             else:
                 rate = visit(sub, histories, path + ".")
             child_rates[slot] = rate
+        if not any(child_rates.values()):  # which normalize refuses
+            raise ValidationError(f"generator {t.generator} at "
+                                  f"{prefix[:-1] or 'the root'}: zero total rate")
         dist = normalize(child_rates)
         if t.generator in dists and dists[t.generator] != dist:
             conflicts.append(

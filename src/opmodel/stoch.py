@@ -53,11 +53,10 @@ class Point(Value):
         return cls._new(modes, probs)
 
     @classmethod
-    def _new(cls, modes: ModeSet, probs: Mapping[str, Fraction],
-             pairs: list[tuple[int, int]] | None = None) -> Point:
+    def _new(cls, modes: ModeSet, probs: Mapping[str, Fraction]) -> Point:
         """Exact masses on modes of ``modes`` assumed: signs and sum are
-        checked on ``pairs``, the ``(numerator, denominator)`` of each."""
-        pairs = pairs or [p.as_integer_ratio() for p in probs.values()]
+        checked on the ``(numerator, denominator)`` of each."""
+        pairs = [p.as_integer_ratio() for p in probs.values()]
         n, d = exact_sum(pairs)
         if n != d or min(pairs)[0] < 0:
             for m, p in probs.items():
@@ -109,14 +108,12 @@ class Kernel(Value):
 
     @classmethod
     def _new(cls, source: ModeSet, slots: tuple[tuple[str, ModeSet], ...],
-             entries: Mapping[Entry, Fraction],
-             rows: Mapping[str, list[tuple[int, int]]] | None = None) -> Kernel:
+             entries: Mapping[Entry, Fraction]) -> Kernel:
         """Distinct slots and exact entries on its modes assumed: signs and
-        row sums are checked on ``rows``, each source mode's pairs."""
-        if rows is None:
-            rows = {x: [] for x in source.modes}
-            for (x, _, _), p in entries.items():
-                rows[x].append(p.as_integer_ratio())
+        row sums are checked on each row's integer ratios."""
+        rows = {x: [] for x in source.modes}
+        for (x, _, _), p in entries.items():
+            rows[x].append(p.as_integer_ratio())
         if any(row and min(row)[0] < 0 for row in rows.values()):
             for (x, i, y), p in entries.items():
                 if p.numerator < 0:
@@ -402,10 +399,12 @@ def diagnose(pres: OperadPresentation, S: StochFunctor, t: Term,
 
     This is the composed kernel's row at the observation: the chain product
     of conditional entries down the term.  Labels are ``leafpath.mode``.
+    An observed mode unknown to the root's kernel raises before any fold.
     """
     check_term(pres, t)
+    root = lookup(S.kernels, t.generator, "no kernel for generator {!r}")
+    _check_mode(root.source, observed_root_mode)
     k = S.fold(pres, t)
-    _check_mode(k.kernel.source, observed_root_mode)
     return Distribution(tuple(
         (f"{label}.{y}", k.kernel(observed_root_mode, label, y))
         for label, ms in k.kernel.slots for y in ms.modes))

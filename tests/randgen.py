@@ -20,6 +20,7 @@ from opmodel.portgraph import (
     EqualityReport,
     PortRef,
     TypeTable,
+    ValidationError,
     Wire,
     canonicalize,
     check_correspondence,
@@ -217,8 +218,9 @@ def random_presentation(rng: random.Random
 def random_term(rng: random.Random, pres: OperadPresentation,
                 fault: str | None = None, depth: int = 3) -> Term:
     """A random well-typed term, or one with a ``fault`` at a random node:
-    an unknown generator, an unknown slot, a boundary mismatch, or a slot
-    filled twice more, well typed each time, after any fill it had."""
+    an unknown generator, an unknown slot or a boundary mismatch.  The
+    fault ``"twice"`` fills a slot twice more, well typed each time, after
+    any fill it had; ``Term`` refuses that, and the term stays well typed."""
     def grow(name: str, depth: int) -> Term:
         children = []
         for slot, b in pres.generators[name].inputs:
@@ -241,8 +243,14 @@ def random_term(rng: random.Random, pres: OperadPresentation,
         slot, b = rng.choice(pres.generators[t.generator].inputs)
         if fault == "twice":
             fits = [g for g, a in pres.generators.items() if a.output == b]
-            return Term(t.generator, t.children + tuple(
-                (slot, grow(rng.choice(fits), 1)) for _ in range(2)))
+            children = t.children + tuple(
+                (slot, grow(rng.choice(fits), 1)) for _ in range(2))
+            try:
+                Term(t.generator, children)
+            except ValidationError as exc:
+                assert str(exc) == f"duplicate slot {slot!r}", exc
+                return t
+            raise AssertionError(f"Term accepts slot {slot!r} filled twice")
         children = dict(t.children)
         children[slot] = Term(rng.choice(
             [g for g, a in pres.generators.items() if a.output != b]))
@@ -271,7 +279,7 @@ def _elaboration(pres: OperadPresentation, t: Term, path: tuple[str, ...]
     ``path`` in a whole term.  A wire is a list of nodes: ``("ref",
     PortRef(label, port))`` for a leaf port, ``("mid", path, port)`` for a
     port of the node at ``path``, which is also a port of its parent's slot.
-    A slot keeps its label where its last filler elaborates to a straight
+    A slot keeps its label where its filler elaborates to a straight
     wiring of one leaf, an identity, which composition leaves alone."""
     arch = pres.generators[t.generator]
     fills = dict(t.children)

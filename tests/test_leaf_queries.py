@@ -55,15 +55,15 @@ from synth import Shape, SynthModel  # noqa: E402
 
 def resolve_oracle(pres, t, leaf):
     """The selector rules over every leaf path string of ``t``, once
-    :func:`check_term` accepts it."""
+    :func:`check_term` accepts it; the empty selector names the root."""
     check_term(pres, t)
-    return leaf_oracle(pres, t, leaf)[0]
+    return "" if leaf == "" else leaf_oracle(pres, t, leaf)[0]
 
 
 def leaves(pres, t, steps=(), path=""):
     """Each leaf of a well-typed ``t``, in slot order, as its dotted path,
     boundary name and ``(generator, slot)`` steps, root first, enumerated
-    recursively; a slot filled twice leads to its last filler."""
+    recursively."""
     found = []
     fills = dict(t.children)
     for slot, b in pres.generators[t.generator].inputs:
@@ -428,21 +428,21 @@ def test_boundary_rule_lowercases_non_ascii_names():
     assert_queries_match(pres, F, M, t, random.Random("non-ASCII names"))
 
 
-def test_slot_filled_twice_keeps_last_filler():
-    """A term built from Python may fill a slot twice; like the fold, the
-    route follows the last filler, and the first must still be well formed."""
+def test_slot_filled_twice_is_refused():
+    """A term fills each slot once: built from Python with a slot filled
+    twice, well formed or not, it is refused before any query can run."""
     rng = random.Random("filled twice")
     checked = 0
     while checked < 20:
-        pres, F = random_presentation(rng)
-        M = random_modes(rng, pres)
+        pres, _ = random_presentation(rng)
         t = random_term(rng, pres)
         if not t.children:
             continue
         slot, child = t.children[0]
         for first in (child, Term("unknown")):
-            twice = Term(t.generator, ((slot, first),) + t.children)
-            assert_queries_match(pres, F, M, twice, rng)
+            with pytest.raises(ValidationError) as info:
+                Term(t.generator, ((slot, first),) + t.children)
+            assert str(info.value) == f"duplicate slot {slot!r}"
         checked += 1
 
 
@@ -531,7 +531,8 @@ def test_256_leaf_queries_walk_one_path(synth256, monkeypatch):
 
 def test_successful_queries_fold_nothing(synth256, monkeypatch):
     """On a well-typed root term the route walk types the term itself:
-    ``check_term``'s fold never runs, so ``fold_term`` is not called."""
+    ``check_term``'s fold never runs, so ``fold_term`` is not called, not
+    even for the empty selector, which names the root."""
     m, model = synth256
     pres, P, M = (model.presentation, model.prob_functors["P"],
                   model.mode_functors["M"])
@@ -552,6 +553,10 @@ def test_successful_queries_fold_nothing(synth256, monkeypatch):
                          m.root_modes[0]) \
             is m.can_cause(leaf, m.leaf_modes[0], m.root_modes[0])
         assert resolve_leaf(pres, term, f"l{leaf}").endswith(f".l{leaf}")
+    assert can_cause(pres, M, term, "", m.root_modes[0], m.root_modes[0])
+    assert not can_cause(pres, M, term, "", m.root_modes[1], m.root_modes[0])
+    one, root = leaf_probability(pres, P, term, ""), resolve_leaf(pres, term, "")
+    assert (type(one), one, type(root), root) == (Fraction, 1, str, "")
     assert calls == []
     check_term(pres, term)  # the fold, which calls itself once per node
     assert len(calls) == sum(1 for _ in node.walk())

@@ -178,17 +178,16 @@ class TestFoldedWalks:
     ``elaborate`` are their oracles, and a brute-force partition of the
     whole term's wires is the oracle of ``elaborate``.  A fill of a missing
     slot has no leaf paths: ``leaf_paths`` refuses it.  A slot filled twice
-    is read through its last filler, by the folds and by ``Term.child``
-    alike."""
+    never reaches a fold: ``Term`` refuses it, as the parser does."""
 
-    def test_slot_filled_twice_reads_the_last_filler(self, lsi):
-        pres = lsi.presentation
-        t = Term("phi", (("ts", Term("tau")),
+    def test_slot_filled_twice_is_refused(self):
+        with pytest.raises(ValidationError) as info:
+            Term("phi", (("ts", Term("tau")),
                          ("ts", parse_term("tau(ba->beta)"))))
-        assert t.child("ts") == parse_term("tau(ba->beta)")
-        paths = leaf_paths(pres, t)
-        assert len(paths) == 6
-        assert leaf_paths_oracle(pres, t) == paths
+        assert str(info.value) == "duplicate slot 'ts'"
+        with pytest.raises(TermSyntaxError) as parsed:
+            parse_term("phi(ts->tau, ts->tau(ba->beta))")
+        assert str(parsed.value).endswith(": duplicate slot 'ts'")
 
     def test_random_terms_match_the_oracles(self):
         rng = random.Random(2009)

@@ -215,21 +215,26 @@ class TestPipeline:
         total = result.rates["tau(ba->beta)"]
         assert result.functor["tau"]["ba"] == F(43, 60) / total
 
-    def test_slot_filled_twice_follows_last_filler(self, lsi):
-        """A term built from Python may fill a slot twice; like
-        ``check_term`` and the folds, the pipeline follows the last filler,
-        with a history for each of that term's leaf paths."""
-        pres = lsi.presentation
+    def test_slot_filled_twice_is_refused(self):
+        """A term fills each slot once, so no pipeline has to choose
+        between two fillers of one slot: ``Term`` refuses the second."""
         once = parse_term("phi(ts->tau(ba->beta))")
-        twice = Term("phi", (("ts", parse_term("tau")),) + once.children)
-        histories = {path: FailureHistory(F(0), F(10), (F(i + 1),))
-                     for i, (path, _) in enumerate(leaf_paths(pres, twice))}
-        assert "ts.ba.ht" in histories
-        got = pipeline_check(pres, [(twice, histories)])
-        want = pipeline_check(pres, [(once, histories)])
-        assert got.functor == want.functor
-        assert got.rates[str(twice)] == want.rates[str(once)]
-        assert got.conflicts == want.conflicts == ()
+        with pytest.raises(ValidationError) as info:
+            Term("phi", (("ts", parse_term("tau")),) + once.children)
+        assert str(info.value) == "duplicate slot 'ts'"
+
+    def test_zero_total_rate_names_its_node(self, lsi):
+        """With every history empty each rate is 0: the first node whose
+        children sum to 0 is named by its dotted path, or as the root."""
+        pres = lsi.presentation
+        empty = FailureHistory(F(0), F(10), ())
+        for text, where in (("phi(ts->tau(ba->beta))", "beta at ts.ba"),
+                            ("beta", "beta at the root")):
+            t = parse_term(text)
+            histories = {path: empty for path, _ in leaf_paths(pres, t)}
+            with pytest.raises(ValidationError) as info:
+                pipeline_check(pres, [(t, histories)])
+            assert str(info.value) == f"generator {where}: zero total rate"
 
     def test_missing_history_rejected(self, lsi):
         with pytest.raises(ValidationError, match="missing history"):

@@ -395,6 +395,28 @@ class TestDiagnose:
             diagnose(lsi.presentation, lsi.stoch_functors["S"],
                      parse_term("tau"), "nonsense")
 
+    def test_observed_mode_is_checked_before_the_fold(self, lsi):
+        """The observed mode is checked on the root generator's kernel, so
+        its error comes before a missing kernel below the root or a missing
+        root prior; a missing root kernel comes first, as in the fold."""
+        pres, S = lsi.presentation, lsi.stoch_functors["S"]
+        t = parse_term("phi(ts->tau)")
+        no_tau = StochFunctor(S.priors, {g: k for g, k in S.kernels.items()
+                                         if g != "tau"})
+        no_lsi = StochFunctor({b: p for b, p in S.priors.items()
+                               if b != "LSI"}, S.kernels)
+        no_phi = StochFunctor(S.priors, {g: k for g, k in S.kernels.items()
+                                         if g != "phi"})
+        for functor, mode, message in (
+                (no_tau, "nonsense", "unknown mode 'nonsense' on LSI"),
+                (no_lsi, "nonsense", "unknown mode 'nonsense' on LSI"),
+                (no_tau, "bad_length", "no kernel for generator 'tau'"),
+                (no_lsi, "bad_length", "no prior for boundary 'LSI'"),
+                (no_phi, "nonsense", "no kernel for generator 'phi'")):
+            with pytest.raises(ValidationError) as info:
+                diagnose(pres, functor, t, mode)
+            assert str(info.value) == message
+
     def test_term_pt_kernel_matches_manual_composition(self, lsi):
         S = lsi.stoch_functors["S"]
         manual = compose_pt(

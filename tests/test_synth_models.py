@@ -13,9 +13,11 @@ import pytest
 
 import opmodel
 import opmodel.cli  # noqa: F401  (run_cli calls cli.run)
+from opmodel import stoch
+from opmodel.portgraph import ValidationError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
-from synth import Shape, SynthModel  # noqa: E402
+from synth import Node, Shape, SynthModel  # noqa: E402
 from workloads import check_synth_report, run_cli  # noqa: E402
 
 SEEDS = (1, 2, 3)
@@ -97,6 +99,31 @@ def test_queries_match_references():
                 for y in m.leaf_modes:
                     assert opmodel.can_cause(pres, M, term, f"l{leaf}", y, x) \
                         is m.can_cause(leaf, y, x)
+
+
+def test_diagnose_refuses_an_unknown_mode_before_composing(monkeypatch):
+    """On a 256-leaf root term a mistyped observed mode raises before any
+    kernel is composed, where a fold would compose one per inner node."""
+    m = SynthModel(Shape(), 7)
+    model = opmodel.parse(m.text)
+    pres, S = model.presentation, model.stoch_functors["S"]
+    node = next(iter(m.roots.values()))
+    term = opmodel.parse_term(node.term())
+    calls = []
+    compose_kernel = stoch.compose_kernel
+
+    def counted(*args):
+        calls.append(args[0])
+        return compose_kernel(*args)
+
+    monkeypatch.setattr(stoch, "compose_kernel", counted)
+    with pytest.raises(ValidationError) as info:
+        opmodel.diagnose(pres, S, term, "nope")
+    assert str(info.value).startswith("unknown mode 'nope' on ")
+    assert calls == []
+    opmodel.diagnose(pres, S, term, m.root_modes[0])
+    assert len(calls) == sum(1 for n in node.walk()
+                             if any(isinstance(c, Node) for _, c in n.children))
 
 
 @pytest.mark.parametrize("source", ["lsi", *((d, s) for d in DEPTHS

@@ -193,9 +193,12 @@ def test_a_composite_compares_and_hashes_alike_before_its_wires_are_read():
      "distribution labels must be unique"),
     (lambda: Architecture((("a", BATH), ("a", BATH)), BATH, ()),
      "duplicate slot labels"),
+    (lambda: Term("phi", (("ts", Term("tau")), ("ts", Term("tau")))),
+     "duplicate slot 'ts'"),
 ], ids=["kernel-mode", "kernel-mode-before-sign", "kernel-source-mode",
         "kernel-slot", "kernel-duplicate-slot", "point-mode",
-        "distribution-labels", "architecture-duplicate-slot"])
+        "distribution-labels", "architecture-duplicate-slot",
+        "term-duplicate-slot"])
 def test_public_constructors_make_the_checks_the_parser_makes(make, message):
     """The parser builds values through private constructors that skip the
     checks it has already made; built by hand, a value gets them all."""
